@@ -45,7 +45,7 @@ def _require(cfg, field, types, diagnostics, predicate=None, note=""):
         diagnostics.append(f"missing required field '{field}' {note}".strip())
         return None
     value = cfg[field]
-    if not isinstance(value, types):
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         diagnostics.append(
             f"field '{field}' has type {type(value).__name__}, expected "
             f"{'/'.join(t.__name__ for t in types)}"
@@ -85,7 +85,8 @@ def validate_config(cfg: dict):
         sched = _require(cfg, "alpha_schedule", (list,), diags,
                          lambda v: len(v) > 0, note="(nonempty list)")
         if sched is not None and not all(
-            isinstance(a, (int, float)) and a >= 1 for a in sched
+            isinstance(a, (int, float)) and not isinstance(a, bool) and a >= 1
+            for a in sched
         ):
             diags.append("'alpha_schedule' entries must be numbers >= 1")
         start = cfg.get("start", "distorted_equator")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.spatial import cKDTree
 
 from .errors import ConvergenceError, NumericError, PreconditionError
 from .sphere_mesh import FOUR_PI, SphereMesh, worker_count
@@ -181,10 +180,13 @@ def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray
     w = alpha * (1.0 + g) ** (alpha - 1.0)
     vals = sphere_map.values[mesh.faces]                      # (F, 3, C)
     s = np.einsum("fij,fjc->fic", mesh.face_stiffness, vals)  # (F, 3, C)
-    contrib = w[:, None, None] * s
-    grad = np.zeros_like(sphere_map.values)
-    np.add.at(grad, mesh.faces.reshape(-1), contrib.reshape(-1, vals.shape[2]))
-    return grad
+    del vals
+    s *= w[:, None, None]
+    s = s.reshape(-1, s.shape[2])
+    # bincount sums in index order, as np.add.at does, so the result is the same
+    idx = mesh.faces.reshape(-1)
+    return np.column_stack([np.bincount(idx, weights=s[:, c], minlength=mesh.vertex_count)
+                            for c in range(s.shape[1])])
 
 
 def alpha_energy_gradient(sphere_map: SphereMap, alpha: float) -> TangentField:
@@ -288,12 +290,9 @@ def sample_map(sphere_map: SphereMap, points: np.ndarray) -> np.ndarray:
     barycentric interpolation is followed by renormalization.
     """
     mesh = sphere_map.mesh
-    if "centroid_tree" not in mesh._cache:
-        mesh._cache["centroid_tree"] = cKDTree(mesh.face_centroids)
-    tree = mesh._cache["centroid_tree"]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k = min(16, mesh.face_count)
-    _, cand = tree.query(pts, k=k, workers=worker_count())
+    _, cand = mesh.centroid_tree.query(pts, k=k, workers=worker_count())
     cand = np.atleast_2d(cand)
     corner = mesh.vertices[mesh.faces[cand]]          # (Q, k, 3, 3)
     mats = corner.transpose(0, 1, 3, 2)               # columns are corners
@@ -310,9 +309,7 @@ def sample_map(sphere_map: SphereMap, points: np.ndarray) -> np.ndarray:
     if not np.all(found):
         # extremely rare: fall back to the nearest vertex value
         missing = np.where(~found)[0]
-        if "vertex_tree" not in mesh._cache:
-            mesh._cache["vertex_tree"] = cKDTree(mesh.vertices)
-        _, nearest = mesh._cache["vertex_tree"].query(pts[missing])
+        _, nearest = mesh.vertex_tree.query(pts[missing])
         vals[missing] = sphere_map.values[nearest]
     return normalize_rows(vals)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .energy import (
     SphereMap,
@@ -262,7 +261,7 @@ def detect_concentration(sphere_map: SphereMap, epsilon_su: float,
     mesh = sphere_map.mesh
     face_energy = 0.5 * element_energy_integrals(sphere_map)
     centroids = mesh.face_centroids
-    tree = cKDTree(centroids)
+    tree = mesh.centroid_tree
     chordal = 2.0 * np.sin(radius / 2.0)
     ball_area = 2.0 * np.pi * (1.0 - np.cos(radius + 2.0 * mesh.max_edge_length()))
     remaining = face_energy.copy()
@@ -275,9 +274,7 @@ def detect_concentration(sphere_map: SphereMap, epsilon_su: float,
         if float(np.max(density)) * ball_area <= epsilon_su:
             break  # no ball can reach the threshold
         seed_face = int(np.argmax(remaining))
-        if "vertex_tree" not in mesh._cache:
-            mesh._cache["vertex_tree"] = cKDTree(mesh.vertices)
-        _, candidate_vertices = mesh._cache["vertex_tree"].query(
+        _, candidate_vertices = mesh.vertex_tree.query(
             centroids[seed_face], k=min(64, mesh.vertex_count),
             workers=worker_count(),
         )

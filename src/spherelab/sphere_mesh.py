@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
+from scipy.spatial import cKDTree
 
 from .errors import MeshAssemblyError, PreconditionError, ResourceLimitError
 
@@ -74,10 +75,25 @@ def _icosahedron():
     return verts, faces
 
 
+def _edge_table(faces, v, return_inverse=False):
+    """Unique edges (i < j) of faces on v vertices, sorted, as a read-only array.
+
+    Returns (edges, [inverse,] counts) as np.unique does: edges[inverse] lists
+    each face's edges 01, 12, 20 in face order, counts the faces on each edge.
+    The int64 dedup key i*v + j sorts in the lexicographic order of (i, j).
+    """
+    nxt = np.roll(faces, -1, axis=1)
+    key = np.minimum(faces, nxt).astype(np.int64) * v + np.maximum(faces, nxt)
+    uniq, *rest = np.unique(key.reshape(-1), return_inverse=return_inverse,
+                            return_counts=True)
+    edges = np.stack(np.divmod(uniq, v), axis=1)
+    edges.flags.writeable = False
+    return (edges, *rest)
+
+
 def _subdivide(verts, faces):
     """One loop-subdivision round with midpoints projected to the sphere."""
-    edge = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    uniq, inv = np.unique(edge, axis=0, return_inverse=True)
+    uniq, inv, _ = _edge_table(faces, len(verts), return_inverse=True)
     mid = verts[uniq[:, 0]] + verts[uniq[:, 1]]
     mid /= np.linalg.norm(mid, axis=1)[:, None]
     m = len(verts) + inv.reshape(-1, 3)  # columns: m01, m12, m20
@@ -113,9 +129,16 @@ class SphereMesh:
     def face_count(self):
         return len(self.faces)
 
+    def _cached(self, key, build):
+        """The cache entry for key, made by build() on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def edges(self):
-        e = np.sort(self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        return np.unique(e, axis=0)
+        """Unique vertex pairs (i < j) in lexicographic order; cached, read-only."""
+        return self._cached("edges",
+                            lambda: _edge_table(self.faces, self.vertex_count)[0])
 
     def max_edge_length(self):
         e = self.edges()
@@ -129,17 +152,23 @@ class SphereMesh:
             p = self.vertices[self.faces]  # (F, 3, 3)
             # edge i is opposite vertex i
             e = np.empty_like(p)
-            e[:, 0] = p[:, 2] - p[:, 1]
-            e[:, 1] = p[:, 0] - p[:, 2]
-            e[:, 2] = p[:, 1] - p[:, 0]
-            normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-            flat_area = 0.5 * np.linalg.norm(normal, axis=1)
+            np.subtract(p[:, 2], p[:, 1], out=e[:, 0])
+            np.subtract(p[:, 0], p[:, 2], out=e[:, 1])
+            np.subtract(p[:, 1], p[:, 0], out=e[:, 2])
+            # e1 x e2 is (p1 - p0) x (p2 - p0) up to sign, bit for bit
+            flat_area = 0.5 * np.linalg.norm(np.cross(e[:, 1], e[:, 2]), axis=1)
             if np.any(flat_area <= 0) or not np.all(np.isfinite(flat_area)):
                 bad = int(np.argmin(flat_area))
                 raise MeshAssemblyError(
                     f"degenerate face {bad} with area {flat_area[bad]!r}", face_index=bad
                 )
-            k_local = np.einsum("fic,fjc->fij", e, e) / (4.0 * flat_area)[:, None, None]
+            # k_local[f, i, j] = e_i . e_j: six two-index einsums give the bits of
+            # the one three-index einsum in less time
+            k_local = np.empty_like(p)
+            for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)):
+                dot = np.einsum("fc,fc->f", e[:, i], e[:, j])
+                k_local[:, i, j] = k_local[:, j, i] = dot
+            k_local /= (4.0 * flat_area)[:, None, None]
             # Quadrature weights use exact geodesic triangle areas; these tile
             # the sphere, so the total mass is 4*pi to rounding.  The stiffness
             # keeps flat-triangle cotangents (conformally immaterial in 2d).
@@ -177,29 +206,38 @@ class SphereMesh:
             self._cache["centroids"] = c
         return self._cache["centroids"]
 
+    @property
+    def centroid_tree(self):
+        """kd-tree over the face centroids (cached)."""
+        return self._cached("centroid_tree", lambda: cKDTree(self.face_centroids))
+
+    @property
+    def vertex_tree(self):
+        """kd-tree over the vertices (cached)."""
+        return self._cached("vertex_tree", lambda: cKDTree(self.vertices))
+
     def total_area(self):
         return float(self.face_areas.sum())
 
     def solve_mass(self, rhs):
         """Solve M x = rhs columnwise (M is the consistent mass matrix)."""
-        if "mass_lu" not in self._cache:
-            self._cache["mass_lu"] = splu(assemble_pencil(self).M.tocsc())
-        lu = self._cache["mass_lu"]
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.ndim == 1:
-            return lu.solve(rhs)
-        return np.column_stack([lu.solve(rhs[:, j]) for j in range(rhs.shape[1])])
+        lu = self._cached("mass_lu", lambda: splu(assemble_pencil(self).M.tocsc()))
+        return _solve_columns(lu, rhs)
 
     def solve_stiff_plus_mass(self, rhs):
         """Solve (K + M) x = rhs columnwise; factorization is cached."""
-        if "km_lu" not in self._cache:
+        def factor():
             pencil = assemble_pencil(self)
-            self._cache["km_lu"] = splu((pencil.K + pencil.M).tocsc())
-        lu = self._cache["km_lu"]
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.ndim == 1:
-            return lu.solve(rhs)
-        return np.column_stack([lu.solve(rhs[:, j]) for j in range(rhs.shape[1])])
+            return splu((pencil.K + pencil.M).tocsc())
+
+        return _solve_columns(self._cached("km_lu", factor), rhs)
+
+
+def _solve_columns(lu, rhs):
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim == 1:
+        return lu.solve(rhs)
+    return np.column_stack([lu.solve(rhs[:, j]) for j in range(rhs.shape[1])])
 
 
 @dataclass(frozen=True)
@@ -237,20 +275,20 @@ def build_icosphere(subdivision_level: int) -> SphereMesh:
 
 
 def validate_mesh(mesh: SphereMesh) -> None:
-    """Check unit vertices, sphere topology and closedness; raise on failure."""
+    """Check unit vertices, topology and closedness; cache the edge table on success."""
     norms = np.linalg.norm(mesh.vertices, axis=1)
     if np.max(np.abs(norms - 1.0)) > 1e-12:
         raise PreconditionError("vertices are not on the unit sphere")
     v = mesh.vertex_count
     f = mesh.face_count
-    edge = np.sort(mesh.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    uniq, counts = np.unique(edge, axis=0, return_counts=True)
-    e = len(uniq)
+    edges, counts = _edge_table(mesh.faces, v)
+    e = len(edges)
     if v - e + f != 2:
         raise PreconditionError(f"Euler characteristic {v - e + f} != 2")
     if not np.all(counts == 2):
         raise PreconditionError("mesh is not closed: an edge is not shared by 2 faces")
     mesh._geometry()  # raises MeshAssemblyError on degenerate faces
+    mesh._cache["edges"] = edges
 
 
 def assemble_pencil(mesh: SphereMesh) -> FemPencil:

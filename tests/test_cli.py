@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from spherelab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, validate_config
 
 
@@ -56,6 +58,21 @@ def test_validate_config_unit():
     diags = validate_config({"kind": "pinch", "delta": 1.5, "samples": 10,
                              "n": 4})
     assert any("delta" in d for d in diags)
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"kind": "flow", "level": True, "n": 4, "alpha_schedule": [1.1]}, "level"),
+    ({"kind": "flow", "level": 2, "n": 4, "alpha_schedule": [True]}, "alpha_schedule"),
+    ({"kind": "spectrum", "level": 2, "n": 4, "alpha": False}, "alpha"),
+    ({"kind": "pinch", "delta": True, "samples": 10, "n": 4}, "delta"),
+])
+def test_validate_rejects_bools(tmp_path, capsys, cfg, field):
+    # bool subclasses int, but true/false is never a level, count or alpha
+    diags = validate_config(cfg)
+    assert diags and all(field in d for d in diags)
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main(["validate", "--config", path]) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
 
 
 # -- runs ------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from spherelab.energy import (
     SphereMap,
     alpha_energy,
     alpha_energy_gradient,
+    alpha_energy_raw_gradient,
     axisymmetric_alpha_energy,
     axisymmetric_divergence_minorant,
     center_of_mass,
@@ -16,6 +17,7 @@ from spherelab.energy import (
     dilate_points,
     dilated_equator_map,
     dirichlet_energy,
+    element_density_area_one,
     equator_map,
     fit_centering_dilation,
     normalize_rows,
@@ -135,6 +137,20 @@ def test_gradient_matches_finite_differences(mesh2, rng):
                 SphereMap(mesh2, 4, normalize_rows(f.values - h * direction)), alpha)
             fd = (plus - minus) / (2 * h)
             assert abs(analytic - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("level", [3, 4])
+@pytest.mark.parametrize("alpha", [1.0, 1.1])
+def test_raw_gradient_scatter_matches_add_at(level, alpha):
+    # the bincount scatter sums in the same order as np.add.at: bit for bit
+    mesh = build_icosphere(level)
+    f = random_map(mesh, 4, np.random.default_rng(0))
+    g, _ = element_density_area_one(f)
+    w = alpha * (1.0 + g) ** (alpha - 1.0)
+    s = np.einsum("fij,fjc->fic", mesh.face_stiffness, f.values[mesh.faces])
+    expected = np.zeros_like(f.values)
+    np.add.at(expected, mesh.faces.reshape(-1), (w[:, None, None] * s).reshape(-1, 5))
+    assert np.array_equal(alpha_energy_raw_gradient(f, alpha), expected)
 
 
 def test_dirichlet_energy_convention_independent(mesh3, rng):

@@ -6,7 +6,13 @@ from scipy.sparse.linalg import eigsh
 
 from spherelab import AreaConvention, assemble_pencil, build_icosphere, to_area_one
 from spherelab.errors import PreconditionError, ResourceLimitError
-from spherelab.sphere_mesh import mesh_json_doc, mesh_to_obj, rotate_mesh, validate_mesh
+from spherelab.sphere_mesh import (
+    SphereMesh,
+    mesh_json_doc,
+    mesh_to_obj,
+    rotate_mesh,
+    validate_mesh,
+)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -37,6 +43,48 @@ def test_sphere_topology(level):
     edges = mesh.edges()
     assert mesh.vertex_count - len(edges) + mesh.face_count == 2
     validate_mesh(mesh)  # unit vertices, closedness, positive areas
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5])
+def test_edges_match_two_dimensional_unique(level):
+    # reference: the lexicographic row dedup the integer-key table replaces
+    mesh = build_icosphere(level)
+    pairs = np.sort(mesh.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    reference = np.unique(pairs, axis=0)
+    edges = mesh.edges()
+    assert edges.dtype == reference.dtype
+    assert np.array_equal(edges, reference)
+    assert mesh.edges() is edges  # cached
+    assert not edges.flags.writeable
+    fresh = SphereMesh(vertices=mesh.vertices, faces=mesh.faces, subdivision_level=level)
+    assert np.array_equal(fresh.edges(), reference)  # built lazily without validation
+
+
+def test_validate_rejects_euler_characteristic(mesh2):
+    holed = SphereMesh(vertices=mesh2.vertices, faces=mesh2.faces[1:], subdivision_level=2)
+    with pytest.raises(PreconditionError, match="Euler"):
+        validate_mesh(holed)
+
+
+def test_validate_rejects_edge_on_three_faces(mesh2):
+    # a fin (a, b, d) on the edge ab with a new vertex d adds one vertex, two
+    # edges and one face: V - E + F stays 2, but ab now lies on three faces
+    a, b = mesh2.faces[0, :2]
+    d = mesh2.vertices[a] + mesh2.vertices[b]
+    verts = np.vstack([mesh2.vertices, d / np.linalg.norm(d)])
+    faces = np.vstack([mesh2.faces, [a, b, mesh2.vertex_count]])
+    fin = SphereMesh(vertices=verts, faces=faces, subdivision_level=2)
+    v, e, f = fin.vertex_count, len(fin.edges()), fin.face_count
+    assert v - e + f == 2
+    with pytest.raises(PreconditionError, match="not closed"):
+        validate_mesh(fin)
+
+
+def test_kd_trees_cached(mesh2):
+    assert mesh2.centroid_tree is mesh2.centroid_tree
+    assert mesh2.vertex_tree is mesh2.vertex_tree
+    assert np.array_equal(mesh2.centroid_tree.data, mesh2.face_centroids)
+    assert np.array_equal(mesh2.vertex_tree.data, mesh2.vertices)
 
 
 def test_level_guard():
@@ -158,6 +206,18 @@ def test_degenerate_face_raises_with_index(mesh2):
     with pytest.raises(MeshAssemblyError) as err:
         broken.face_areas
     assert err.value.face_index == 7
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_face_geometry_matches_reference_formulas(level):
+    # reference: the whole-tensor einsum and the vertex-difference normal
+    mesh = build_icosphere(level)
+    p = mesh.vertices[mesh.faces]
+    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
+    flat_area = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+    k_local = np.einsum("fic,fjc->fij", e, e) / (4.0 * flat_area)[:, None, None]
+    assert np.array_equal(mesh.face_flat_areas, flat_area)
+    assert np.array_equal(mesh.face_stiffness, k_local)
 
 
 def test_assembly_deterministic(mesh3):
