@@ -37,6 +37,11 @@ EXIT_CONFIG = 3
 
 KINDS = ("census", "flow", "spectrum", "covers", "pinch", "morse")
 
+# cost guards: larger configs would run for hours or exhaust memory
+PINCH_MAX_N = 16                    # the operator is an n^4 array, built several times
+PINCH_MAX_SAMPLES = 1_000_000       # about 10 s at n = 5
+CENSUS_MAX_PARTITIONS = 5_000_000   # sum of C(N, m) over N_min..N_max, each enumerated
+
 
 # -- config validation -----------------------------------------------------------
 
@@ -79,6 +84,14 @@ def validate_config(cfg: dict):
         _require(cfg, "N_max", (int,), diags, lambda v: v <= 40)
         if not diags and cfg["N_min"] > cfg["N_max"]:
             diags.append("'N_min' exceeds 'N_max'")
+        elif not diags:
+            m = cfg["m"]
+            total = sum(math.comb(N, m) for N in range(cfg["N_min"], cfg["N_max"] + 1))
+            if total > CENSUS_MAX_PARTITIONS:
+                diags.append(
+                    f"fields 'm', 'N_min', 'N_max': the census would enumerate "
+                    f"{total} partitions (sum of C(N, m) over N in [N_min, N_max]), "
+                    f"more than {CENSUS_MAX_PARTITIONS}")
     elif kind == "flow":
         _require(cfg, "level", (int,), diags, lambda v: 0 <= v <= 8)
         _require(cfg, "n", (int,), diags, lambda v: v >= 2)
@@ -103,8 +116,11 @@ def validate_config(cfg: dict):
         _require(cfg, "degree", (int,), diags, lambda v: 1 <= v <= 6)
     elif kind == "pinch":
         _require(cfg, "delta", (int, float), diags, lambda v: 0 < v <= 1)
-        _require(cfg, "samples", (int,), diags, lambda v: v >= 1)
-        _require(cfg, "n", (int,), diags, lambda v: v >= 4)
+        _require(cfg, "samples", (int,), diags,
+                 lambda v: 1 <= v <= PINCH_MAX_SAMPLES,
+                 note=f"(samples in [1, {PINCH_MAX_SAMPLES}])")
+        _require(cfg, "n", (int,), diags, lambda v: 4 <= v <= PINCH_MAX_N,
+                 note=f"(n in [4, {PINCH_MAX_N}])")
     elif kind == "morse":
         if "complex_path" in cfg:
             _require(cfg, "complex_path", (str,), diags)

@@ -15,6 +15,16 @@ import numpy as np
 from .errors import PreconditionError
 
 ISOTROPY_TOL = 1e-9
+# samples evaluated together by the sampling checks; small, since peak
+# memory grows with it
+SAMPLE_BLOCK = 512
+
+_DEPENDENT_VECTORS = "spanning vectors are (numerically) dependent"
+_DEGENERATE_PLANE = "degenerate plane: Hermitian wedge norm too small"
+_NOT_REAL = "curvature quotient is not numerically real"
+_ZERO_VECTOR = "zero vector has no associated plane"
+_NOT_ISOTROPIC = "vector is not isotropic: <v,v> != 0"
+_DEGENERATE_REAL_PLANE = "degenerate real plane"
 
 
 @dataclass(frozen=True)
@@ -48,7 +58,7 @@ class ComplexPlane:
             [[np.vdot(z, z), np.vdot(z, w)], [np.vdot(w, z), np.vdot(w, w)]]
         )
         if abs(np.linalg.det(gram)) <= 1e-12:
-            raise PreconditionError("spanning vectors are (numerically) dependent")
+            raise PreconditionError(_DEPENDENT_VECTORS)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "w", w)
 
@@ -144,9 +154,9 @@ def associated_real_plane(v, tol: float = ISOTROPY_TOL):
     """
     v = np.asarray(v, dtype=complex)
     if np.linalg.norm(v) == 0:
-        raise PreconditionError("zero vector has no associated plane")
+        raise PreconditionError(_ZERO_VECTOR)
     if abs(_bilinear(v, v)) > tol * max(1.0, float(np.vdot(v, v).real)):
-        raise PreconditionError("vector is not isotropic: <v,v> != 0")
+        raise PreconditionError(_NOT_ISOTROPIC)
     return v.real.copy(), v.imag.copy()
 
 
@@ -162,10 +172,10 @@ def complex_sectional_curvature(op: CurvatureOperator, plane: ComplexPlane) -> f
     den = np.vdot(z, z) * np.vdot(w, w) - np.vdot(w, z) * np.vdot(z, w)
     den = den.real
     if den <= 1e-12:
-        raise PreconditionError("degenerate plane: Hermitian wedge norm too small")
+        raise PreconditionError(_DEGENERATE_PLANE)
     num = np.einsum("ijkl,i,j,k,l", op.R, z, w, zb, wb)
     if abs(num.imag) > 1e-8 * max(1.0, abs(num.real)):
-        raise PreconditionError("curvature quotient is not numerically real")
+        raise PreconditionError(_NOT_REAL)
     return float(num.real) / den
 
 
@@ -174,7 +184,7 @@ def real_sectional_curvature(op: CurvatureOperator, u, v) -> float:
     v = np.asarray(v, dtype=float)
     den = np.dot(u, u) * np.dot(v, v) - np.dot(u, v) ** 2
     if den <= 1e-12:
-        raise PreconditionError("degenerate real plane")
+        raise PreconditionError(_DEGENERATE_REAL_PLANE)
     num = np.einsum("ijkl,i,j,k,l", op.R, u, v, u, v)
     return float(num) / den
 
@@ -227,59 +237,177 @@ def verify_pinch_implication(op: CurvatureOperator, delta: float,
     either fails, the report flags the hypothesis instead of sampling.
 
     The sampled planes have the form (e1 + i e2, a e3 + i b e4) over random
-    orthonormal 4-frames with log-uniform a, b > 0.
+    orthonormal 4-frames with log-uniform a, b > 0.  Samples are evaluated
+    SAMPLE_BLOCK at a time; the random draws and the per-sample checks are
+    those of a loop over random_orthonormal_frame, ComplexPlane and
+    complex_sectional_curvature.
     """
     if op.n < 4:
         raise PreconditionError("need dimension >= 4 to build 4-frames")
     if not 0 < delta <= 1:
         raise PreconditionError("delta must lie in (0, 1]")
+    if sample_count < 1:
+        raise PreconditionError("sample_count must be >= 1")
     rng = np.random.default_rng(rng_seed)
+    R2 = op.R.reshape(op.n ** 2, op.n ** 2)
     slack = 1e-9
 
-    for _ in range(pretest_count):
-        u, v = random_orthonormal_frame(op.n, 2, rng)
-        kr = real_sectional_curvature(op, u, v)
-        if not (delta - slack < kr <= 1.0 + slack):
+    for m in _blocks(pretest_count):
+        e = _frames(rng.standard_normal((m, op.n, 2)))
+        u, v = e[:, 0], e[:, 1]
+        kr, checks = _real_quotients(R2, u, v)
+        i = _first_failure(checks, (delta - slack < kr) & (kr <= 1.0 + slack))
+        if i is not None:  # the note quotes the per-plane value
+            kr = real_sectional_curvature(op, u[i], v[i])
             return PinchReport(delta, 0, 0, float("nan"), rng_seed, False,
                                f"real sectional curvature {kr} outside (delta, 1]")
     berger = (2.0 / 3.0) * (1.0 - delta)
-    for _ in range(pretest_count):
-        e = random_orthonormal_frame(op.n, 4, rng)
-        mixed = np.einsum("ijkl,i,j,k,l", op.R, e[0], e[1], e[3], e[2])
-        if abs(mixed) > berger + slack:
+    for m in _blocks(pretest_count):
+        e = _frames(rng.standard_normal((m, op.n, 4)))
+        mixed = _real_form(R2, e[:, 0], e[:, 1], e[:, 3], e[:, 2])
+        i = _first_failure([], np.abs(mixed) <= berger + slack)
+        if i is not None:
+            mixed = np.einsum("ijkl,i,j,k,l", op.R, *e[i, [0, 1, 3, 2]])
             return PinchReport(delta, 0, 0, float("nan"), rng_seed, False,
                                f"mixed term {mixed} violates the Berger bound {berger}")
 
     lower, upper = pinch_bounds(delta)
     violations = 0
     worst = float("inf")
-    for _ in range(sample_count):
-        e = random_orthonormal_frame(op.n, 4, rng)
-        a, b = np.exp(rng.uniform(-2.0, 2.0, size=2))
-        plane = ComplexPlane(e[0] + 1j * e[1], a * e[2] + 1j * b * e[3])
-        ki = complex_sectional_curvature(op, plane)
-        margin = min(ki - lower, upper - ki)
-        worst = min(worst, margin)
-        if margin < -slack:
-            violations += 1
+    gauss = np.empty((SAMPLE_BLOCK, op.n, 4))
+    log_ab = np.empty((SAMPLE_BLOCK, 2))
+    for m in _blocks(sample_count):
+        for s in range(m):  # one frame's draws, then a and b, per sample
+            rng.standard_normal(out=gauss[s])
+            log_ab[s] = rng.uniform(-2.0, 2.0, size=2)
+        e = _frames(gauss[:m])
+        ab = np.exp(log_ab[:m])
+        ki, checks = _complex_quotients(R2, e[:, 0], e[:, 1],
+                                        ab[:, :1] * e[:, 2], ab[:, 1:] * e[:, 3])
+        _first_failure(checks)
+        margin = np.minimum(ki - lower, upper - ki)
+        worst = min(worst, float(margin.min()))
+        violations += int(np.count_nonzero(margin < -slack))
     return PinchReport(delta, sample_count, violations, worst, rng_seed, True)
 
 
 def curvature_condition_d(op: CurvatureOperator, d: int, sample_count: int,
                           rng_seed: int) -> bool:
-    """Check K_i(sigma) > K_r(associated plane)/d > 0 on sampled isotropic planes."""
+    """Check K_i(sigma) > K_r(associated plane)/d > 0 on sampled isotropic planes.
+
+    The planes are (e1 + i e2, e3 + i e4) over random orthonormal 4-frames,
+    evaluated SAMPLE_BLOCK at a time with the draws and checks of a loop
+    over random_orthonormal_frame and the per-plane functions.
+    """
     if op.n < 4:
         raise PreconditionError("need dimension >= 4")
     if d < 1:
         raise PreconditionError("cover degree d must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    for _ in range(sample_count):
-        e = random_orthonormal_frame(op.n, 4, rng)
-        v = e[0] + 1j * e[1]
-        w = e[2] + 1j * e[3]
-        ki = complex_sectional_curvature(op, ComplexPlane(v, w))
-        x, y = associated_real_plane(v)
-        kr = real_sectional_curvature(op, x, y)
-        if not (ki > kr / d and kr > 0):
+    R2 = op.R.reshape(op.n ** 2, op.n ** 2)
+    for m in _blocks(sample_count):
+        e = _frames(rng.standard_normal((m, op.n, 4)))
+        x, y = e[:, 0], e[:, 1]
+        ki, plane_checks = _complex_quotients(R2, x, y, e[:, 2], e[:, 3])
+        # associated_real_plane(x + i y): nonzero and isotropic
+        xx, yy = _rows_dot(x, x), _rows_dot(y, y)
+        vv = xx + yy
+        bilinear = np.hypot(xx - yy, 2.0 * _rows_dot(x, y))
+        kr, real_checks = _real_quotients(R2, x, y)
+        checks = plane_checks + [
+            (vv == 0, _ZERO_VECTOR),
+            (bilinear > ISOTROPY_TOL * np.maximum(1.0, vv), _NOT_ISOTROPIC),
+        ] + real_checks
+        if _first_failure(checks, (ki > kr / d) & (kr > 0)) is not None:
             return False
     return True
+
+
+# -- batched kernels -------------------------------------------------------------
+#
+# Each evaluates a block of samples at once: R contracts against the rows
+# vec(a x b) of a (B, n^2) matrix through R2 = R.reshape(n^2, n^2).
+
+def _blocks(count: int):
+    """Sizes of the consecutive blocks of at most SAMPLE_BLOCK samples."""
+    return [min(SAMPLE_BLOCK, count - s) for s in range(0, count, SAMPLE_BLOCK)]
+
+
+def _frames(gauss: np.ndarray) -> np.ndarray:
+    """random_orthonormal_frame of each (n, k) draw in a stack: shape (B, k, n)."""
+    q, r = np.linalg.qr(gauss)
+    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
+    return np.swapaxes(q * signs[:, None, :], 1, 2)
+
+
+def _rows_dot(a, b):
+    return np.einsum("bi,bi->b", a, b)
+
+
+def _outer(a, b):
+    """Rows vec(a_s x b_s), shape (B, n^2)."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+
+
+def _real_form(R2, a, b, c, d):
+    """R[i,j,k,l] a_i b_j c_k d_l for each sample."""
+    return _rows_dot(_outer(a, b) @ R2, _outer(c, d))
+
+
+def _real_quotients(R2, u, v):
+    """real_sectional_curvature of each span(u, v), with its check."""
+    uv = _rows_dot(u, v)
+    den = _rows_dot(u, u) * _rows_dot(v, v) - uv * uv
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kr = _real_form(R2, u, v, u, v) / den
+    return kr, [(den <= 1e-12, _DEGENERATE_REAL_PLANE)]
+
+
+def _complex_quotients(R2, zr, zi, wr, wi):
+    """complex_sectional_curvature of each plane span(zr + i zi, wr + i wi).
+
+    Returns the quotients and the checks of ComplexPlane and
+    complex_sectional_curvature as (mask of failing samples, message).
+    The numerator sum R_ijkl z_i w_j conj(z_k w_l) is P R2 conj(P) with
+    P = vec(z x w), evaluated as real matrix products.
+    """
+    zz = _rows_dot(zr, zr) + _rows_dot(zi, zi)
+    ww = _rows_dot(wr, wr) + _rows_dot(wi, wi)
+    zw_re = _rows_dot(zr, wr) + _rows_dot(zi, wi)  # <z, w> = sum conj(z) w
+    zw_im = _rows_dot(zr, wi) - _rows_dot(zi, wr)
+    den = zz * ww - (zw_re * zw_re + zw_im * zw_im)  # Gram determinant
+    p_re = _outer(zr, wr) - _outer(zi, wi)
+    p_im = _outer(zr, wi) + _outer(zi, wr)
+    q_re, q_im = p_re @ R2, p_im @ R2
+    num_re = _rows_dot(q_re, p_re) + _rows_dot(q_im, p_im)
+    num_im = _rows_dot(q_im, p_re) - _rows_dot(q_re, p_im)
+    checks = [
+        (np.abs(den) <= 1e-12, _DEPENDENT_VECTORS),
+        (den <= 1e-12, _DEGENERATE_PLANE),
+        (np.abs(num_im) > 1e-8 * np.maximum(1.0, np.abs(num_re)), _NOT_REAL),
+    ]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num_re / den, checks
+
+
+def _first_failure(checks, passed=None):
+    """Apply per-sample checks in the order a loop over the samples meets them.
+
+    ``checks`` lists (mask of failing samples, message) in the order the
+    per-plane code applies them, and ``passed`` is the test a sample must
+    then pass.  Raises the PreconditionError of the first sample failing a
+    check, unless an earlier sample fails ``passed``; returns the index of
+    the first sample failing ``passed``, or None.
+    """
+    masks = [mask for mask, _ in checks]
+    if passed is not None:
+        masks.append(~passed)
+    failed = np.stack(masks)
+    hits = np.flatnonzero(failed.any(axis=0))
+    if hits.size == 0:
+        return None
+    i = int(hits[0])
+    k = int(np.flatnonzero(failed[:, i])[0])
+    if k < len(checks):
+        raise PreconditionError(checks[k][1])
+    return i

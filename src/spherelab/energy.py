@@ -20,6 +20,10 @@ from scipy.integrate import quad
 from .errors import ConvergenceError, NumericError, PreconditionError
 from .sphere_mesh import FOUR_PI, SphereMesh, worker_count
 
+# below this t, psi_alpha sums its Taylor series: the relative error of the
+# series through t^5 is about 3e-13 there for alpha in [1, 5]
+PSI_SERIES_T = 1e-3
+
 _AXES = {"x": np.array([1.0, 0.0, 0.0]),
          "y": np.array([0.0, 1.0, 0.0]),
          "z": np.array([0.0, 0.0, 1.0])}
@@ -203,7 +207,9 @@ def psi_alpha(t, alpha: float):
     Vanishes at t = 0, is strictly increasing for t > 0, and tends to
     t - log(1+t) as alpha -> 1.  Near alpha = 1 the closed form cancels
     catastrophically, so for |alpha - 1| < 1e-6 the equivalent integral
-    form  integral_0^t alpha tau (1+tau)^(alpha-2) dtau  is used.
+    form  integral_0^t alpha tau (1+tau)^(alpha-2) dtau  is used.  Every
+    form cancels at small t, where the value is of order t^2, so entries
+    below PSI_SERIES_T take the Taylor series instead.
     """
     if alpha < 1.0:
         raise PreconditionError("alpha must be >= 1")
@@ -225,7 +231,22 @@ def psi_alpha(t, alpha: float):
     else:
         out = (alpha * (1.0 + arr) ** (alpha - 1.0) * arr
                - (1.0 + arr) ** alpha + 1.0) / (alpha - 1.0)
+    out = np.asarray(out)  # the branches give a numpy scalar for scalar t
+    small = arr < PSI_SERIES_T
+    if np.any(small):  # series on the masked entries only: no full-size temporaries
+        out[small] = _psi_series(arr[small], alpha)
     return float(out) if scalar else out
+
+
+def _psi_series(t, alpha: float):
+    """psi_alpha to order t^5: integral_0^t alpha tau (1 + tau)^(alpha-2) dtau.
+
+    alpha t^2/2 + alpha(alpha-2) t^3/3 + alpha(alpha-2)(alpha-3) t^4/8
+    + alpha(alpha-2)(alpha-3)(alpha-4) t^5/30, in Horner form.
+    """
+    inner = 1.0 / 8.0 + t * (alpha - 4.0) / 30.0
+    inner = 1.0 / 3.0 + t * (alpha - 3.0) * inner
+    return alpha * t * t * (0.5 + t * (alpha - 2.0) * inner)
 
 
 def center_of_mass(sphere_map: SphereMap, alpha: float) -> np.ndarray:

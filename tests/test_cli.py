@@ -1,11 +1,23 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from spherelab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, validate_config
+from spherelab.cli import (
+    CENSUS_MAX_PARTITIONS,
+    EXIT_CONFIG,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    PINCH_MAX_N,
+    PINCH_MAX_SAMPLES,
+    main,
+    validate_config,
+)
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def write_config(tmp_path, name, cfg):
@@ -73,6 +85,59 @@ def test_validate_rejects_bools(tmp_path, capsys, cfg, field):
     path = write_config(tmp_path, "cfg.json", cfg)
     assert main(["validate", "--config", path]) == EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, fields", [
+    ({"kind": "pinch", "delta": 0.5, "samples": 10, "n": PINCH_MAX_N + 1}, ["n"]),
+    ({"kind": "pinch", "delta": 0.5, "samples": PINCH_MAX_SAMPLES + 1, "n": 4},
+     ["samples"]),
+    # C(40, 20) ~ 1.4e11 partitions
+    ({"kind": "census", "m": 20, "N_min": 40, "N_max": 40}, ["m", "N_min", "N_max"]),
+])
+def test_validate_cost_guards(tmp_path, capsys, cfg, fields):
+    diags = validate_config(cfg)
+    assert len(diags) == 1 and all(f"'{f}'" in diags[0] for f in fields)
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main(["validate", "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(f"'{f}'" in err for f in fields)
+
+
+def test_cost_guards_admit_their_bounds():
+    assert validate_config({"kind": "pinch", "delta": 0.5,
+                            "samples": PINCH_MAX_SAMPLES, "n": PINCH_MAX_N}) == []
+    # sum of C(N, 4) for N = 5..47 is C(48, 5) - 1 = 1712303; N_max stays <= 40
+    total = sum(math.comb(N, 4) for N in range(5, 41))
+    assert total <= CENSUS_MAX_PARTITIONS
+    assert validate_config({"kind": "census", "m": 4, "N_min": 5, "N_max": 40}) == []
+
+
+def readme_example_configs():
+    with open(README) as fh:
+        text = fh.read()
+    block = text.split("Example configs:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    decoder, configs, pos = json.JSONDecoder(), [], 0
+    block = block.strip()
+    while pos < len(block):
+        cfg, pos = decoder.raw_decode(block, pos)
+        configs.append(cfg)
+        while pos < len(block) and block[pos].isspace():
+            pos += 1
+    return configs
+
+
+def test_example_and_benchmark_configs_validate():
+    examples = readme_example_configs()
+    assert {cfg["kind"] for cfg in examples} == {"census", "spectrum", "covers",
+                                                 "pinch", "morse", "flow"}
+    certify = [
+        {"kind": "pinch", "delta": 0.5, "n": 5, "samples": 100000, "seed": 42},
+        {"kind": "census", "m": 3, "N_min": 5, "N_max": 40},
+        {"kind": "morse", "n": 12},
+    ]
+    assert sum(math.comb(N, 3) for N in range(5, 41)) == 101265
+    for cfg in examples + certify:
+        assert validate_config(cfg) == [], cfg
 
 
 # -- runs ------------------------------------------------------------------------

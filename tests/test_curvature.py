@@ -1,7 +1,12 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
+from spherelab import curvature
 from spherelab.curvature import (
+    SAMPLE_BLOCK,
     ComplexPlane,
     CurvatureOperator,
     associated_real_plane,
@@ -14,6 +19,8 @@ from spherelab.curvature import (
     pinch_bounds,
     pinched_operator,
     product_spheres_operator,
+    project_to_curvature_symmetries,
+    random_orthonormal_frame,
     real_sectional_curvature,
     verify_pinch_implication,
 )
@@ -215,7 +222,171 @@ def test_curvature_condition_product_grid_oracle():
 
 def test_symmetry_projection(rng):
     raw = rng.standard_normal((4,) * 4)
-    from spherelab.curvature import project_to_curvature_symmetries
 
     projected = project_to_curvature_symmetries(raw)
     check_curvature_symmetries(projected, tol=1e-10)
+
+
+# -- batched sampling against the per-plane API -----------------------------------
+
+
+def scalar_pinch_loop(op, delta, sample_count, seed, pretest_count=2000):
+    """verify_pinch_implication as one loop over the per-plane API, same draws.
+
+    Returns (violations, worst margin, hypothesis note).
+    """
+    rng = np.random.default_rng(seed)
+    slack = 1e-9
+    for _ in range(pretest_count):
+        u, v = random_orthonormal_frame(op.n, 2, rng)
+        kr = real_sectional_curvature(op, u, v)
+        if not (delta - slack < kr <= 1.0 + slack):
+            return 0, math.nan, f"real sectional curvature {kr} outside (delta, 1]"
+    berger = (2.0 / 3.0) * (1.0 - delta)
+    for _ in range(pretest_count):
+        e = random_orthonormal_frame(op.n, 4, rng)
+        mixed = np.einsum("ijkl,i,j,k,l", op.R, e[0], e[1], e[3], e[2])
+        if abs(mixed) > berger + slack:
+            return 0, math.nan, f"mixed term {mixed} violates the Berger bound {berger}"
+    lower, upper = pinch_bounds(delta)
+    violations, worst = 0, math.inf
+    for _ in range(sample_count):
+        e = random_orthonormal_frame(op.n, 4, rng)
+        a, b = np.exp(rng.uniform(-2.0, 2.0, size=2))
+        plane = ComplexPlane(e[0] + 1j * e[1], a * e[2] + 1j * b * e[3])
+        ki = complex_sectional_curvature(op, plane)
+        margin = min(ki - lower, upper - ki)
+        worst = min(worst, margin)
+        violations += margin < -slack
+    return violations, worst, ""
+
+
+def scalar_condition_d(op, d, sample_count, seed):
+    """curvature_condition_d as a loop over the per-plane API, same draws.
+
+    Returns the index of the first failing sample, or None.
+    """
+    rng = np.random.default_rng(seed)
+    for s in range(sample_count):
+        e = random_orthonormal_frame(op.n, 4, rng)
+        v = e[0] + 1j * e[1]
+        ki = complex_sectional_curvature(op, ComplexPlane(v, e[2] + 1j * e[3]))
+        kr = real_sectional_curvature(op, *associated_real_plane(v))
+        if not (ki > kr / d and kr > 0):
+            return s
+    return None
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_verify_pinch_matches_scalar_loop(seed):
+    op = pinched_operator(5, 0.5, np.random.default_rng(seed))
+    pretests = SAMPLE_BLOCK + 3  # two pretest blocks, the second partial
+    for count in (1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
+                  2 * SAMPLE_BLOCK + 7):
+        rep = verify_pinch_implication(op, 0.5, count, seed, pretest_count=pretests)
+        violations, worst, _ = scalar_pinch_loop(op, 0.5, count, seed, pretests)
+        assert rep.hypothesis_satisfied and rep.samples == count
+        assert rep.violations == violations
+        assert rep.worst_margin == pytest.approx(worst, rel=1e-12, abs=0)
+
+
+def test_verify_pinch_counts_violations_like_scalar_loop():
+    # a band for delta = 0.8 is too narrow for an operator pinched at 0.5:
+    # some samples violate it (the pretests would reject the operator)
+    op = pinched_operator(4, 0.5, np.random.default_rng(2))
+    count = SAMPLE_BLOCK + 9
+    rep = verify_pinch_implication(op, 0.8, count, 2, pretest_count=0)
+    violations, worst, _ = scalar_pinch_loop(op, 0.8, count, 2, pretest_count=0)
+    assert 0 < rep.violations == violations < count
+    assert rep.worst_margin == pytest.approx(worst, rel=1e-12, abs=0)
+
+
+def test_verify_pinch_gate_note_matches_scalar_loop():
+    op = constant_curvature_operator(4, 0.3)
+    rep = verify_pinch_implication(op, 0.5, 1000, rng_seed=1)
+    assert rep.hypothesis_note == scalar_pinch_loop(op, 0.5, 1000, 1)[2]
+    assert rep.hypothesis_note.startswith("real sectional curvature 0.3")
+
+
+def test_verify_pinch_berger_note_matches_scalar_loop():
+    # one real-curvature pretest misses this operator's spread; the mixed
+    # term then exceeds the Berger bound on the first 4-frame
+    noise = project_to_curvature_symmetries(
+        np.random.default_rng(8).standard_normal((5,) * 4))
+    op = CurvatureOperator(5, constant_curvature_operator(5, 0.8).R + 0.4 * noise)
+    rep = verify_pinch_implication(op, 0.7, 10, rng_seed=7, pretest_count=1)
+    assert not rep.hypothesis_satisfied and rep.samples == 0
+    assert rep.hypothesis_note.startswith("mixed term")
+    assert rep.hypothesis_note == scalar_pinch_loop(op, 0.7, 10, 7, 1)[2]
+
+
+def test_verify_pinch_rejects_empty_sample():
+    with pytest.raises(PreconditionError):
+        verify_pinch_implication(constant_curvature_operator(4, 1.0), 0.9, 0, 1)
+
+
+def test_verify_pinch_report_is_plain_json():
+    rep = verify_pinch_implication(constant_curvature_operator(4, 1.0), 0.9, 10, 1)
+    assert type(rep.worst_margin) is float
+    assert json.loads(json.dumps(rep.to_dict(), allow_nan=False)) == rep.to_dict()
+
+
+def test_verify_pinch_degenerate_plane_in_batch_raises(monkeypatch):
+    frames = curvature._frames
+
+    def one_zero_frame(gauss):
+        e = frames(gauss)
+        e[len(e) // 2] = 0.0  # z = w = 0 for one sample mid-block
+        return e
+
+    monkeypatch.setattr(curvature, "_frames", one_zero_frame)
+    with pytest.raises(PreconditionError, match="dependent"):
+        verify_pinch_implication(constant_curvature_operator(4, 1.0), 0.9,
+                                 SAMPLE_BLOCK + 1, 1, pretest_count=0)
+
+
+def test_verify_pinch_non_real_quotient_raises():
+    # an array without the pair symmetry gives complex quotients; bypass the
+    # constructor's symmetry check to feed one to the sampler
+    op = constant_curvature_operator(4, 1.0)
+    R = op.R.copy()
+    R[0, 1, 2, 3] += 0.5
+    object.__setattr__(op, "R", R)
+    with pytest.raises(PreconditionError, match="not numerically real"):
+        scalar_pinch_loop(op, 0.9, 50, 1, pretest_count=0)
+    with pytest.raises(PreconditionError, match="not numerically real"):
+        verify_pinch_implication(op, 0.9, 50, 1, pretest_count=0)
+
+
+@pytest.mark.parametrize("c, d, seed, first", [
+    (2.3, 2, 6, 102), (2.3, 2, 5, 1408), (2.3, 2, 7, 2377),
+    (1.3, 4, 6, 1070),  # K_i > K_r / d holds there, but K_r < 0
+])
+def test_curvature_condition_d_fails_where_scalar_loop_fails(c, d, seed, first):
+    # a space form plus a fixed random curvature tensor: the condition
+    # fails on about one sampled plane in a thousand
+    noise = project_to_curvature_symmetries(
+        np.random.default_rng(8).standard_normal((5,) * 4))
+    op = CurvatureOperator(5, constant_curvature_operator(5, c).R + noise)
+    limit = 3000
+    assert scalar_condition_d(op, d, limit, seed) == first
+    # the sampler returns False on a prefix iff it holds the first failure
+    lo, hi = 1, limit
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if curvature_condition_d(op, d, mid, seed):
+            lo = mid + 1
+        else:
+            hi = mid
+    assert lo - 1 == first
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_curvature_condition_d_matches_scalar_loop(d):
+    ops = (constant_curvature_operator(4, 1.0), product_spheres_operator(),
+           pinched_operator(5, 0.5, np.random.default_rng(1)))
+    for op in ops:
+        for seed in (5, 6):
+            count = SAMPLE_BLOCK + 5
+            assert curvature_condition_d(op, d, count, seed) == (
+                scalar_condition_d(op, d, count, seed) is None)

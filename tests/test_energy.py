@@ -203,6 +203,26 @@ def test_psi_monotone():
         assert np.all(np.diff(vals) > 0)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.0001, 1.1, 2.0])
+def test_psi_relative_accuracy_at_small_t(alpha):
+    # the closed forms cancel to O(1e-16) absolute where psi is O(t^2)
+    ts = (1e-8, 1e-6, 1e-4)
+    for t in ts:
+        series = alpha * t**2 / 2 + alpha * (alpha - 2) * t**3 / 3 \
+            + alpha * (alpha - 2) * (alpha - 3) * t**4 / 8
+        oracle = quad(lambda s: alpha * s * (1 + s) ** (alpha - 2.0), 0, t,
+                      epsabs=0.0, epsrel=1e-13)[0]
+        assert psi_alpha(t, alpha) == pytest.approx(series, rel=1e-10, abs=0)
+        assert psi_alpha(t, alpha) == pytest.approx(oracle, rel=1e-12, abs=0)
+    # the array path takes the series on the small entries only; the closed
+    # forms differ between array and scalar calls by their own rounding
+    mixed = np.array([ts[0], 0.5, ts[1], 3.0, ts[2]])
+    vals = psi_alpha(mixed, alpha)
+    assert [vals[i] for i in (0, 2, 4)] == [psi_alpha(t, alpha) for t in ts]
+    np.testing.assert_allclose(vals[[1, 3]], [psi_alpha(0.5, alpha),
+                                              psi_alpha(3.0, alpha)], rtol=1e-9)
+
+
 def test_psi_rejects_negative_t():
     with pytest.raises(PreconditionError):
         psi_alpha(-0.5, 1.2)
