@@ -41,6 +41,8 @@ KINDS = ("census", "flow", "spectrum", "covers", "pinch", "morse")
 PINCH_MAX_N = 16                    # the operator is an n^4 array, built several times
 PINCH_MAX_SAMPLES = 1_000_000       # about 10 s at n = 5
 CENSUS_MAX_PARTITIONS = 5_000_000   # sum of C(N, m) over N_min..N_max, each enumerated
+SPECTRUM_MAX_N = 16                 # level 4: 25 s and 0.73 GB; Hessian blocks grow as (n+1)^2
+SPECTRUM_MAX_K = 200                # level 4, n = 4: 7.9 s (1.7 s at the default k = 22)
 
 
 # -- config validation -----------------------------------------------------------
@@ -84,6 +86,10 @@ def validate_config(cfg: dict):
         _require(cfg, "N_max", (int,), diags, lambda v: v <= 40)
         if not diags and cfg["N_min"] > cfg["N_max"]:
             diags.append("'N_min' exceeds 'N_max'")
+        elif not diags and cfg["m"] >= cfg["N_min"]:
+            diags.append(
+                f"fields 'm', 'N_min': m = {cfg['m']} must be below N_min = "
+                f"{cfg['N_min']} (G_m(R^N) needs m < N)")
         elif not diags:
             m = cfg["m"]
             total = sum(math.comb(N, m) for N in range(cfg["N_min"], cfg["N_max"] + 1))
@@ -107,9 +113,16 @@ def validate_config(cfg: dict):
             diags.append(f"unknown start map {start!r}")
     elif kind == "spectrum":
         _require(cfg, "level", (int,), diags, lambda v: 0 <= v <= 8)
-        _require(cfg, "n", (int,), diags, lambda v: v >= 3)
+        _require(cfg, "n", (int,), diags, lambda v: 3 <= v <= SPECTRUM_MAX_N,
+                 note=f"(n in [3, {SPECTRUM_MAX_N}])")
         if "alpha" in cfg:
             _require(cfg, "alpha", (int, float), diags, lambda v: v >= 1)
+        if "k" in cfg:
+            _require(cfg, "k", (int,), diags, lambda v: 1 <= v <= SPECTRUM_MAX_K,
+                     note=f"(k in [1, {SPECTRUM_MAX_K}])")
+        if "tau" in cfg:
+            _require(cfg, "tau", (int, float), diags, lambda v: 0 < v < math.inf,
+                     note="(a positive number)")
     elif kind == "covers":
         _require(cfg, "level", (int,), diags, lambda v: 0 <= v <= 8)
         _require(cfg, "n", (int,), diags, lambda v: v >= 3)
@@ -228,14 +241,14 @@ def run_spectrum(cfg, out_dir, report):
     level, n = cfg["level"], cfg["n"]
     alpha = float(cfg.get("alpha", 1.0))
     mesh = build_icosphere(level)
-    sphere_map = energy_mod.equator_map(mesh, n)
     tau = cfg.get("tau")
     if tau is None:
         tau = spectrum_mod.calibrate_tau(mesh, n, alpha=1.0)
     idx_exp, nul_exp = spectrum_mod.expected_equator_counts(n)
     k = cfg.get("k", idx_exp + nul_exp + 8)
-    pencil = spectrum_mod.assemble_second_variation(sphere_map, alpha)
-    rep = spectrum_mod.morse_index_nullity(pencil, k, tau)
+    # with the default k and alpha = 1 this is the calibration's own solve
+    vals, converged = spectrum_mod.equator_spectrum(mesh, n, alpha, k)
+    rep = spectrum_mod.classify_spectrum(vals, converged, k, tau)
     report.metric("tau", tau, "spectrum.calibrated_null_threshold")
     report.metric("index", rep.index, "spectrum.morse_index")
     report.metric("nullity", rep.nullity, "spectrum.nullity")
@@ -264,7 +277,8 @@ def run_covers(cfg, out_dir, report):
     h = covers_mod.EquatorTargetMap(n)
     f = covers_mod.compose_cover(h, g, mesh)
     energy = energy_mod.dirichlet_energy(f)
-    res = covers_mod.induced_metric_lambda1(f)
+    # a double cover's normal index needs k = 16; lambda1 reads the same batch
+    res = covers_mod.induced_metric_lambda1(f, k=16 if degree == 2 else 8)
     area = energy  # conformal: area equals energy
     report.metric("energy", energy, "covers.cover_energy")
     report.metric("lambda1", res.lambda1, "covers.pullback_first_eigenvalue")
@@ -281,7 +295,7 @@ def run_covers(cfg, out_dir, report):
         report.check("double_cover_lambda1", res.lambda1 <= 1.05,
                      "covers.double_cover_eigenvalue_bound",
                      value=res.lambda1, bound=1.05)
-        normal_index = covers_mod.double_cover_normal_index(f, n)
+        normal_index = covers_mod.normal_index_count(res.eigenvalues, n)
         report.metric("normal_index", normal_index, "covers.normal_morse_index")
         report.check("normal_index_bound", normal_index >= 2 * (n - 2),
                      "covers.double_cover_index_bound",

@@ -215,8 +215,38 @@ def evaluate(g: RationalMap, z) -> complex:
     return num / den
 
 
+def _horner(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """polyval over an array, each value rounded as the scalar polyval rounds it.
+
+    The complex product is spelled out in real parts: numpy's vectorised
+    complex multiply may fuse multiply-adds, its scalar one does not.
+    """
+    re = np.full(z.shape, coef[-1].real)
+    im = np.full(z.shape, coef[-1].imag)
+    for c in coef[-2::-1]:
+        re, im = c.real + (re * z.real - im * z.imag), c.imag + (re * z.imag + im * z.real)
+    out = np.empty(z.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def evaluate_many(g: RationalMap, zs: np.ndarray) -> np.ndarray:
-    return np.array([evaluate(g, z) for z in np.atleast_1d(zs)], dtype=complex)
+    """evaluate() over an array: one Horner pass over the finite points."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    out = np.empty(zs.shape, dtype=complex)
+    infinite = np.isinf(zs.real) | np.isinf(zs.imag)
+    if np.any(infinite):
+        out[infinite] = evaluate(g, INF)
+    z = zs[~infinite]
+    num = _horner(g._num, z)
+    den = _horner(g._den, z)
+    pole = den == 0
+    lost = pole & (num == 0)
+    if np.any(lost):
+        raise InvariantViolationError(
+            f"0/0 at z={z[np.argmax(lost)]}: lost common factor")
+    out[~infinite] = np.where(pole, INF, num / np.where(pole, 1.0, den))
+    return out
 
 
 def hol_space_dimension(d: int) -> dict:
@@ -467,6 +497,11 @@ def induced_metric_lambda1(f: SphereMap, eps_reg: float = 1e-8,
     )
 
 
+def normal_index_count(vals: np.ndarray, n: int, margin: float = 0.1) -> int:
+    """(n - 2) times the number of pulled-back eigenvalues below 2 - margin."""
+    return int(np.count_nonzero(vals < 2.0 - margin)) * (n - 2)
+
+
 def double_cover_normal_index(f: SphereMap, n: int, margin: float = 0.1,
                               eps_reg: float = 1e-8, k: int = 16) -> int:
     """Normal Morse index of a cover of a totally geodesic sphere in S^n.
@@ -479,5 +514,4 @@ def double_cover_normal_index(f: SphereMap, n: int, margin: float = 0.1,
     if n < 3:
         raise PreconditionError("need target dimension >= 3 for a normal bundle")
     vals, _ = pullback_laplace_eigenvalues(f, k=k, eps_reg=eps_reg)
-    below = int(np.count_nonzero(vals < 2.0 - margin))
-    return below * (n - 2)
+    return normal_index_count(vals, n, margin)

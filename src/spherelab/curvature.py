@@ -8,6 +8,7 @@ is explicitly formed for the sectional-curvature quotient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,7 +220,8 @@ class PinchReport:
             "delta": self.delta,
             "samples": self.samples,
             "violations": self.violations,
-            "worst_margin": self.worst_margin,
+            # NaN when the hypothesis fails (hypothesis_note says why); JSON has no NaN
+            "worst_margin": self.worst_margin if math.isfinite(self.worst_margin) else None,
             "seed": self.seed,
             "hypothesis_satisfied": self.hypothesis_satisfied,
             "hypothesis_note": self.hypothesis_note,

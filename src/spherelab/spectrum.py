@@ -30,8 +30,6 @@ from .sphere_mesh import FOUR_PI, SphereMesh, assemble_pencil
 
 _EIG_SEED = 20240
 
-_tau_cache: dict = {}
-
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -238,6 +236,8 @@ def normal_second_variation(sphere_map: SphereMap, alpha: float = 1.0,
 def pencil_eigenvalues(H: sp.spmatrix, M: sp.spmatrix, k: int,
                        sigma: float = -8.0):
     """k smallest eigenvalues of H v = lambda M v (M positive definite)."""
+    if k < 1:
+        raise PreconditionError("need k >= 1 eigenvalues")
     k = min(k, H.shape[0] - 1)
     rng = np.random.default_rng(_EIG_SEED)
     v0 = rng.standard_normal(H.shape[0])
@@ -250,22 +250,24 @@ def pencil_eigenvalues(H: sp.spmatrix, M: sp.spmatrix, k: int,
         return vals, False
 
 
-def morse_index_nullity(pencil: SecondVariationPencil, k: int,
-                        tau: float) -> SpectrumReport:
-    """Classify the k lowest pencil eigenvalues by the threshold tau."""
-    if k < 1:
-        raise PreconditionError("need k >= 1 eigenvalues")
-    vals, converged = pencil_eigenvalues(pencil.H, pencil.M, k)
-    index = int(np.count_nonzero(vals < -tau))
-    nullity = int(np.count_nonzero(np.abs(vals) <= tau))
+def classify_spectrum(vals: np.ndarray, converged: bool, k: int,
+                      tau: float) -> SpectrumReport:
+    """Index (eigenvalues below -tau) and nullity (|eigenvalue| <= tau)."""
     return SpectrumReport(
         eigenvalues=vals,
-        index=index,
-        nullity=nullity,
+        index=int(np.count_nonzero(vals < -tau)),
+        nullity=int(np.count_nonzero(np.abs(vals) <= tau)),
         tau=tau,
         k=k,
         converged=converged,
     )
+
+
+def morse_index_nullity(pencil: SecondVariationPencil, k: int,
+                        tau: float) -> SpectrumReport:
+    """Classify the k lowest pencil eigenvalues by the threshold tau."""
+    vals, converged = pencil_eigenvalues(pencil.H, pencil.M, k)
+    return classify_spectrum(vals, converged, k, tau)
 
 
 def expected_equator_counts(n: int):
@@ -278,20 +280,32 @@ def expected_equator_counts(n: int):
     return n - 2, 3 * (n - 2) + 6
 
 
+def equator_spectrum(mesh: SphereMesh, n: int, alpha: float, k: int):
+    """(eigenvalues, converged) of the equator's second-variation pencil.
+
+    Cached on the mesh per (n, alpha, k), so the tau calibration and a
+    spectrum run with the same k and alpha share one solve.  Only the
+    eigenvalues are kept, read-only; the pencil is dropped.
+    """
+    def solve():
+        pencil = assemble_second_variation(equator_map(mesh, n), alpha)
+        vals, converged = pencil_eigenvalues(pencil.H, pencil.M, k)
+        vals.setflags(write=False)
+        return vals, converged
+
+    return mesh._cached(("equator_spectrum", n, round(alpha, 12), k), solve)
+
+
 def calibrate_tau(mesh: SphereMesh, n: int, alpha: float = 1.0,
                   extra: int = 8) -> float:
     """Nullity threshold from the equator benchmark on this mesh level.
 
     The analytically null cluster and the first analytically nonzero
     eigenvalue are separated by orders of magnitude at practical levels;
-    tau is their geometric mean, cached per (level, n).
+    tau is their geometric mean.
     """
-    key = (mesh.subdivision_level, n, round(alpha, 12))
-    if key in _tau_cache:
-        return _tau_cache[key]
     index, nullity = expected_equator_counts(n)
-    pencil = assemble_second_variation(equator_map(mesh, n), alpha)
-    vals, converged = pencil_eigenvalues(pencil.H, pencil.M, index + nullity + extra)
+    vals, converged = equator_spectrum(mesh, n, alpha, index + nullity + extra)
     if not converged:
         raise PreconditionError("eigensolver did not converge during calibration")
     null_block = np.abs(vals[index:index + nullity])
@@ -301,9 +315,7 @@ def calibrate_tau(mesh: SphereMesh, n: int, alpha: float = 1.0,
         raise PreconditionError(
             "null cluster is not separated at this level; cannot calibrate tau"
         )
-    tau = math.sqrt(largest_null * first_nonzero)
-    _tau_cache[key] = tau
-    return tau
+    return math.sqrt(largest_null * first_nonzero)
 
 
 # -- weight invariance of scalar pencils ---------------------------------------

@@ -30,3 +30,12 @@ def smooth_weight(mesh, seed=0, amplitude=0.6, offset=1.25):
     coef = gen.standard_normal(3)
     coef *= amplitude / np.linalg.norm(coef)
     return offset + mesh.vertices @ coef
+
+
+def count_eigsh(monkeypatch, module):
+    """Record the k of every eigsh call made through ``module.eigsh``."""
+    calls = []
+    eigsh = module.eigsh
+    monkeypatch.setattr(module, "eigsh",
+                        lambda *a, **kw: calls.append(kw["k"]) or eigsh(*a, **kw))
+    return calls

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -6,6 +7,10 @@ import sys
 
 import pytest
 
+from conftest import count_eigsh
+from spherelab import build_icosphere
+from spherelab import covers as covers_mod
+from spherelab import spectrum as spectrum_mod
 from spherelab.cli import (
     CENSUS_MAX_PARTITIONS,
     EXIT_CONFIG,
@@ -13,9 +18,12 @@ from spherelab.cli import (
     EXIT_OK,
     PINCH_MAX_N,
     PINCH_MAX_SAMPLES,
+    SPECTRUM_MAX_K,
+    SPECTRUM_MAX_N,
     main,
     validate_config,
 )
+from spherelab.energy import equator_map
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -93,6 +101,15 @@ def test_validate_rejects_bools(tmp_path, capsys, cfg, field):
      ["samples"]),
     # C(40, 20) ~ 1.4e11 partitions
     ({"kind": "census", "m": 20, "N_min": 40, "N_max": 40}, ["m", "N_min", "N_max"]),
+    ({"kind": "spectrum", "level": 3, "n": SPECTRUM_MAX_N + 1}, ["n"]),
+    ({"kind": "spectrum", "level": 3, "n": 4, "k": 0}, ["k"]),
+    ({"kind": "spectrum", "level": 3, "n": 4, "k": SPECTRUM_MAX_K + 1}, ["k"]),
+    ({"kind": "spectrum", "level": 3, "n": 4, "k": 22.0}, ["k"]),
+    ({"kind": "spectrum", "level": 3, "n": 4, "k": True}, ["k"]),
+    ({"kind": "spectrum", "level": 3, "n": 4, "tau": 0}, ["tau"]),
+    ({"kind": "spectrum", "level": 3, "n": 4, "tau": -1e-3}, ["tau"]),
+    ({"kind": "spectrum", "level": 3, "n": 4, "tau": "1e-3"}, ["tau"]),
+    ({"kind": "spectrum", "level": 3, "n": 4, "tau": True}, ["tau"]),
 ])
 def test_validate_cost_guards(tmp_path, capsys, cfg, fields):
     diags = validate_config(cfg)
@@ -110,6 +127,24 @@ def test_cost_guards_admit_their_bounds():
     total = sum(math.comb(N, 4) for N in range(5, 41))
     assert total <= CENSUS_MAX_PARTITIONS
     assert validate_config({"kind": "census", "m": 4, "N_min": 5, "N_max": 40}) == []
+    assert validate_config({"kind": "spectrum", "level": 4, "n": SPECTRUM_MAX_N,
+                            "k": SPECTRUM_MAX_K, "tau": 1e-6}) == []
+    assert validate_config({"kind": "spectrum", "level": 4, "n": 3, "k": 1,
+                            "tau": 2}) == []
+
+
+def test_census_plane_dimension_below_n_min(tmp_path, capsys):
+    cfg = {"kind": "census", "m": 5, "N_min": 3, "N_max": 9}
+    diags = validate_config(cfg)
+    assert len(diags) == 1 and "'m'" in diags[0] and "'N_min'" in diags[0]
+    path = write_config(tmp_path, "census.json", cfg)
+    for command in ("validate", "census"):
+        assert main([command, "--config", path,
+                     *(["--out", str(tmp_path / "out")] if command == "census" else [])]
+                    ) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'m'" in err and "'N_min'" in err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def readme_example_configs():
@@ -135,8 +170,13 @@ def test_example_and_benchmark_configs_validate():
         {"kind": "census", "m": 3, "N_min": 5, "N_max": 40},
         {"kind": "morse", "n": 12},
     ]
+    spectra = [
+        {"kind": "spectrum", "level": 4, "n": 4},
+        {"kind": "spectrum", "level": 4, "n": 5},
+        {"kind": "covers", "level": 6, "n": 4, "degree": 2},
+    ]
     assert sum(math.comb(N, 3) for N in range(5, 41)) == 101265
-    for cfg in examples + certify:
+    for cfg in examples + certify + spectra:
         assert validate_config(cfg) == [], cfg
 
 
@@ -171,6 +211,59 @@ def test_covers_run(tmp_path):
     report = read_report(out)
     assert report["metrics"]["lambda1"]["value"] <= 1.05
     assert report["metrics"]["normal_index"]["value"] >= 4
+
+
+def test_spectrum_run_solves_once(tmp_path, monkeypatch):
+    calls = count_eigsh(monkeypatch, spectrum_mod)
+    path = write_config(tmp_path, "spectrum.json",
+                        {"kind": "spectrum", "level": 3, "n": 4})
+    assert main(["spectrum", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert calls == [22]  # the tau calibration and the index share the solve
+
+
+def test_spectrum_run_with_own_k_solves_twice(tmp_path, monkeypatch):
+    calls = count_eigsh(monkeypatch, spectrum_mod)
+    path = write_config(tmp_path, "spectrum.json",
+                        {"kind": "spectrum", "level": 3, "n": 4, "k": 25})
+    out = str(tmp_path / "out")
+    assert main(["spectrum", "--config", path, "--out", out]) == EXIT_OK
+    assert calls == [22, 25]
+    assert read_report(out)["metrics"]["nullity"]["value"] == 12
+
+
+def test_spectrum_run_matches_separate_solves(tmp_path):
+    path = write_config(tmp_path, "spectrum.json",
+                        {"kind": "spectrum", "level": 3, "n": 5})
+    out = str(tmp_path / "out")
+    assert main(["spectrum", "--config", path, "--out", out]) == EXIT_OK
+    # the pre-sharing path: calibration and index each solve a fresh pencil
+    mesh = build_icosphere(3)
+    tau = spectrum_mod.calibrate_tau(mesh, 5)
+    pencil = spectrum_mod.assemble_second_variation(equator_map(mesh, 5), 1.0)
+    rep = spectrum_mod.morse_index_nullity(pencil, 26, tau)
+    metrics = read_report(out)["metrics"]
+    assert metrics["tau"]["value"] == tau
+    assert (metrics["index"]["value"], metrics["nullity"]["value"]) == (rep.index,
+                                                                        rep.nullity)
+    with open(os.path.join(out, "spectra.csv"), newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [(int(r), float(v), c) for r, v, c in rows] == rep.to_rows()
+
+
+def test_double_cover_run_solves_once(tmp_path, monkeypatch):
+    calls = count_eigsh(monkeypatch, covers_mod)
+    path = write_config(tmp_path, "covers.json",
+                        {"kind": "covers", "level": 3, "n": 4, "degree": 2})
+    out = str(tmp_path / "out")
+    assert main(["covers", "--config", path, "--out", out]) == EXIT_OK
+    assert calls == [16]
+    # the pre-sharing path: lambda1 from a k = 8 solve, the index from k = 16
+    f = covers_mod.compose_cover(covers_mod.EquatorTargetMap(4),
+                                 covers_mod.RationalMap.power(2), build_icosphere(3))
+    metrics = read_report(out)["metrics"]
+    assert metrics["normal_index"]["value"] == covers_mod.double_cover_normal_index(f, 4)
+    assert metrics["lambda1"]["value"] == pytest.approx(
+        covers_mod.induced_metric_lambda1(f).lambda1, rel=1e-12)
 
 
 def test_pinch_run(tmp_path):

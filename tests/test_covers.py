@@ -15,6 +15,7 @@ from spherelab.covers import (
     compose_cover,
     double_cover_normal_index,
     evaluate,
+    evaluate_many,
     hol_space_dimension,
     induced_metric_lambda1,
     inverse_stereographic,
@@ -22,7 +23,7 @@ from spherelab.covers import (
     stereographic,
 )
 from spherelab.energy import dirichlet_energy, equator_map
-from spherelab.errors import PreconditionError
+from spherelab.errors import InvariantViolationError, PreconditionError
 
 FOUR_PI = 4.0 * math.pi
 
@@ -60,6 +61,43 @@ def test_evaluate_at_pole_and_zero():
     assert cmath.isinf(evaluate(g, 2.0))
     assert evaluate(g, 0.5) == 0.0
     assert evaluate(g, INF) == pytest.approx(1.0)  # equal degrees: scale limit
+
+
+def evaluation_points(mesh):
+    """Stereographic images of the mesh vertices plus 0, inf and the poles 2, -1."""
+    z = stereographic(mesh.vertices)
+    assert np.count_nonzero(np.isinf(z)) == 1  # vertex 0 is the north pole
+    return np.concatenate([z, [0.0, INF, 2.0, -1.0]])
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_evaluate_many_matches_scalar_loop_on_power_maps(mesh4, degree):
+    g = RationalMap.power(degree)
+    z = evaluation_points(mesh4)
+    loop = np.array([evaluate(g, v) for v in z], dtype=complex)
+    np.testing.assert_array_equal(evaluate_many(g, z), loop)  # bit for bit
+
+
+def test_evaluate_many_matches_scalar_loop_with_finite_poles(mesh4):
+    g = RationalMap(zeros=(0.5, 1j), poles=(2.0, -1.0), scale=1.5 - 0.5j)
+    z = evaluation_points(mesh4)
+    loop = np.array([evaluate(g, v) for v in z], dtype=complex)
+    got = evaluate_many(g, z)
+    assert np.all(np.isinf(loop[-2:]))  # the two finite poles
+    np.testing.assert_array_equal(np.isinf(got), np.isinf(loop))
+    finite = ~np.isinf(loop)
+    # the array quotient multiplies by a reciprocal, CPython's divides: one ulp
+    np.testing.assert_allclose(got[finite], loop[finite], rtol=4.5e-16, atol=0)
+    assert got[-3] == loop[-3] == 1.5 - 0.5j  # at inf, equal degrees: the scale
+
+
+def test_evaluate_many_zero_over_zero_raises():
+    g = RationalMap(zeros=(0.5,), poles=(2.0,))
+    object.__setattr__(g, "_den", g._num)  # a common factor the constructor forbids
+    with pytest.raises(InvariantViolationError):
+        evaluate(g, 0.5)
+    with pytest.raises(InvariantViolationError, match="0/0"):
+        evaluate_many(g, np.array([1.0, 0.5, INF]))
 
 
 def test_coincident_zero_pole_rejected():
@@ -204,6 +242,12 @@ def test_normal_index_bounds(mesh4):
     assert double_cover_normal_index(f5, 5) >= 6
     base = compose_cover(EquatorTargetMap(4), RationalMap.power(1), mesh4)
     assert double_cover_normal_index(base, 4) == 2
+
+
+def test_normal_index_needs_a_normal_bundle(mesh2):
+    f = compose_cover(EquatorTargetMap(2), RationalMap.power(2), mesh2)
+    with pytest.raises(PreconditionError, match="normal bundle"):
+        double_cover_normal_index(f, 2)
 
 
 # -- serialization -------------------------------------------------------------------------

@@ -331,6 +331,14 @@ def test_verify_pinch_report_is_plain_json():
     assert json.loads(json.dumps(rep.to_dict(), allow_nan=False)) == rep.to_dict()
 
 
+def test_verify_pinch_failed_hypothesis_report_is_plain_json():
+    rep = verify_pinch_implication(constant_curvature_operator(4, 0.3), 0.5, 10, 1)
+    assert not rep.hypothesis_satisfied and math.isnan(rep.worst_margin)
+    doc = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
+    assert doc["worst_margin"] is None
+    assert doc["hypothesis_note"].startswith("real sectional curvature")
+
+
 def test_verify_pinch_degenerate_plane_in_batch_raises(monkeypatch):
     frames = curvature._frames
 

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
-from conftest import smooth_weight
+from conftest import count_eigsh, smooth_weight
 from spherelab import build_icosphere
+from spherelab import spectrum as spectrum_mod
 from spherelab.energy import (
     SphereMap,
     alpha_energy,
     alpha_energy_gradient,
+    alpha_energy_raw_gradient,
     constant_map,
     equator_map,
     normalize_rows,
@@ -22,6 +26,7 @@ from spherelab.spectrum import (
     constrained_hessian,
     cutoff_dirichlet_energy,
     cutoff_profile,
+    equator_spectrum,
     expected_equator_counts,
     index_energy_diagnostic,
     morse_index_nullity,
@@ -29,6 +34,7 @@ from spherelab.spectrum import (
     pencil_eigenvalues,
     scaling_invariance_check,
 )
+from spherelab.sphere_mesh import assemble_pencil
 
 FOUR_PI = 4.0 * math.pi
 
@@ -129,6 +135,48 @@ def test_index_right_continuous_in_alpha(mesh3):
         pencil = assemble_second_variation(equator_map(mesh3, n), alpha)
         report = morse_index_nullity(pencil, 25, tau)
         assert report.index == 2
+
+
+def test_calibration_shares_the_equator_solve(monkeypatch):
+    mesh = build_icosphere(3)
+    n = 4
+    idx, nul = expected_equator_counts(n)
+    calls = count_eigsh(monkeypatch, spectrum_mod)
+    tau = calibrate_tau(mesh, n)
+    vals, converged = equator_spectrum(mesh, n, 1.0, idx + nul + 8)
+    assert calls == [idx + nul + 8] and converged
+    assert calibrate_tau(mesh, n) == tau and len(calls) == 1
+    assert not vals.flags.writeable
+    # the cached eigenvalues are those of the uncached full solve, bit for bit
+    pencil = assemble_second_variation(equator_map(mesh, n), 1.0)
+    report = morse_index_nullity(pencil, idx + nul + 8, tau)
+    np.testing.assert_array_equal(report.eigenvalues, vals)
+    assert (report.index, report.nullity) == (idx, nul)
+    equator_spectrum(mesh, n, 1.0, 25)
+    assert calls == [idx + nul + 8, idx + nul + 8, 25]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_equator_pencil_splits_into_scalar_copies(mesh3, n):
+    # Simons: at alpha = 1 the constant normal directions e_4..e_{n+1} do not
+    # couple to the R^3 part, so the scalar pencil (K - diag(lambda), M), with
+    # lambda the multiplier sum(raw . f) per vertex, recurs n - 2 times in the
+    # dense spectrum of the full reduced pencil
+    f = equator_map(mesh3, n)
+    pencil = assemble_second_variation(f, 1.0)
+    # every eigenvalue in (-3, 12], which holds the ten lowest scalar ones;
+    # Fortran order and overwrite spare LAPACK two dense copies (~80 MB each)
+    full = scipy.linalg.eigh(pencil.H.toarray(order="F"), pencil.M.toarray(order="F"),
+                             eigvals_only=True, subset_by_value=(-3.0, 12.0),
+                             overwrite_a=True, overwrite_b=True, check_finite=False)
+    lam = np.sum(alpha_energy_raw_gradient(f, 1.0) * f.values, axis=1)
+    fem = assemble_pencil(mesh3)
+    scalar = scipy.linalg.eigh((fem.K - sp.diags(lam)).toarray(), fem.M.toarray(),
+                               eigvals_only=True)[:10]
+    multiplicity = [int(np.count_nonzero(np.abs(full - s) <= 1e-9)) for s in scalar]
+    assert scalar[0] == pytest.approx(-2.0, abs=0.05) and scalar[-1] < 11.0
+    assert multiplicity[0] == n - 2
+    assert min(multiplicity) >= n - 2
 
 
 def test_normal_pencil_equator(mesh3):
