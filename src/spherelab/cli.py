@@ -43,6 +43,9 @@ PINCH_MAX_SAMPLES = 1_000_000       # about 10 s at n = 5
 CENSUS_MAX_PARTITIONS = 5_000_000   # sum of C(N, m) over N_min..N_max, each enumerated
 SPECTRUM_MAX_N = 16                 # level 4: 25 s and 0.73 GB; Hessian blocks grow as (n+1)^2
 SPECTRUM_MAX_K = 200                # level 4, n = 4: 7.9 s (1.7 s at the default k = 22)
+# faces x (n+1)^2 of a level-4, n = SPECTRUM_MAX_N run: the Hessian grows with
+# both, about 4x in memory and 6x in time per level
+SPECTRUM_MAX_COST = 20 * 4**4 * (SPECTRUM_MAX_N + 1) ** 2
 
 
 # -- config validation -----------------------------------------------------------
@@ -109,12 +112,21 @@ def validate_config(cfg: dict):
         ):
             diags.append("'alpha_schedule' entries must be numbers >= 1")
         start = cfg.get("start", "distorted_equator")
-        if start not in ("distorted_equator", "perturbed_constant", "equator"):
-            diags.append(f"unknown start map {start!r}")
+        if start == "perturbed_constant":
+            diags.append("field 'start': 'perturbed_constant' always collapses to a "
+                         "constant map, which cannot be recentered")
+        elif start not in ("distorted_equator", "equator"):
+            diags.append(f"field 'start': unknown start map {start!r}")
     elif kind == "spectrum":
-        _require(cfg, "level", (int,), diags, lambda v: 0 <= v <= 8)
-        _require(cfg, "n", (int,), diags, lambda v: 3 <= v <= SPECTRUM_MAX_N,
-                 note=f"(n in [3, {SPECTRUM_MAX_N}])")
+        level = _require(cfg, "level", (int,), diags, lambda v: 0 <= v <= 8)
+        n = _require(cfg, "n", (int,), diags, lambda v: 3 <= v <= SPECTRUM_MAX_N,
+                     note=f"(n in [3, {SPECTRUM_MAX_N}])")
+        if level is not None and n is not None:
+            cost = 20 * 4**level * (n + 1) ** 2
+            if cost > SPECTRUM_MAX_COST:
+                diags.append(
+                    f"fields 'level', 'n': faces x (n+1)^2 = {cost} exceeds "
+                    f"{SPECTRUM_MAX_COST}, the size of a level-4, n = {SPECTRUM_MAX_N} run")
         if "alpha" in cfg:
             _require(cfg, "alpha", (int, float), diags, lambda v: v >= 1)
         if "k" in cfg:
@@ -366,10 +378,7 @@ def run_flow(cfg, out_dir, report):
     seed = cfg.get("seed", 0)
     mesh = build_icosphere(level)
     rng = np.random.default_rng(seed)
-    start = cfg.get("start", "distorted_equator")
-    if start == "perturbed_constant":
-        map0 = energy_mod.perturbed_constant_map(mesh, n, rng)
-    elif start == "equator":
+    if cfg.get("start") == "equator":
         map0 = energy_mod.equator_map(mesh, n)
     else:
         axis = rng.standard_normal(3)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceError, NumericError, PreconditionError
 from .sphere_mesh import FOUR_PI, SphereMesh, worker_count
@@ -23,6 +22,10 @@ from .sphere_mesh import FOUR_PI, SphereMesh, worker_count
 # below this t, psi_alpha sums its Taylor series: the relative error of the
 # series through t^5 is about 3e-13 there for alpha in [1, 5]
 PSI_SERIES_T = 1e-3
+
+# faces per block of the energy and gradient kernel: a block's few (C, 3, B)
+# temporaries stay in cache, and no per-face (C, 3, F) array is ever held
+FACE_BLOCK = 1 << 12
 
 _AXES = {"x": np.array([1.0, 0.0, 0.0]),
          "y": np.array([0.0, 1.0, 0.0]),
@@ -138,11 +141,42 @@ def dilated_equator_map(mesh: SphereMesh, n: int, t: float, axis="z",
 
 # -- densities and energies ---------------------------------------------------
 
+def _face_blocks(sphere_map: SphereMap):
+    """Walk the faces FACE_BLOCK at a time in the cotangent edge form.
+
+    Yields (faces, d, c, q) per block of B faces: the block's slice; the
+    edge differences d[:, e] = f_e - f_(e+1), that is f_a - f_b, f_b - f_c
+    and f_c - f_a, as a (C, 3, B) array; their cotangent weights -k_01,
+    -k_12, -k_02 read from face_stiffness, as (3, B); and
+    q_f = sum_e c_e |d_e|^2, the integral of |df|^2 over the face
+    (Pinkall-Polthier).  The rows of k sum to zero, so q_f equals
+    sum_ij k_ij f_i . f_j.  Faces run along the last axis, so every
+    elementwise step works on rows of B contiguous values.
+    """
+    mesh = sphere_map.mesh
+    columns = np.ascontiguousarray(sphere_map.values.T)  # (C, V)
+    for start in range(0, mesh.face_count, FACE_BLOCK):
+        faces = slice(start, start + FACE_BLOCK)
+        corners = np.take(columns, mesh.faces[faces].T, axis=1)  # (C, 3, B)
+        d = np.empty_like(corners)
+        for e in range(3):
+            np.subtract(corners[:, e], corners[:, (e + 1) % 3], out=d[:, e])
+        c = -mesh.face_stiffness[faces][:, (0, 1, 0), (1, 2, 2)].T
+        sq = np.einsum("ceb,ceb->eb", d, d)
+        yield faces, d, c, c[0] * sq[0] + c[1] * sq[1] + c[2] * sq[2]
+
+
 def element_energy_integrals(sphere_map: SphereMap) -> np.ndarray:
     """Per-element values of the integral of |df|^2 over the element."""
-    k_local = sphere_map.mesh.face_stiffness
-    vals = sphere_map.values[sphere_map.mesh.faces]  # (F, 3, C)
-    return np.einsum("fij,fic,fjc->f", k_local, vals, vals)
+    q = np.empty(sphere_map.mesh.face_count)
+    for faces, _, _, q_block in _face_blocks(sphere_map):
+        q[faces] = q_block
+    return q
+
+
+def _density(q, areas):
+    """|df|^2 per element in the area-one convention, clipped at zero."""
+    return np.maximum(FOUR_PI * q / areas, 0.0)
 
 
 def element_density_area_one(sphere_map: SphereMap):
@@ -151,11 +185,8 @@ def element_density_area_one(sphere_map: SphereMap):
     The density is clipped at zero: it is nonnegative analytically but the
     assembled quadratic form can round to tiny negative values.
     """
-    q = element_energy_integrals(sphere_map)
     areas = sphere_map.mesh.face_areas
-    g = np.maximum(FOUR_PI * q / areas, 0.0)
-    da = areas / FOUR_PI
-    return g, da
+    return _density(element_energy_integrals(sphere_map), areas), areas / FOUR_PI
 
 
 def dirichlet_energy(sphere_map: SphereMap) -> float:
@@ -178,19 +209,30 @@ def alpha_energy(sphere_map: SphereMap, alpha: float) -> float:
 
 
 def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray:
-    """Gradient of the discrete alpha-energy before tangential projection."""
+    """Gradient of the discrete alpha-energy before tangential projection.
+
+    Face f adds w_f sum_j k_ij f_j to its vertex i, with the weight
+    w_f = alpha (1 + |df|^2)^(alpha-1); in the edge form that is
+    s_a = D_ab - D_ca, s_b = D_bc - D_ab, s_c = D_ca - D_bc for the
+    weighted differences D_e = w_f c_e d_e.
+    """
     mesh = sphere_map.mesh
-    g, _ = element_density_area_one(sphere_map)
-    w = alpha * (1.0 + g) ** (alpha - 1.0)
-    vals = sphere_map.values[mesh.faces]                      # (F, 3, C)
-    s = np.einsum("fij,fjc->fic", mesh.face_stiffness, vals)  # (F, 3, C)
-    del vals
-    s *= w[:, None, None]
-    s = s.reshape(-1, s.shape[2])
-    # bincount sums in index order, as np.add.at does, so the result is the same
-    idx = mesh.faces.reshape(-1)
-    return np.column_stack([np.bincount(idx, weights=s[:, c], minlength=mesh.vertex_count)
-                            for c in range(s.shape[1])])
+    areas = mesh.face_areas
+    out = np.zeros((sphere_map.values.shape[1], mesh.vertex_count))
+    for faces, d, c, q in _face_blocks(sphere_map):
+        w = alpha * (1.0 + _density(q, areas[faces])) ** (alpha - 1.0)
+        d *= w * c
+        # s[:, f, i] for corner i of face f, so that each column's row is
+        # face-major, in the order of mesh.faces.reshape(-1)
+        s = np.empty((d.shape[0], d.shape[2], 3))
+        for e in range(3):  # s_a = D_ab - D_ca, s_b = D_bc - D_ab, s_c = D_ca - D_bc
+            np.subtract(d[:, e], d[:, e - 1], out=s[:, :, e])
+        idx = mesh.faces[faces].reshape(-1)
+        # np.add.at sums in index order, so the result does not depend on
+        # FACE_BLOCK: it is one scatter over all faces, face by face
+        for row, contributions in zip(out, s.reshape(len(out), -1)):
+            np.add.at(row, idx, contributions)
+    return np.ascontiguousarray(out.T)
 
 
 def alpha_energy_gradient(sphere_map: SphereMap, alpha: float) -> TangentField:
@@ -205,11 +247,12 @@ def psi_alpha(t, alpha: float):
     """Weight [alpha (1+t)^(alpha-1) t - (1+t)^alpha + 1] / (alpha - 1).
 
     Vanishes at t = 0, is strictly increasing for t > 0, and tends to
-    t - log(1+t) as alpha -> 1.  Near alpha = 1 the closed form cancels
-    catastrophically, so for |alpha - 1| < 1e-6 the equivalent integral
-    form  integral_0^t alpha tau (1+tau)^(alpha-2) dtau  is used.  Every
-    form cancels at small t, where the value is of order t^2, so entries
-    below PSI_SERIES_T take the Taylor series instead.
+    t - log(1+t) as alpha -> 1.  With e = alpha - 1 and L = log(1+t) it is
+    evaluated as t e^(eL) - expm1(eL)/e, which does not divide a cancelled
+    difference by e, so it holds its digits for alpha near 1; alpha = 1
+    itself takes t - log1p(t).  Every form cancels at small t, where the
+    value is of order t^2, so entries below PSI_SERIES_T take the Taylor
+    series instead.
     """
     if alpha < 1.0:
         raise PreconditionError("alpha must be >= 1")
@@ -219,19 +262,11 @@ def psi_alpha(t, alpha: float):
     scalar = np.ndim(t) == 0
     if alpha == 1.0:
         out = arr - np.log1p(arr)
-    elif abs(alpha - 1.0) < 1e-6:
-        flat = arr.reshape(-1)
-        out = np.array(
-            [
-                quad(lambda tau: alpha * tau * (1.0 + tau) ** (alpha - 2.0), 0.0, ti,
-                     limit=200)[0]
-                for ti in flat
-            ]
-        ).reshape(arr.shape)
     else:
-        out = (alpha * (1.0 + arr) ** (alpha - 1.0) * arr
-               - (1.0 + arr) ** alpha + 1.0) / (alpha - 1.0)
-    out = np.asarray(out)  # the branches give a numpy scalar for scalar t
+        eps = alpha - 1.0
+        el = eps * np.log1p(arr)
+        out = arr * np.exp(el) - np.expm1(el) / eps
+    out = np.asarray(out)  # the forms give a numpy scalar for scalar t
     small = arr < PSI_SERIES_T
     if np.any(small):  # series on the masked entries only: no full-size temporaries
         out[small] = _psi_series(arr[small], alpha)
@@ -314,24 +349,31 @@ def sample_map(sphere_map: SphereMap, points: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k = min(16, mesh.face_count)
     _, cand = mesh.centroid_tree.query(pts, k=k, workers=worker_count())
-    cand = np.atleast_2d(cand)
-    corner = mesh.vertices[mesh.faces[cand]]          # (Q, k, 3, 3)
-    mats = corner.transpose(0, 1, 3, 2)               # columns are corners
-    rhs = np.repeat(pts[:, None, :, None], k, axis=1)
-    bary = np.linalg.solve(mats, rhs)[..., 0]
-    ok = np.all(bary >= -1e-10, axis=2)
-    first = np.argmax(ok, axis=1)
-    found = ok[np.arange(len(pts)), first]
-    face_idx = cand[np.arange(len(pts)), first]
-    b = bary[np.arange(len(pts)), first]
+    cand = cand.reshape(len(pts), k)
+    # try the candidates in distance order, each only for the points still
+    # unplaced: the first hit is the face a batched solve over all k picks
+    todo = np.arange(len(pts))
+    face_idx = cand[:, 0].copy()
+    for j in range(k):
+        faces = cand[todo, j]
+        mats = mesh.vertices[mesh.faces[faces]].transpose(0, 2, 1)  # columns are corners
+        bary = np.linalg.solve(mats, pts[todo, :, None])[..., 0]
+        hit = np.all(bary >= -1e-10, axis=1)
+        if j == 0:
+            b = bary  # a point no candidate contains keeps candidate 0's
+        else:
+            face_idx[todo[hit]] = faces[hit]
+            b[todo[hit]] = bary[hit]
+        todo = todo[~hit]
+        if not len(todo):
+            break
     b = np.clip(b, 0.0, None)
     b /= b.sum(axis=1)[:, None]
     vals = np.einsum("qi,qic->qc", b, sphere_map.values[mesh.faces[face_idx]])
-    if not np.all(found):
+    if len(todo):
         # extremely rare: fall back to the nearest vertex value
-        missing = np.where(~found)[0]
-        _, nearest = mesh.vertex_tree.query(pts[missing])
-        vals[missing] = sphere_map.values[nearest]
+        _, nearest = mesh.vertex_tree.query(pts[todo])
+        vals[todo] = sphere_map.values[nearest]
     return normalize_rows(vals)
 
 
@@ -357,8 +399,9 @@ def fit_centering_dilation(sphere_map: SphereMap, alpha: float,
     if np.linalg.norm(com0) <= tol:
         return sphere_map, np.zeros(3)
 
-    def com_at(params):
-        return center_of_mass(precompose_with_dilations(sphere_map, params), alpha)
+    def resample(params):
+        moved = precompose_with_dilations(sphere_map, params)
+        return moved, center_of_mass(moved, alpha)
 
     params = np.zeros(3)
     com = com0
@@ -369,7 +412,7 @@ def fit_centering_dilation(sphere_map: SphereMap, alpha: float,
         for j in range(3):
             dp = np.zeros(3)
             dp[j] = h
-            jac[:, j] = (com_at(params + dp) - com_at(params - dp)) / (2.0 * h)
+            jac[:, j] = (resample(params + dp)[1] - resample(params - dp)[1]) / (2.0 * h)
         try:
             step = np.linalg.solve(jac, com)
         except np.linalg.LinAlgError as exc:
@@ -378,16 +421,16 @@ def fit_centering_dilation(sphere_map: SphereMap, alpha: float,
         scale = 1.0
         for _ in range(30):
             trial = params - scale * step
-            com_trial = com_at(trial)
+            moved, com_trial = resample(trial)
             if np.linalg.norm(com_trial) < res:
-                params, com = trial, com_trial
+                params, com, recentered = trial, com_trial, moved
                 res = float(np.linalg.norm(com))
                 break
             scale *= 0.5
         else:
             raise ConvergenceError("recentering stalled", residual=res)
         if res <= tol:
-            return precompose_with_dilations(sphere_map, params), params
+            return recentered, params
     raise ConvergenceError(
         f"recentering did not reach tolerance in {max_iter} iterations",
         residual=res,
@@ -414,6 +457,7 @@ def axisymmetric_alpha_energy(speed_profile, alpha: float, U: float) -> float:
         raise PreconditionError("axisymmetric reduction requires alpha > 1")
     if U <= 0:
         raise PreconditionError("truncation U must be positive")
+    from scipy.integrate import quad  # imported on use: it slows every start-up
 
     def integrand(u):
         c = speed_profile(u)
@@ -429,6 +473,8 @@ def axisymmetric_alpha_energy(speed_profile, alpha: float, U: float) -> float:
 
 def axisymmetric_divergence_minorant(speed: float, alpha: float, U: float) -> float:
     """Lower bound pi * integral c^(2 alpha) cosh(u)^(2 alpha - 2) du on [-U, U]."""
+    from scipy.integrate import quad  # imported on use: it slows every start-up
+
     value, _ = quad(
         lambda u: speed ** (2.0 * alpha) * math.cosh(u) ** (2.0 * alpha - 2.0),
         -U,

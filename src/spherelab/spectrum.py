@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import quad
 from scipy.sparse.linalg import ArpackNoConvergence, eigs, eigsh
 
 from .energy import (
@@ -445,6 +444,8 @@ def cutoff_dirichlet_energy(epsilon: float) -> float:
 
     Evaluated by quadrature on the ramp region; equals -2 pi / log(eps).
     """
+    from scipy.integrate import quad  # imported on use: it slows every start-up
+
     profile = cutoff_profile(epsilon)
     value, _ = quad(lambda r: profile.derivative(r) ** 2 * r,
                     epsilon**2, epsilon, limit=200)

@@ -234,10 +234,13 @@ class SphereMesh:
 
 
 def _solve_columns(lu, rhs):
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.ndim == 1:
-        return lu.solve(rhs)
-    return np.column_stack([lu.solve(rhs[:, j]) for j in range(rhs.shape[1])])
+    """One SuperLU solve for all columns of rhs, as a C-ordered array.
+
+    With a vendor BLAS, blocks of four or more columns go through other
+    dtrsm / dgemm kernels than single columns do, so columns can differ from
+    one-column solves in the last bits.
+    """
+    return np.ascontiguousarray(lu.solve(np.asarray(rhs, dtype=float)))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from spherelab.cli import (
     EXIT_OK,
     PINCH_MAX_N,
     PINCH_MAX_SAMPLES,
+    SPECTRUM_MAX_COST,
     SPECTRUM_MAX_K,
     SPECTRUM_MAX_N,
     main,
@@ -110,6 +111,15 @@ def test_validate_rejects_bools(tmp_path, capsys, cfg, field):
     ({"kind": "spectrum", "level": 3, "n": 4, "tau": -1e-3}, ["tau"]),
     ({"kind": "spectrum", "level": 3, "n": 4, "tau": "1e-3"}, ["tau"]),
     ({"kind": "spectrum", "level": 3, "n": 4, "tau": True}, ["tau"]),
+    # faces x (n+1)^2 above a level-4, n = 16 run
+    ({"kind": "spectrum", "level": 5, "n": 8}, ["level", "n"]),
+    ({"kind": "spectrum", "level": 6, "n": 4}, ["level", "n"]),
+    ({"kind": "spectrum", "level": 8, "n": 3}, ["level", "n"]),
+    # collapses to a constant map, which cannot be recentered
+    ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
+      "start": "perturbed_constant"}, ["start"]),
+    ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
+      "start": "constant"}, ["start"]),
 ])
 def test_validate_cost_guards(tmp_path, capsys, cfg, fields):
     diags = validate_config(cfg)
@@ -131,6 +141,9 @@ def test_cost_guards_admit_their_bounds():
                             "k": SPECTRUM_MAX_K, "tau": 1e-6}) == []
     assert validate_config({"kind": "spectrum", "level": 4, "n": 3, "k": 1,
                             "tau": 2}) == []
+    assert 20 * 4**4 * (SPECTRUM_MAX_N + 1) ** 2 == SPECTRUM_MAX_COST
+    assert validate_config({"kind": "spectrum", "level": 5, "n": 7}) == []
+    assert validate_config({"kind": "spectrum", "level": 6, "n": 3}) == []
 
 
 def test_census_plane_dimension_below_n_min(tmp_path, capsys):
@@ -358,6 +371,21 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == EXIT_OK
     assert "report.json" in proc.stdout
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # quadrature is imported where it is used, not on every start-up
+    import spherelab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spherelab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spherelab.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):

@@ -1,15 +1,18 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from spherelab import build_icosphere
+from spherelab import energy
 from spherelab.energy import (
     SphereMap,
     alpha_energy,
     alpha_energy_gradient,
     alpha_energy_raw_gradient,
+    apply_axis_dilations,
     axisymmetric_alpha_energy,
     axisymmetric_divergence_minorant,
     center_of_mass,
@@ -18,9 +21,11 @@ from spherelab.energy import (
     dilated_equator_map,
     dirichlet_energy,
     element_density_area_one,
+    element_energy_integrals,
     equator_map,
     fit_centering_dilation,
     normalize_rows,
+    precompose_with_dilations,
     psi_alpha,
     random_map,
     random_tangent_field,
@@ -141,16 +146,53 @@ def test_gradient_matches_finite_differences(mesh2, rng):
 
 @pytest.mark.parametrize("level", [3, 4])
 @pytest.mark.parametrize("alpha", [1.0, 1.1])
-def test_raw_gradient_scatter_matches_add_at(level, alpha):
-    # the bincount scatter sums in the same order as np.add.at: bit for bit
+def test_raw_gradient_scatter_matches_add_at(level, alpha, monkeypatch):
+    # the blocked scatter sums face by face in index order, as one np.add.at
+    # over all faces does: bit for bit, whatever the block size
     mesh = build_icosphere(level)
     f = random_map(mesh, 4, np.random.default_rng(0))
     g, _ = element_density_area_one(f)
     w = alpha * (1.0 + g) ** (alpha - 1.0)
-    s = np.einsum("fij,fjc->fic", mesh.face_stiffness, f.values[mesh.faces])
+    k = mesh.face_stiffness
+    fa, fb, fc = (f.values[mesh.faces[:, i]] for i in range(3))
+    d_ab = (w * -k[:, 0, 1])[:, None] * (fa - fb)
+    d_bc = (w * -k[:, 1, 2])[:, None] * (fb - fc)
+    d_ca = (w * -k[:, 0, 2])[:, None] * (fc - fa)
+    contributions = np.stack([d_ab - d_ca, d_bc - d_ab, d_ca - d_bc], axis=1)
     expected = np.zeros_like(f.values)
-    np.add.at(expected, mesh.faces.reshape(-1), (w[:, None, None] * s).reshape(-1, 5))
+    np.add.at(expected, mesh.faces.reshape(-1), contributions.reshape(-1, 5))
     assert np.array_equal(alpha_energy_raw_gradient(f, alpha), expected)
+    monkeypatch.setattr(energy, "FACE_BLOCK", 100)
+    assert np.array_equal(alpha_energy_raw_gradient(f, alpha), expected)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+@pytest.mark.parametrize("alpha", [1.0, 1.05, 1.2])
+def test_edge_form_matches_three_index_form(level, alpha, monkeypatch):
+    # the kernel's oracle is the quadratic form sum_ij k_ij f_i . f_j it
+    # replaced; that form cancels, so q_f may differ by its rounding bound
+    mesh = build_icosphere(level)
+    f = random_map(mesh, 4, np.random.default_rng(level))
+    k = mesh.face_stiffness
+    vals = f.values[mesh.faces]
+    gram = np.einsum("fic,fjc->fij", vals, vals)
+    q_old = np.einsum("fij,fic,fjc->f", k, vals, vals)
+    q = element_energy_integrals(f)
+    bound = 64 * np.finfo(float).eps * np.abs(k * gram).sum(axis=(1, 2))
+    assert np.all(np.abs(q - q_old) <= bound)
+    assert dirichlet_energy(f) == pytest.approx(0.5 * q_old.sum(), rel=1e-12, abs=0)
+    g_old = np.maximum(FOUR_PI * q_old / mesh.face_areas, 0.0)
+    w = alpha * (1.0 + g_old) ** (alpha - 1.0)
+    s = w[:, None, None] * np.einsum("fij,fjc->fic", k, vals)
+    old = np.zeros_like(f.values)
+    np.add.at(old, mesh.faces.reshape(-1), s.reshape(-1, 5))
+    raw = alpha_energy_raw_gradient(f, alpha)
+    assert np.linalg.norm(raw) == pytest.approx(np.linalg.norm(old), rel=1e-12, abs=0)
+    assert np.linalg.norm(raw - old) <= 1e-12 * np.linalg.norm(old)
+    # blocks below the face count: the same q, and the same scatter order
+    monkeypatch.setattr(energy, "FACE_BLOCK", mesh.face_count // 3 + 1)
+    assert np.array_equal(element_energy_integrals(f), q)
+    assert np.array_equal(alpha_energy_raw_gradient(f, alpha), raw)
 
 
 def test_dirichlet_energy_convention_independent(mesh3, rng):
@@ -228,6 +270,28 @@ def test_psi_rejects_negative_t():
         psi_alpha(-0.5, 1.2)
 
 
+def psi_50_digits(t, alpha):
+    """The defining closed form of psi_alpha in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t, a, one = Decimal(t), Decimal(alpha), Decimal(1)
+        if a == one:
+            return float(t - (one + t).ln())
+        p = (one + t) ** (a - one)
+        return float((a * p * t - (one + t) * p + one) / (a - one))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.0 + 1e-8, 1.0 + 1e-6, 1.0001, 1.05, 1.5, 2.0, 3.0])
+def test_psi_matches_50_digit_evaluation(alpha):
+    # the single form holds its digits near alpha = 1, where the closed form
+    # lost up to 2.3e-6 relative at t = 1e-3 and alpha = 1.0001
+    ts = np.array([1e-6, 5e-4, 1e-3, 2e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e4])
+    vals = psi_alpha(ts, alpha)
+    for t, val in zip(ts, vals):
+        assert val == pytest.approx(psi_50_digits(t, alpha), rel=1e-12, abs=0)
+        assert psi_alpha(float(t), alpha) == pytest.approx(val, rel=1e-15, abs=0)
+
+
 # -- center of mass ----------------------------------------------------------------
 
 
@@ -256,6 +320,20 @@ def test_recenter_recovers_dilation(mesh4):
     assert params[2] == pytest.approx(-0.3, abs=5e-3)
     assert abs(params[0]) < 1e-6 and abs(params[1]) < 1e-6
     assert abs(dirichlet_energy(recentered) - dirichlet_energy(f)) <= 0.01 * dirichlet_energy(f)
+
+
+def test_recenter_returns_the_accepted_resample(mesh3, monkeypatch):
+    # one Newton step resamples 7 times: 6 for the central-difference
+    # Jacobian and 1 for the accepted trial, which is the map returned
+    calls = []
+    sample = energy.sample_map
+    monkeypatch.setattr(energy, "sample_map",
+                        lambda *a: calls.append(1) or sample(*a))
+    f = dilated_equator_map(mesh3, 4, 1e-4, axis="z")
+    recentered, params = fit_centering_dilation(f, 1.05)
+    assert len(calls) == 7
+    assert np.array_equal(recentered.values, precompose_with_dilations(f, params).values)
+    assert np.linalg.norm(center_of_mass(recentered, 1.05)) <= 1e-8
 
 
 def test_recenter_already_centered(mesh3):
@@ -289,6 +367,44 @@ def test_dilate_points_group_law(rng):
 def test_sample_map_at_vertices_is_identity(mesh3):
     f = dilated_equator_map(mesh3, 4, 0.2)
     assert np.allclose(sample_map(f, mesh3.vertices), f.values, atol=1e-12)
+
+
+def sample_map_batched(sphere_map, points):
+    """Point location that solves all 16 candidates of every point at once."""
+    mesh = sphere_map.mesh
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    k = min(16, mesh.face_count)
+    _, cand = mesh.centroid_tree.query(pts, k=k)
+    cand = np.atleast_2d(cand)
+    corner = mesh.vertices[mesh.faces[cand]]          # (Q, k, 3, 3)
+    mats = corner.transpose(0, 1, 3, 2)               # columns are corners
+    rhs = np.repeat(pts[:, None, :, None], k, axis=1)
+    bary = np.linalg.solve(mats, rhs)[..., 0]
+    ok = np.all(bary >= -1e-10, axis=2)
+    first = np.argmax(ok, axis=1)
+    found = ok[np.arange(len(pts)), first]
+    face_idx = cand[np.arange(len(pts)), first]
+    b = bary[np.arange(len(pts)), first]
+    b = np.clip(b, 0.0, None)
+    b /= b.sum(axis=1)[:, None]
+    vals = np.einsum("qi,qic->qc", b, sphere_map.values[mesh.faces[face_idx]])
+    if not np.all(found):
+        missing = np.where(~found)[0]
+        _, nearest = mesh.vertex_tree.query(pts[missing])
+        vals[missing] = sphere_map.values[nearest]
+    return normalize_rows(vals)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_sample_map_matches_batched_location(level):
+    mesh = build_icosphere(level)
+    rng = np.random.default_rng(level)
+    f = random_map(mesh, 4, rng)
+    point_sets = [mesh.vertices, -mesh.vertices, normalize_rows(rng.standard_normal((5000, 3)))]
+    point_sets += [apply_axis_dilations(mesh.vertices, np.array(p))
+                   for p in ((1e-6, 0.0, 0.0), (1e-3, 2e-3, -1e-3), (0.3, 0.2, -0.4))]
+    for pts in point_sets:
+        assert np.array_equal(sample_map(f, pts), sample_map_batched(f, pts))
 
 
 # -- axisymmetric reduced energy ------------------------------------------------------

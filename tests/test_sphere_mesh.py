@@ -226,3 +226,35 @@ def test_assembly_deterministic(mesh3):
     b = assemble_pencil(other)
     assert abs(a.K - b.K).max() == 0.0
     assert abs(a.M - b.M).max() == 0.0
+
+
+class CountingLU:
+    """Wraps a SuperLU factorization and counts its solve calls."""
+
+    def __init__(self, lu):
+        self.lu, self.calls = lu, 0
+
+    def solve(self, rhs):
+        self.calls += 1
+        return self.lu.solve(rhs)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+@pytest.mark.parametrize("method, key", [("solve_mass", "mass_lu"),
+                                         ("solve_stiff_plus_mass", "km_lu")])
+def test_block_solve_is_one_call_matching_column_solves(level, method, key):
+    # one SuperLU call for the whole (V, 5) block; BLAS kernels for four or
+    # more columns may round differently from one-column solves, so the
+    # per-column oracle holds to a few ulps, not bit for bit
+    mesh = build_icosphere(level)
+    solve = getattr(mesh, method)
+    rhs = np.random.default_rng(level).standard_normal((mesh.vertex_count, 5))
+    solve(rhs[:, 0])  # factor once
+    lu = CountingLU(mesh._cache[key])
+    mesh._cache[key] = lu
+    x = solve(rhs)
+    assert lu.calls == 1
+    assert x.shape == rhs.shape and x.flags.c_contiguous
+    ref = np.column_stack([lu.lu.solve(rhs[:, j]) for j in range(5)])
+    assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.array_equal(solve(rhs[:, 2]), ref[:, 2])
