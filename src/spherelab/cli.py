@@ -46,6 +46,9 @@ SPECTRUM_MAX_K = 200                # level 4, n = 4: 7.9 s (1.7 s at the defaul
 # faces x (n+1)^2 of a level-4, n = SPECTRUM_MAX_N run: the Hessian grows with
 # both, about 4x in memory and 6x in time per level
 SPECTRUM_MAX_COST = 20 * 4**4 * (SPECTRUM_MAX_N + 1) ** 2
+# a morse run's desk model and predicted counts need n >= 4, and its census of
+# G_3(R^(n+1)) needs n + 1 within topology's size guard
+MORSE_MAX_N = topology_mod.MAX_N - 1
 
 
 # -- config validation -----------------------------------------------------------
@@ -86,7 +89,7 @@ def validate_config(cfg: dict):
     if kind == "census":
         _require(cfg, "m", (int,), diags, lambda v: v >= 1)
         _require(cfg, "N_min", (int,), diags, lambda v: v >= 2)
-        _require(cfg, "N_max", (int,), diags, lambda v: v <= 40)
+        _require(cfg, "N_max", (int,), diags, lambda v: v <= topology_mod.MAX_N)
         if not diags and cfg["N_min"] > cfg["N_max"]:
             diags.append("'N_min' exceeds 'N_max'")
         elif not diags and cfg["m"] >= cfg["N_min"]:
@@ -149,8 +152,9 @@ def validate_config(cfg: dict):
     elif kind == "morse":
         if "complex_path" in cfg:
             _require(cfg, "complex_path", (str,), diags)
-        else:
-            _require(cfg, "n", (int,), diags, lambda v: v >= 4)
+        if "n" in cfg or "complex_path" not in cfg:
+            _require(cfg, "n", (int,), diags, lambda v: 4 <= v <= MORSE_MAX_N,
+                     note=f"(n in [4, {MORSE_MAX_N}])")
     return diags
 
 

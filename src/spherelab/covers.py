@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from .energy import SphereMap, normalize_rows
@@ -26,7 +25,7 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .sphere_mesh import SphereMesh, assemble_pencil
+from .sphere_mesh import MASS_LOCAL, SphereMesh, assemble_faces, assemble_pencil
 
 INF = complex(math.inf, 0.0)
 
@@ -440,17 +439,6 @@ def _conformal_factors(f: SphereMap, eps_reg: float):
     return rho, int(np.count_nonzero(floored))
 
 
-def _weighted_mass(mesh: SphereMesh, weights: np.ndarray) -> sp.csr_matrix:
-    f = mesh.faces
-    v = mesh.vertex_count
-    rows = np.repeat(f, 3, axis=1).reshape(-1)
-    cols = np.tile(f, (1, 3)).reshape(-1)
-    m_local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    vals = ((weights * mesh.face_areas)[:, None, None] * m_local).reshape(-1)
-    M = sp.coo_matrix((vals, (rows, cols)), shape=(v, v)).tocsr()
-    return (M + M.T) * 0.5
-
-
 def pullback_laplace_eigenvalues(f: SphereMap, k: int = 8,
                                  eps_reg: float = 1e-8):
     """Low generalized eigenvalues of the Laplacian of the pulled-back metric.
@@ -462,7 +450,7 @@ def pullback_laplace_eigenvalues(f: SphereMap, k: int = 8,
     mesh = f.mesh
     rho, floored = _conformal_factors(f, eps_reg)
     pencil = assemble_pencil(mesh)
-    M_rho = _weighted_mass(mesh, rho)
+    M_rho = assemble_faces(mesh, (rho * mesh.face_areas)[:, None, None] * MASS_LOCAL)
     rng = np.random.default_rng(1234)
     v0 = rng.standard_normal(mesh.vertex_count)
     vals = eigsh(pencil.K, k=k, M=M_rho, sigma=-0.1, which="LM", v0=v0,

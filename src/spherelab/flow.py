@@ -10,7 +10,7 @@ pseudogradient inequalities can be audited after the fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -214,17 +214,7 @@ def continue_in_alpha(record: CriticalRecord, schedule,
     current = record.map
     records = []
     for stage, alpha in enumerate(schedule):
-        cfg = FlowConfig(
-            alpha=alpha,
-            max_iterations=base.max_iterations,
-            grad_tol=base.grad_tol,
-            grad_tol_abs=base.grad_tol_abs,
-            armijo_c1=base.armijo_c1,
-            step_init=base.step_init,
-            step_shrink=base.step_shrink,
-            preconditioned=base.preconditioned,
-            seed=base.seed,
-        )
+        cfg = replace(base, alpha=alpha)
         try:
             rec = descend(current, cfg)
         except StagnationError as exc:

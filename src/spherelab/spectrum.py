@@ -25,7 +25,8 @@ from .energy import (
     equator_map,
 )
 from .errors import DegenerateElementsError, PreconditionError
-from .sphere_mesh import FOUR_PI, SphereMesh, assemble_pencil
+from .sphere_mesh import (FOUR_PI, MASS_LOCAL, SphereMesh, assemble_faces,
+                          assemble_pencil)
 
 _EIG_SEED = 20240
 
@@ -76,9 +77,8 @@ class SecondVariationPencil:
 def _unconstrained_hessian(sphere_map: SphereMap, alpha: float) -> sp.csr_matrix:
     """Sparse Hessian of the discrete alpha-energy in ambient coordinates."""
     mesh = sphere_map.mesh
-    faces = mesh.faces
     C = sphere_map.n + 1
-    vals = sphere_map.values[faces]                       # (F, 3, C)
+    vals = sphere_map.values[mesh.faces]                  # (F, 3, C)
     k_local = mesh.face_stiffness
     s = np.einsum("fij,fjc->fic", k_local, vals)          # (F, 3, C)
     g, _ = element_density_area_one(sphere_map)
@@ -91,19 +91,7 @@ def _unconstrained_hessian(sphere_map: SphereMap, alpha: float) -> sp.csr_matrix
         * np.eye(C)[None, None, None, :, :]
     blocks = blocks + c_rank1[:, None, None, None, None] \
         * s[:, :, None, :, None] * s[:, None, :, None, :]
-    # scatter (F,3,3,C,C) blocks into a (VC, VC) COO matrix
-    rows = (faces[:, :, None, None, None] * C
-            + np.zeros((1, 1, 3, 1, 1), dtype=np.int64)
-            + np.arange(C)[None, None, None, :, None]
-            + np.zeros((1, 1, 1, 1, C), dtype=np.int64))
-    cols = (faces[:, None, :, None, None] * C
-            + np.arange(C)[None, None, None, None, :]
-            + np.zeros((1, 3, 1, C, 1), dtype=np.int64))
-    dim = mesh.vertex_count * C
-    H = sp.coo_matrix(
-        (blocks.reshape(-1), (rows.reshape(-1), cols.reshape(-1))),
-        shape=(dim, dim),
-    ).tocsr()
+    H = assemble_faces(mesh, blocks)
     return (H + H.T) * 0.5
 
 
@@ -127,6 +115,23 @@ def _frame_matrix(frame: np.ndarray) -> sp.csr_matrix:
                              np.broadcast_to(cols, frame.shape).reshape(-1))),
         shape=(v * C, v * dim),
     ).tocsr()
+
+
+def _reduced_pencil(sphere_map: SphereMap, alpha: float, frames: np.ndarray,
+                    kind: str) -> SecondVariationPencil:
+    """Constrained Hessian and coordinatewise mass matrix, both reduced to frames."""
+    B = _frame_matrix(frames)
+    H = constrained_hessian(sphere_map, alpha)
+    M = assemble_pencil(sphere_map.mesh).M
+    M_amb = sp.kron(M, sp.eye(sphere_map.n + 1, format="csr"), format="csr")
+    return SecondVariationPencil(
+        H=(B.T @ H @ B).tocsr(),
+        M=(B.T @ M_amb @ B).tocsr(),
+        frame=frames,
+        base=sphere_map,
+        alpha=alpha,
+        kind=kind,
+    )
 
 
 def _tangent_frames(sphere_map: SphereMap) -> np.ndarray:
@@ -179,19 +184,7 @@ def assemble_second_variation(sphere_map: SphereMap, alpha: float,
     if rawn > 0 and np.linalg.norm(tang) / rawn > warn_threshold:
         warnings.warn("map is far from critical; Hessian spectrum is only formal",
                       stacklevel=2)
-    frames = _tangent_frames(sphere_map)
-    B = _frame_matrix(frames)
-    H = constrained_hessian(sphere_map, alpha)
-    M = assemble_pencil(sphere_map.mesh).M
-    M_amb = sp.kron(M, sp.eye(sphere_map.n + 1, format="csr"), format="csr")
-    return SecondVariationPencil(
-        H=(B.T @ H @ B).tocsr(),
-        M=(B.T @ M_amb @ B).tocsr(),
-        frame=frames,
-        base=sphere_map,
-        alpha=alpha,
-        kind="tangent",
-    )
+    return _reduced_pencil(sphere_map, alpha, _tangent_frames(sphere_map), "tangent")
 
 
 def normal_second_variation(sphere_map: SphereMap, alpha: float = 1.0,
@@ -218,18 +211,7 @@ def normal_second_variation(sphere_map: SphereMap, alpha: float = 1.0,
     killed = proj_full + vals[:, :, None] * vals[:, None, :]
     _, svals, vt = np.linalg.svd(np.eye(C)[None] - killed)
     frames = vt[:, : C - 3, :].transpose(0, 2, 1)
-    B = _frame_matrix(frames)
-    H = constrained_hessian(sphere_map, alpha)
-    M = assemble_pencil(sphere_map.mesh).M
-    M_amb = sp.kron(M, sp.eye(C, format="csr"), format="csr")
-    return SecondVariationPencil(
-        H=(B.T @ H @ B).tocsr(),
-        M=(B.T @ M_amb @ B).tocsr(),
-        frame=frames,
-        base=sphere_map,
-        alpha=alpha,
-        kind="normal",
-    )
+    return _reduced_pencil(sphere_map, alpha, frames, "normal")
 
 
 def pencil_eigenvalues(H: sp.spmatrix, M: sp.spmatrix, k: int,
@@ -345,16 +327,9 @@ def weighted_scalar_pencil(mesh: SphereMesh, potential: float,
     if w.shape != (mesh.vertex_count,) or np.min(w) <= 0:
         raise PreconditionError("weight must be positive per vertex")
     faces = mesh.faces
-    v = mesh.vertex_count
     elem_w = w[faces].mean(axis=1)
-    rows = np.repeat(faces, 3, axis=1).reshape(-1)
-    cols = np.tile(faces, (1, 3)).reshape(-1)
-    k_vals = (elem_w[:, None, None] * mesh.face_stiffness).transpose(0, 2, 1)
-    K_w = sp.coo_matrix((k_vals.reshape(-1), (rows, cols)), shape=(v, v)).tocsr()
-    m_local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    m_vals = ((elem_w * mesh.face_areas)[:, None, None] * m_local).reshape(-1)
-    M_w = sp.coo_matrix((m_vals, (rows, cols)), shape=(v, v)).tocsr()
-    M_w = (M_w + M_w.T) * 0.5
+    K_w = assemble_faces(mesh, elem_w[:, None, None] * mesh.face_stiffness)
+    M_w = assemble_faces(mesh, (elem_w * mesh.face_areas)[:, None, None] * MASS_LOCAL)
     # advection block: G[i, j] = sum_T (grad lam_j . grad mu^2)_T * A_T / 3
     p = mesh.vertices[faces]
     e = np.empty_like(p)
@@ -368,7 +343,7 @@ def weighted_scalar_pencil(mesh: SphereMesh, potential: float,
     grad_w = np.einsum("fi,fic->fc", w[faces], grad_lam)
     gj = np.einsum("fjc,fc->fj", grad_lam, grad_w)
     g_vals = (mesh.face_areas[:, None, None] / 3.0) * np.ones((1, 3, 1)) * gj[:, None, :]
-    G = sp.coo_matrix((g_vals.reshape(-1), (rows, cols)), shape=(v, v)).tocsr()
+    G = assemble_faces(mesh, g_vals)
     return (K_w + G - potential * M_w).tocsr(), M_w
 
 

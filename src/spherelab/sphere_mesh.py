@@ -28,6 +28,8 @@ from scipy.spatial import cKDTree
 from .errors import MeshAssemblyError, PreconditionError, ResourceLimitError
 
 FOUR_PI = 4.0 * math.pi
+# P1 consistent mass matrix of a face of unit area
+MASS_LOCAL = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
 def worker_count() -> int:
@@ -148,41 +150,42 @@ class SphereMesh:
     # -- per-element geometry -------------------------------------------------
 
     def _geometry(self):
-        if "geom" not in self._cache:
-            p = self.vertices[self.faces]  # (F, 3, 3)
-            # edge i is opposite vertex i
-            e = np.empty_like(p)
-            np.subtract(p[:, 2], p[:, 1], out=e[:, 0])
-            np.subtract(p[:, 0], p[:, 2], out=e[:, 1])
-            np.subtract(p[:, 1], p[:, 0], out=e[:, 2])
-            # e1 x e2 is (p1 - p0) x (p2 - p0) up to sign, bit for bit
-            flat_area = 0.5 * np.linalg.norm(np.cross(e[:, 1], e[:, 2]), axis=1)
-            if np.any(flat_area <= 0) or not np.all(np.isfinite(flat_area)):
-                bad = int(np.argmin(flat_area))
-                raise MeshAssemblyError(
-                    f"degenerate face {bad} with area {flat_area[bad]!r}", face_index=bad
-                )
-            # k_local[f, i, j] = e_i . e_j: six two-index einsums give the bits of
-            # the one three-index einsum in less time
-            k_local = np.empty_like(p)
-            for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)):
-                dot = np.einsum("fc,fc->f", e[:, i], e[:, j])
-                k_local[:, i, j] = k_local[:, j, i] = dot
-            k_local /= (4.0 * flat_area)[:, None, None]
-            # Quadrature weights use exact geodesic triangle areas; these tile
-            # the sphere, so the total mass is 4*pi to rounding.  The stiffness
-            # keeps flat-triangle cotangents (conformally immaterial in 2d).
-            a, b, c = p[:, 0], p[:, 1], p[:, 2]
-            num = np.abs(np.einsum("fc,fc->f", a, np.cross(b, c)))
-            den = (
-                1.0
-                + np.einsum("fc,fc->f", a, b)
-                + np.einsum("fc,fc->f", b, c)
-                + np.einsum("fc,fc->f", c, a)
+        return self._cached("geom", self._build_geometry)
+
+    def _build_geometry(self):
+        p = self.vertices[self.faces]  # (F, 3, 3)
+        # edge i is opposite vertex i
+        e = np.empty_like(p)
+        np.subtract(p[:, 2], p[:, 1], out=e[:, 0])
+        np.subtract(p[:, 0], p[:, 2], out=e[:, 1])
+        np.subtract(p[:, 1], p[:, 0], out=e[:, 2])
+        # e1 x e2 is (p1 - p0) x (p2 - p0) up to sign, bit for bit
+        flat_area = 0.5 * np.linalg.norm(np.cross(e[:, 1], e[:, 2]), axis=1)
+        if np.any(flat_area <= 0) or not np.all(np.isfinite(flat_area)):
+            bad = int(np.argmin(flat_area))
+            raise MeshAssemblyError(
+                f"degenerate face {bad} with area {flat_area[bad]!r}", face_index=bad
             )
-            area = 2.0 * np.arctan2(num, den)
-            self._cache["geom"] = (area, k_local, flat_area)
-        return self._cache["geom"]
+        # k_local[f, i, j] = e_i . e_j: six two-index einsums give the bits of
+        # the one three-index einsum in less time
+        k_local = np.empty_like(p)
+        for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)):
+            dot = np.einsum("fc,fc->f", e[:, i], e[:, j])
+            k_local[:, i, j] = k_local[:, j, i] = dot
+        k_local /= (4.0 * flat_area)[:, None, None]
+        # Quadrature weights use exact geodesic triangle areas; these tile
+        # the sphere, so the total mass is 4*pi to rounding.  The stiffness
+        # keeps flat-triangle cotangents (conformally immaterial in 2d).
+        a, b, c = p[:, 0], p[:, 1], p[:, 2]
+        num = np.abs(np.einsum("fc,fc->f", a, np.cross(b, c)))
+        den = (
+            1.0
+            + np.einsum("fc,fc->f", a, b)
+            + np.einsum("fc,fc->f", b, c)
+            + np.einsum("fc,fc->f", c, a)
+        )
+        area = 2.0 * np.arctan2(num, den)
+        return area, k_local, flat_area
 
     @property
     def face_areas(self):
@@ -200,11 +203,11 @@ class SphereMesh:
 
     @property
     def face_centroids(self):
-        if "centroids" not in self._cache:
+        def build():
             c = self.vertices[self.faces].mean(axis=1)
-            c /= np.linalg.norm(c, axis=1)[:, None]
-            self._cache["centroids"] = c
-        return self._cache["centroids"]
+            return c / np.linalg.norm(c, axis=1)[:, None]
+
+        return self._cached("centroids", build)
 
     @property
     def centroid_tree(self):
@@ -294,31 +297,38 @@ def validate_mesh(mesh: SphereMesh) -> None:
     mesh._cache["edges"] = edges
 
 
+def assemble_faces(mesh: SphereMesh, blocks: np.ndarray) -> sp.csr_matrix:
+    """Sum per-face blocks into a CSR matrix, in ascending face order.
+
+    blocks is (F, 3, 3) for a scalar form or (F, 3, 3, C, C) for a form on C
+    coordinates: blocks[f, i, j, c, d] is added at row faces[f, i] * C + c and
+    column faces[f, j] * C + d.  For a scalar form an off-diagonal entry sums
+    the two faces on its edge, and a + b == b + a in floating point, so
+    symmetric blocks give an exactly symmetric matrix.
+    """
+    F = mesh.face_count
+    C = blocks.shape[3] if blocks.ndim == 5 else 1
+    blocks = blocks.reshape(F, 3, 3, C, C)
+    idx = mesh.faces[:, :, None] * C + np.arange(C)                  # (F, 3, C)
+    rows = np.broadcast_to(idx[:, :, None, :, None], blocks.shape).reshape(-1)
+    cols = np.broadcast_to(idx[:, None, :, None, :], blocks.shape).reshape(-1)
+    dim = mesh.vertex_count * C
+    return sp.coo_matrix((blocks.reshape(-1), (rows, cols)), shape=(dim, dim)).tocsr()
+
+
 def assemble_pencil(mesh: SphereMesh) -> FemPencil:
     """Piecewise-linear FEM mass and stiffness matrices of the mesh.
 
-    Assembly runs in ascending face order so matrices are reproducible.
-    The sum of all mass entries equals the (polyhedral) mesh area; K
+    Assembly runs in ascending face order so matrices are reproducible and
+    exactly symmetric.  The sum of all mass entries equals the mesh area; K
     annihilates constants at assembly precision.
     """
-    if "pencil" in mesh._cache:
-        return mesh._cache["pencil"]
-    area, k_local, _ = mesh._geometry()
-    f = mesh.faces
-    v = mesh.vertex_count
-    rows = np.repeat(f, 3, axis=1).reshape(-1)          # i index, face-major
-    cols = np.tile(f, (1, 3)).reshape(-1)               # j index
-    k_vals = k_local.transpose(0, 2, 1).reshape(-1)     # matches (i, j) layout
-    m_local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    m_vals = (area[:, None, None] * m_local).reshape(-1)
-    K = sp.coo_matrix((k_vals, (rows, cols)), shape=(v, v)).tocsr()
-    M = sp.coo_matrix((m_vals, (rows, cols)), shape=(v, v)).tocsr()
-    # enforce exact symmetry against roundoff in the element loop
-    K = (K + K.T) * 0.5
-    M = (M + M.T) * 0.5
-    pencil = FemPencil(M=M, K=K)
-    mesh._cache["pencil"] = pencil
-    return pencil
+    def build():
+        area, k_local, _ = mesh._geometry()
+        return FemPencil(M=assemble_faces(mesh, area[:, None, None] * MASS_LOCAL),
+                         K=assemble_faces(mesh, k_local))
+
+    return mesh._cached("pencil", build)
 
 
 def to_area_one(mesh: SphereMesh) -> SphereMesh:

@@ -25,6 +25,9 @@ from .errors import (
 
 # -- partitions and censuses -----------------------------------------------------
 
+MAX_N = 40  # size guard on the ambient dimension N of a census of G_m(R^N)
+
+
 def _partitions_in_box(parts: int, width: int):
     """Yield all partitions with at most ``parts`` parts, each <= ``width``."""
 
@@ -67,8 +70,8 @@ class SchubertCensus:
 def _check_range(m, N):
     if not 1 <= m < N:
         raise PreconditionError("need 1 <= m < N")
-    if N > 40:
-        raise PreconditionError("N > 40 exceeds the size guard")
+    if N > MAX_N:
+        raise PreconditionError(f"N > {MAX_N} exceeds the size guard")
 
 
 def schubert_cell_counts(m: int, N: int) -> SchubertCensus:

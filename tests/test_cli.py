@@ -16,6 +16,7 @@ from spherelab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    MORSE_MAX_N,
     PINCH_MAX_N,
     PINCH_MAX_SAMPLES,
     SPECTRUM_MAX_COST,
@@ -158,6 +159,35 @@ def test_census_plane_dimension_below_n_min(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "'m'" in err and "'N_min'" in err
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("cfg", [
+    # n = 40 validated, then failed topology's N = n + 1 <= 40 guard at run time
+    {"kind": "morse", "n": MORSE_MAX_N + 1},
+    {"kind": "morse", "n": 3},
+    # with a complex_path, n still feeds the predicted counts and the census
+    {"kind": "morse", "complex_path": "complex.json", "n": 3},
+    {"kind": "morse", "complex_path": "complex.json", "n": 2},
+    {"kind": "morse", "complex_path": "complex.json", "n": MORSE_MAX_N + 1},
+])
+def test_morse_n_outside_guard_exits_3(tmp_path, capsys, cfg):
+    diags = validate_config(cfg)
+    assert len(diags) == 1 and "'n'" in diags[0]
+    path = write_config(tmp_path, "morse.json", cfg)
+    out = str(tmp_path / "out")
+    for command in ("validate", "morse"):
+        assert main([command, "--config", path,
+                     *(["--out", out] if command == "morse" else [])]) == EXIT_CONFIG
+        assert "'n'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_morse_guard_admits_its_bounds():
+    assert MORSE_MAX_N == 39
+    for n in (4, MORSE_MAX_N):
+        assert validate_config({"kind": "morse", "n": n}) == []
+        assert validate_config({"kind": "morse", "complex_path": "c.json", "n": n}) == []
+    assert validate_config({"kind": "morse", "complex_path": "c.json"}) == []
 
 
 def readme_example_configs():

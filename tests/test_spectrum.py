@@ -5,8 +5,16 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from conftest import count_eigsh, smooth_weight
+from conftest import (
+    assert_csr_equal,
+    block_scatter_reference,
+    count_eigsh,
+    p1_scatter_reference,
+    record_face_blocks,
+    smooth_weight,
+)
 from spherelab import build_icosphere
+from spherelab import covers as covers_mod
 from spherelab import spectrum as spectrum_mod
 from spherelab.energy import (
     SphereMap,
@@ -33,6 +41,7 @@ from spherelab.spectrum import (
     normal_second_variation,
     pencil_eigenvalues,
     scaling_invariance_check,
+    weighted_scalar_pencil,
 )
 from spherelab.sphere_mesh import assemble_pencil
 
@@ -217,6 +226,52 @@ def test_normal_pencil_rejects_degenerate_maps(mesh2):
     assert len(err.value.elements) > 0
 
 
+def perturbed_equator(mesh, n, seed):
+    """An immersed, non-critical map near the totally geodesic sphere."""
+    vals = equator_map(mesh, n).values
+    noise = np.random.default_rng(seed).standard_normal(vals.shape)
+    return SphereMap(mesh, n, normalize_rows(vals + 0.01 * noise))
+
+
+def reduced_pencil_reference(f, alpha, frames):
+    """The frame reduction that both second-variation builders wrote out."""
+    B = spectrum_mod._frame_matrix(frames)
+    H = constrained_hessian(f, alpha)
+    M = assemble_pencil(f.mesh).M
+    M_amb = sp.kron(M, sp.eye(f.n + 1, format="csr"), format="csr")
+    return (B.T @ H @ B).tocsr(), (B.T @ M_amb @ B).tocsr()
+
+
+@pytest.mark.filterwarnings("ignore:map is far from critical")
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("alpha", [1.0, 1.1])
+def test_hessian_and_pencils_match_hand_written_builders(request, monkeypatch,
+                                                         level, n, alpha):
+    # oracles: the (F, 3, 3, C, C) index build of the Hessian scatter and the
+    # frame reduction, bit for bit; the rank-one blocks are not exactly
+    # symmetric at alpha > 1, so the Hessian keeps its symmetrization
+    mesh = request.getfixturevalue(f"mesh{level}")
+    f = perturbed_equator(mesh, n, seed=level)
+    C = n + 1
+    calls = record_face_blocks(monkeypatch, spectrum_mod)
+    H = constrained_hessian(f, alpha)
+    (blocks,) = calls
+    assert blocks.shape == (mesh.face_count, 3, 3, C, C)
+    ref = block_scatter_reference(mesh, blocks)
+    lam = np.sum(alpha_energy_raw_gradient(f, alpha) * f.values, axis=1)
+    assert_csr_equal(H, ((ref + ref.T) * 0.5 - sp.diags(np.repeat(lam, C))).tocsr())
+    tangent = assemble_second_variation(f, alpha)
+    normal = normal_second_variation(f, alpha)
+    assert np.array_equal(tangent.frame, spectrum_mod._tangent_frames(f))
+    assert (tangent.kind, normal.kind) == ("tangent", "normal")
+    assert normal.frame.shape == (mesh.vertex_count, C, C - 3)
+    for pencil in (tangent, normal):
+        H_ref, M_ref = reduced_pencil_reference(f, alpha, pencil.frame)
+        assert_csr_equal(pencil.H, H_ref)
+        assert_csr_equal(pencil.M, M_ref)
+
+
 # -- weight invariance ------------------------------------------------------------------
 
 
@@ -235,6 +290,46 @@ def test_scaling_invariance_refines():
         )
     assert discrepancies[3] > discrepancies[4] > discrepancies[5]
     assert discrepancies[5] <= 0.05
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_weighted_pencil_matches_hand_written_scatters(request, monkeypatch, level):
+    # oracle: the repeat/tile scatters of K_w, M_w (symmetrized) and G; M_w
+    # equals its transpose exactly, so it needs no symmetrization
+    mesh = request.getfixturevalue(f"mesh{level}")
+    w = smooth_weight(mesh)
+    calls = record_face_blocks(monkeypatch, spectrum_mod)
+    A, M_w = weighted_scalar_pencil(mesh, 2.0, w)
+    k_blocks, m_blocks, g_blocks = calls
+    elem_w = w[mesh.faces].mean(axis=1)
+    m_local = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    assert np.array_equal(k_blocks, elem_w[:, None, None] * mesh.face_stiffness)
+    assert np.array_equal(m_blocks, (elem_w * mesh.face_areas)[:, None, None] * m_local)
+    K_w = p1_scatter_reference(mesh, k_blocks.transpose(0, 2, 1))
+    M_ref = p1_scatter_reference(mesh, m_blocks, symmetrize=True)
+    G = p1_scatter_reference(mesh, g_blocks)
+    assert_csr_equal(M_w, M_ref)
+    assert_csr_equal(A, (K_w + G - 2.0 * M_ref).tocsr())
+    assert_csr_equal(M_w, M_w.T)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_pullback_mass_matches_hand_written_scatter(request, monkeypatch, level):
+    # oracle: the symmetrized repeat/tile scatter of the removed
+    # covers._weighted_mass; M_rho equals its transpose exactly
+    mesh = request.getfixturevalue(f"mesh{level}")
+    f = perturbed_equator(mesh, 4, seed=level)
+    masses = []
+    monkeypatch.setattr(covers_mod, "eigsh",
+                        lambda K, k, M, **kw: masses.append(M) or np.zeros(k))
+    covers_mod.pullback_laplace_eigenvalues(f, k=8, eps_reg=1e-8)
+    (M_rho,) = masses
+    rho, _ = covers_mod._conformal_factors(f, 1e-8)
+    m_local = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    ref = p1_scatter_reference(mesh, (rho * mesh.face_areas)[:, None, None] * m_local,
+                               symmetrize=True)
+    assert_csr_equal(M_rho, ref)
+    assert_csr_equal(M_rho, M_rho.T)
 
 
 def test_scaling_invariance_rejects_vanishing_weight(mesh2):

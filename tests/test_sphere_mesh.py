@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import eigsh
 
+from conftest import assert_csr_equal, block_scatter_reference, p1_scatter_reference
 from spherelab import AreaConvention, assemble_pencil, build_icosphere, to_area_one
 from spherelab.errors import PreconditionError, ResourceLimitError
 from spherelab.sphere_mesh import (
     SphereMesh,
+    assemble_faces,
     mesh_json_doc,
     mesh_to_obj,
     rotate_mesh,
@@ -218,6 +220,33 @@ def test_face_geometry_matches_reference_formulas(level):
     k_local = np.einsum("fic,fjc->fij", e, e) / (4.0 * flat_area)[:, None, None]
     assert np.array_equal(mesh.face_flat_areas, flat_area)
     assert np.array_equal(mesh.face_stiffness, k_local)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_assemble_faces_matches_hand_written_scatters(level):
+    # oracle: the repeat/tile scatter, with symmetrization, that assembled K
+    # and M before; K and M now skip the symmetrization because every entry
+    # already equals its transpose exactly
+    mesh = build_icosphere(level)
+    pencil = assemble_pencil(mesh)
+    m_local = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    k_ref = p1_scatter_reference(mesh, mesh.face_stiffness.transpose(0, 2, 1),
+                                 symmetrize=True)
+    m_ref = p1_scatter_reference(mesh, mesh.face_areas[:, None, None] * m_local,
+                                 symmetrize=True)
+    assert_csr_equal(pencil.K, k_ref)
+    assert_csr_equal(pencil.M, m_ref)
+    assert_csr_equal(pencil.K, pencil.K.T)
+    assert_csr_equal(pencil.M, pencil.M.T)
+    # nonsymmetric blocks catch a transposed scatter: a scalar form (as the
+    # advection block G) and a form on C coordinates (as the Hessian)
+    gen = np.random.default_rng(level)
+    scalar = gen.standard_normal((mesh.face_count, 3, 3))
+    assert_csr_equal(assemble_faces(mesh, scalar), p1_scatter_reference(mesh, scalar))
+    for C in (2, 4):
+        blocks = gen.standard_normal((mesh.face_count, 3, 3, C, C))
+        assert_csr_equal(assemble_faces(mesh, blocks),
+                         block_scatter_reference(mesh, blocks))
 
 
 def test_assembly_deterministic(mesh3):
