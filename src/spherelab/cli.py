@@ -41,7 +41,7 @@ KINDS = ("census", "flow", "spectrum", "covers", "pinch", "morse")
 PINCH_MAX_N = 16                    # the operator is an n^4 array, built several times
 PINCH_MAX_SAMPLES = 1_000_000       # about 10 s at n = 5
 CENSUS_MAX_PARTITIONS = 5_000_000   # sum of C(N, m) over N_min..N_max, each enumerated
-SPECTRUM_MAX_N = 16                 # level 4: 25 s and 0.73 GB; Hessian blocks grow as (n+1)^2
+SPECTRUM_MAX_N = 16                 # level 4: 25 s and 0.21 GB; pencil blocks grow as n^2
 SPECTRUM_MAX_K = 200                # level 4, n = 4: 7.9 s (1.7 s at the default k = 22)
 # faces x (n+1)^2 of a level-4, n = SPECTRUM_MAX_N run: the Hessian grows with
 # both, about 4x in memory and 6x in time per level
@@ -79,10 +79,11 @@ def validate_config(cfg: dict):
     if kind not in KINDS:
         diags.append(f"field 'kind' must be one of {KINDS}, got {kind!r}")
         return diags
-    if "level" in cfg:
+    # level and n are checked once: by the kinds that use them, else here
+    if "level" in cfg and kind not in ("flow", "spectrum", "covers"):
         _require(cfg, "level", (int,), diags, lambda v: 0 <= v <= 8,
                  note="(mesh level in [0, 8])")
-    if "n" in cfg:
+    if "n" in cfg and kind == "census":
         _require(cfg, "n", (int,), diags, lambda v: v >= 2, note="(target n >= 2)")
     if "seed" in cfg:
         _require(cfg, "seed", (int,), diags)
@@ -105,8 +106,17 @@ def validate_config(cfg: dict):
                     f"{total} partitions (sum of C(N, m) over N in [N_min, N_max]), "
                     f"more than {CENSUS_MAX_PARTITIONS}")
     elif kind == "flow":
-        _require(cfg, "level", (int,), diags, lambda v: 0 <= v <= 8)
-        _require(cfg, "n", (int,), diags, lambda v: v >= 2)
+        _require(cfg, "level", (int,), diags, lambda v: 0 <= v <= 8,
+                 note="(mesh level in [0, 8])")
+        _require(cfg, "n", (int,), diags, lambda v: v >= 2, note="(target n >= 2)")
+        if "max_iterations" in cfg:
+            _require(cfg, "max_iterations", (int,), diags, lambda v: v >= 1,
+                     note="(an integer >= 1)")
+        if "grad_tol" in cfg:
+            _require(cfg, "grad_tol", (int, float), diags, lambda v: 0 < v < math.inf,
+                     note="(a positive number)")
+        if "preconditioned" in cfg:
+            _require(cfg, "preconditioned", (bool,), diags)
         sched = _require(cfg, "alpha_schedule", (list,), diags,
                          lambda v: len(v) > 0, note="(nonempty list)")
         if sched is not None and not all(
@@ -121,7 +131,8 @@ def validate_config(cfg: dict):
         elif start not in ("distorted_equator", "equator"):
             diags.append(f"field 'start': unknown start map {start!r}")
     elif kind == "spectrum":
-        level = _require(cfg, "level", (int,), diags, lambda v: 0 <= v <= 8)
+        level = _require(cfg, "level", (int,), diags, lambda v: 0 <= v <= 8,
+                         note="(mesh level in [0, 8])")
         n = _require(cfg, "n", (int,), diags, lambda v: 3 <= v <= SPECTRUM_MAX_N,
                      note=f"(n in [3, {SPECTRUM_MAX_N}])")
         if level is not None and n is not None:
@@ -139,8 +150,9 @@ def validate_config(cfg: dict):
             _require(cfg, "tau", (int, float), diags, lambda v: 0 < v < math.inf,
                      note="(a positive number)")
     elif kind == "covers":
-        _require(cfg, "level", (int,), diags, lambda v: 0 <= v <= 8)
-        _require(cfg, "n", (int,), diags, lambda v: v >= 3)
+        _require(cfg, "level", (int,), diags, lambda v: 0 <= v <= 8,
+                 note="(mesh level in [0, 8])")
+        _require(cfg, "n", (int,), diags, lambda v: v >= 3, note="(target n >= 3)")
         _require(cfg, "degree", (int,), diags, lambda v: 1 <= v <= 6)
     elif kind == "pinch":
         _require(cfg, "delta", (int, float), diags, lambda v: 0 < v <= 1)

@@ -446,9 +446,14 @@ def pullback_laplace_eigenvalues(f: SphereMap, k: int = 8,
     In two dimensions the Dirichlet form is conformally invariant, so the
     pencil is the flat-domain stiffness against a mass matrix weighted by
     the per-element conformal factor (floored at eps_reg times its mean).
+    Raises DegenerateElementsError when the image is degenerate on every
+    element: the floored factor is then zero everywhere.
     """
     mesh = f.mesh
     rho, floored = _conformal_factors(f, eps_reg)
+    if np.max(rho) <= 0:
+        raise DegenerateElementsError("map image is degenerate on every element",
+                                      elements=list(range(mesh.face_count)))
     pencil = assemble_pencil(mesh)
     M_rho = assemble_faces(mesh, (rho * mesh.face_areas)[:, None, None] * MASS_LOCAL)
     rng = np.random.default_rng(1234)
@@ -467,10 +472,6 @@ def induced_metric_lambda1(f: SphereMap, eps_reg: float = 1e-8,
     flag, since flooring adds mass on a small set and can only lower the
     Rayleigh quotients this eigenvalue bounds from above.
     """
-    rho, _ = _conformal_factors(f, eps_reg=0.0 + 1e-300)
-    if np.max(rho) <= 0:
-        raise DegenerateElementsError("map image is degenerate on every element",
-                                      elements=list(range(f.mesh.face_count)))
     vals, floored = pullback_laplace_eigenvalues(f, k=k, eps_reg=eps_reg)
     nonzero = vals[np.abs(vals) > 1e-8]
     if nonzero.size == 0:

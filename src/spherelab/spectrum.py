@@ -74,47 +74,52 @@ class SecondVariationPencil:
         return self.H.shape[0]
 
 
-def _unconstrained_hessian(sphere_map: SphereMap, alpha: float) -> sp.csr_matrix:
-    """Sparse Hessian of the discrete alpha-energy in ambient coordinates."""
+def constrained_hessian(sphere_map: SphereMap, alpha: float) -> sp.csr_matrix:
+    """Hessian of the discrete alpha-energy with the sphere-constraint correction.
+
+    H = kron(K_w, I_C) + S^T diag(c) S - diag(lambda) in ambient coordinates
+    (row v*C + c is coordinate c at vertex v).  K_w is the stiffness with face
+    f weighted by w_f = alpha (1 + |df|^2)^(alpha-1), the alpha-weighted
+    Dirichlet form acting on each coordinate.  Row f of S holds s_f = k_f f
+    at face f's corners, and c_f >= 0, the derivative of w_f along s_f, gives
+    one rank-one term per face; it vanishes at alpha = 1.  K_w f is the
+    unconstrained gradient, so lambda = <K_w f, f> per vertex.
+    """
+    if alpha < 1.0:
+        raise PreconditionError("alpha must be >= 1")
     mesh = sphere_map.mesh
-    C = sphere_map.n + 1
-    vals = sphere_map.values[mesh.faces]                  # (F, 3, C)
+    values = sphere_map.values
+    V, C = values.shape
     k_local = mesh.face_stiffness
-    s = np.einsum("fij,fjc->fic", k_local, vals)          # (F, 3, C)
     g, _ = element_density_area_one(sphere_map)
     w = alpha * (1.0 + g) ** (alpha - 1.0)
-    # rank-one element coefficient from differentiating the density weight
-    c_rank1 = alpha * (alpha - 1.0) * (1.0 + g) ** (alpha - 2.0) \
-        * (2.0 * FOUR_PI / mesh.face_areas)
-
-    blocks = w[:, None, None, None, None] * k_local[:, :, :, None, None] \
-        * np.eye(C)[None, None, None, :, :]
-    blocks = blocks + c_rank1[:, None, None, None, None] \
-        * s[:, :, None, :, None] * s[:, None, :, None, :]
-    H = assemble_faces(mesh, blocks)
-    return (H + H.T) * 0.5
-
-
-def constrained_hessian(sphere_map: SphereMap, alpha: float) -> sp.csr_matrix:
-    """Ambient Hessian with the sphere-constraint diagonal correction."""
-    C = sphere_map.n + 1
-    H = _unconstrained_hessian(sphere_map, alpha)
-    raw = alpha_energy_raw_gradient(sphere_map, alpha)
-    lam = np.sum(raw * sphere_map.values, axis=1)         # (V,)
-    H = H - sp.diags(np.repeat(lam, C))
-    return H.tocsr()
+    K_w = assemble_faces(mesh, w[:, None, None] * k_local)
+    lam = np.sum((K_w @ values) * values, axis=1)
+    H = sp.kron(K_w, sp.eye(C), format="csr")
+    if alpha > 1.0:
+        c = alpha * (alpha - 1.0) * (1.0 + g) ** (alpha - 2.0) \
+            * (2.0 * FOUR_PI / mesh.face_areas)
+        # S carries sqrt(c_f) s_f, so that the product S^T S is exactly symmetric
+        s = np.sqrt(c)[:, None, None] * np.einsum("fij,fjc->fic", k_local,
+                                                  values[mesh.faces])
+        S = sp.csr_matrix(
+            (s.reshape(-1), (mesh.faces[:, :, None] * C + np.arange(C)).reshape(-1),
+             np.arange(0, s.size + 1, 3 * C)),
+            shape=(mesh.face_count, V * C),
+        )
+        H = H + S.T @ S
+    return (H - sp.diags(np.repeat(lam, C))).tocsr()
 
 
 def _frame_matrix(frame: np.ndarray) -> sp.csr_matrix:
     """Block-diagonal sparse matrix from per-vertex frames (V, C, dim)."""
     v, C, dim = frame.shape
-    rows = (np.arange(v)[:, None, None] * C + np.arange(C)[None, :, None])
-    cols = (np.arange(v)[:, None, None] * dim + np.arange(dim)[None, None, :])
-    return sp.coo_matrix(
-        (frame.reshape(-1), (np.broadcast_to(rows, frame.shape).reshape(-1),
-                             np.broadcast_to(cols, frame.shape).reshape(-1))),
+    cols = np.arange(v)[:, None, None] * dim + np.arange(dim)
+    return sp.csr_matrix(
+        (frame.reshape(-1), np.broadcast_to(cols, frame.shape).reshape(-1),
+         np.arange(0, frame.size + 1, dim)),
         shape=(v * C, v * dim),
-    ).tocsr()
+    )
 
 
 def _reduced_pencil(sphere_map: SphereMap, alpha: float, frames: np.ndarray,
@@ -301,12 +306,6 @@ def calibrate_tau(mesh: SphereMesh, n: int, alpha: float = 1.0,
 
 # -- weight invariance of scalar pencils ---------------------------------------
 
-def scalar_schrodinger_pencil(mesh: SphereMesh, potential: float):
-    """Benchmark scalar pencil (K - potential * M, M)."""
-    pencil = assemble_pencil(mesh)
-    return (pencil.K - potential * pencil.M).tocsr(), pencil.M
-
-
 def weighted_scalar_pencil(mesh: SphereMesh, potential: float,
                            vertex_weight: np.ndarray):
     """Both bilinear forms of the benchmark pencil weighted by mu^2.
@@ -330,20 +329,12 @@ def weighted_scalar_pencil(mesh: SphereMesh, potential: float,
     elem_w = w[faces].mean(axis=1)
     K_w = assemble_faces(mesh, elem_w[:, None, None] * mesh.face_stiffness)
     M_w = assemble_faces(mesh, (elem_w * mesh.face_areas)[:, None, None] * MASS_LOCAL)
-    # advection block: G[i, j] = sum_T (grad lam_j . grad mu^2)_T * A_T / 3
-    p = mesh.vertices[faces]
-    e = np.empty_like(p)
-    e[:, 0] = p[:, 2] - p[:, 1]
-    e[:, 1] = p[:, 0] - p[:, 2]
-    e[:, 2] = p[:, 1] - p[:, 0]
-    nrm = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    twice_area = np.linalg.norm(nrm, axis=1)
-    nhat = nrm / twice_area[:, None]
-    grad_lam = np.cross(nhat[:, None, :], e) / twice_area[:, None, None]
-    grad_w = np.einsum("fi,fic->fc", w[faces], grad_lam)
-    gj = np.einsum("fjc,fc->fj", grad_lam, grad_w)
-    g_vals = (mesh.face_areas[:, None, None] / 3.0) * np.ones((1, 3, 1)) * gj[:, None, :]
-    G = assemble_faces(mesh, g_vals)
+    # advection block: G[i, j] = sum_T (grad lam_j . grad mu^2)_T * A_T / 3, where
+    # grad lam_j . grad lam_i = k_ji / (flat area) on the flat triangle
+    grad_dots = np.einsum("fji,fi->fj", mesh.face_stiffness, w[faces]) \
+        / mesh.face_flat_areas[:, None]
+    g_row = (mesh.face_areas / 3.0)[:, None] * grad_dots     # the same for every i
+    G = assemble_faces(mesh, np.repeat(g_row[:, None, :], 3, axis=1))
     return (K_w + G - potential * M_w).tocsr(), M_w
 
 

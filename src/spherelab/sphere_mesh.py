@@ -298,22 +298,16 @@ def validate_mesh(mesh: SphereMesh) -> None:
 
 
 def assemble_faces(mesh: SphereMesh, blocks: np.ndarray) -> sp.csr_matrix:
-    """Sum per-face blocks into a CSR matrix, in ascending face order.
+    """Sum per-face (F, 3, 3) blocks into a CSR matrix, in ascending face order.
 
-    blocks is (F, 3, 3) for a scalar form or (F, 3, 3, C, C) for a form on C
-    coordinates: blocks[f, i, j, c, d] is added at row faces[f, i] * C + c and
-    column faces[f, j] * C + d.  For a scalar form an off-diagonal entry sums
-    the two faces on its edge, and a + b == b + a in floating point, so
-    symmetric blocks give an exactly symmetric matrix.
+    blocks[f, i, j] is added at row faces[f, i] and column faces[f, j].  An
+    off-diagonal entry sums the two faces on its edge, and a + b == b + a in
+    floating point, so symmetric blocks give an exactly symmetric matrix.
     """
-    F = mesh.face_count
-    C = blocks.shape[3] if blocks.ndim == 5 else 1
-    blocks = blocks.reshape(F, 3, 3, C, C)
-    idx = mesh.faces[:, :, None] * C + np.arange(C)                  # (F, 3, C)
-    rows = np.broadcast_to(idx[:, :, None, :, None], blocks.shape).reshape(-1)
-    cols = np.broadcast_to(idx[:, None, :, None, :], blocks.shape).reshape(-1)
-    dim = mesh.vertex_count * C
-    return sp.coo_matrix((blocks.reshape(-1), (rows, cols)), shape=(dim, dim)).tocsr()
+    rows = np.repeat(mesh.faces, 3, axis=1).reshape(-1)
+    cols = np.tile(mesh.faces, (1, 3)).reshape(-1)
+    v = mesh.vertex_count
+    return sp.coo_matrix((blocks.reshape(-1), (rows, cols)), shape=(v, v)).tocsr()
 
 
 def assemble_pencil(mesh: SphereMesh) -> FemPencil:

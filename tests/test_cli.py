@@ -121,6 +121,28 @@ def test_validate_rejects_bools(tmp_path, capsys, cfg, field):
       "start": "perturbed_constant"}, ["start"]),
     ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
       "start": "constant"}, ["start"]),
+    # one diagnostic per field, also where a kind checks level or n itself
+    ({"kind": "flow", "level": 9, "n": 4, "alpha_schedule": [1.2]}, ["level"]),
+    ({"kind": "flow", "level": True, "n": 4, "alpha_schedule": [1.2]}, ["level"]),
+    ({"kind": "flow", "level": 3, "n": 1, "alpha_schedule": [1.2]}, ["n"]),
+    ({"kind": "spectrum", "level": 9, "n": 4}, ["level"]),
+    ({"kind": "spectrum", "level": 3, "n": True}, ["n"]),
+    ({"kind": "covers", "level": 9, "n": 4, "degree": 2}, ["level"]),
+    ({"kind": "covers", "level": 3, "n": 1, "degree": 2}, ["n"]),
+    ({"kind": "pinch", "delta": 0.5, "samples": 10, "n": 1}, ["n"]),
+    # flow's optional fields
+    ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
+      "max_iterations": 2.5}, ["max_iterations"]),
+    ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
+      "max_iterations": 0}, ["max_iterations"]),
+    ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
+      "grad_tol": -1}, ["grad_tol"]),
+    ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
+      "grad_tol": 0.0}, ["grad_tol"]),
+    ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
+      "grad_tol": "1e-3"}, ["grad_tol"]),
+    ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
+      "preconditioned": 1}, ["preconditioned"]),
 ])
 def test_validate_cost_guards(tmp_path, capsys, cfg, fields):
     diags = validate_config(cfg)

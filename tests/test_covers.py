@@ -22,8 +22,12 @@ from spherelab.covers import (
     normalize_double_cover,
     stereographic,
 )
-from spherelab.energy import dirichlet_energy, equator_map
-from spherelab.errors import InvariantViolationError, PreconditionError
+from spherelab.energy import constant_map, dirichlet_energy, equator_map
+from spherelab.errors import (
+    DegenerateElementsError,
+    InvariantViolationError,
+    PreconditionError,
+)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -242,6 +246,17 @@ def test_normal_index_bounds(mesh4):
     assert double_cover_normal_index(f5, 5) >= 6
     base = compose_cover(EquatorTargetMap(4), RationalMap.power(1), mesh4)
     assert double_cover_normal_index(base, 4) == 2
+
+
+def test_constant_map_has_no_pulled_back_metric(mesh2):
+    # every conformal factor vanishes, so the mass pencil is zero: both entry
+    # points reject it before the eigensolver sees a zero start vector
+    f = constant_map(mesh2, 4)
+    with pytest.raises(DegenerateElementsError) as err:
+        induced_metric_lambda1(f)
+    assert err.value.elements == list(range(mesh2.face_count))
+    with pytest.raises(DegenerateElementsError):
+        double_cover_normal_index(f, 4)
 
 
 def test_normal_index_needs_a_normal_bundle(mesh2):

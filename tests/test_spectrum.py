@@ -22,6 +22,7 @@ from spherelab.energy import (
     alpha_energy_gradient,
     alpha_energy_raw_gradient,
     constant_map,
+    element_density_area_one,
     equator_map,
     normalize_rows,
     random_map,
@@ -56,6 +57,12 @@ def test_hessian_symmetry(mesh2, rng):
     H = constrained_hessian(f, 1.2)
     asym = abs(H - H.T).max()
     assert asym <= 1e-12 * abs(H).max()
+
+
+def test_hessian_rejects_alpha_below_one(mesh2):
+    # the energy itself is only defined for alpha >= 1
+    with pytest.raises(PreconditionError, match="alpha"):
+        constrained_hessian(equator_map(mesh2, 4), 0.9)
 
 
 def test_hessian_vector_matches_gradient_fd(mesh2, rng):
@@ -242,25 +249,46 @@ def reduced_pencil_reference(f, alpha, frames):
     return (B.T @ H @ B).tocsr(), (B.T @ M_amb @ B).tocsr()
 
 
+def hessian_blocks_reference(f, alpha):
+    """The (F, 3, 3, C, C) face blocks w k (x) I_C + c s s^T of the old assembly."""
+    mesh = f.mesh
+    k = mesh.face_stiffness
+    s = np.einsum("fij,fjc->fic", k, f.values[mesh.faces])
+    g, _ = element_density_area_one(f)
+    w = alpha * (1.0 + g) ** (alpha - 1.0)
+    c = alpha * (alpha - 1.0) * (1.0 + g) ** (alpha - 2.0) \
+        * (2.0 * FOUR_PI / mesh.face_areas)
+    blocks = w[:, None, None, None, None] * k[:, :, :, None, None] \
+        * np.eye(f.n + 1)[None, None, None, :, :]
+    return blocks + c[:, None, None, None, None] \
+        * s[:, :, None, :, None] * s[:, None, :, None, :]
+
+
 @pytest.mark.filterwarnings("ignore:map is far from critical")
 @pytest.mark.parametrize("level", [2, 3, 4])
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("alpha", [1.0, 1.1])
 def test_hessian_and_pencils_match_hand_written_builders(request, monkeypatch,
                                                          level, n, alpha):
-    # oracles: the (F, 3, 3, C, C) index build of the Hessian scatter and the
-    # frame reduction, bit for bit; the rank-one blocks are not exactly
-    # symmetric at alpha > 1, so the Hessian keeps its symmetrization
+    # oracles: the (F, 3, 3, C, C) block scatter of the Hessian, symmetrized,
+    # with the multipliers of the edge-form raw gradient (kron(K_w, I_C) plus
+    # the rank-one factor sums in another order, hence a tolerance); and the
+    # frame reduction, bit for bit
     mesh = request.getfixturevalue(f"mesh{level}")
-    f = perturbed_equator(mesh, n, seed=level)
     C = n + 1
-    calls = record_face_blocks(monkeypatch, spectrum_mod)
-    H = constrained_hessian(f, alpha)
-    (blocks,) = calls
-    assert blocks.shape == (mesh.face_count, 3, 3, C, C)
-    ref = block_scatter_reference(mesh, blocks)
-    lam = np.sum(alpha_energy_raw_gradient(f, alpha) * f.values, axis=1)
-    assert_csr_equal(H, ((ref + ref.T) * 0.5 - sp.diags(np.repeat(lam, C))).tocsr())
+    f = perturbed_equator(mesh, n, seed=level)
+    for base in (equator_map(mesh, n), f):
+        calls = record_face_blocks(monkeypatch, spectrum_mod)
+        H = constrained_hessian(base, alpha)
+        (blocks,) = calls
+        g, _ = element_density_area_one(base)
+        w = alpha * (1.0 + g) ** (alpha - 1.0)
+        assert np.array_equal(blocks, w[:, None, None] * mesh.face_stiffness)
+        ref = block_scatter_reference(mesh, hessian_blocks_reference(base, alpha))
+        lam = np.sum(alpha_energy_raw_gradient(base, alpha) * base.values, axis=1)
+        ref = (ref + ref.T) * 0.5 - sp.diags(np.repeat(lam, C))
+        assert abs(H - ref).max() <= 1e-13 * abs(ref).max()
+        assert (H != H.T).nnz == 0
     tangent = assemble_second_variation(f, alpha)
     normal = normal_second_variation(f, alpha)
     assert np.array_equal(tangent.frame, spectrum_mod._tangent_frames(f))
@@ -292,10 +320,26 @@ def test_scaling_invariance_refines():
     assert discrepancies[5] <= 0.05
 
 
+def advection_blocks_reference(mesh, w):
+    """The advection blocks from the triangle geometry: per-face edge vectors,
+    unit normals and the P1 basis gradients grad lam_i = n x e_i / (2 A)."""
+    faces = mesh.faces
+    p = mesh.vertices[faces]
+    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
+    nrm = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    twice_area = np.linalg.norm(nrm, axis=1)
+    nhat = nrm / twice_area[:, None]
+    grad_lam = np.cross(nhat[:, None, :], e) / twice_area[:, None, None]
+    grad_w = np.einsum("fi,fic->fc", w[faces], grad_lam)
+    gj = np.einsum("fjc,fc->fj", grad_lam, grad_w)
+    return (mesh.face_areas[:, None, None] / 3.0) * np.ones((1, 3, 1)) * gj[:, None, :]
+
+
 @pytest.mark.parametrize("level", [2, 3, 4])
 def test_weighted_pencil_matches_hand_written_scatters(request, monkeypatch, level):
-    # oracle: the repeat/tile scatters of K_w, M_w (symmetrized) and G; M_w
-    # equals its transpose exactly, so it needs no symmetrization
+    # oracles: the repeat/tile scatters of K_w, M_w (symmetrized) and G, and
+    # the geometric advection blocks; M_w equals its transpose exactly, so it
+    # needs no symmetrization
     mesh = request.getfixturevalue(f"mesh{level}")
     w = smooth_weight(mesh)
     calls = record_face_blocks(monkeypatch, spectrum_mod)
@@ -311,6 +355,10 @@ def test_weighted_pencil_matches_hand_written_scatters(request, monkeypatch, lev
     assert_csr_equal(M_w, M_ref)
     assert_csr_equal(A, (K_w + G - 2.0 * M_ref).tocsr())
     assert_csr_equal(M_w, M_w.T)
+    # the advection blocks read grad lam_j . grad lam_i = k_ji / (flat area)
+    # off face_stiffness; the geometric form agrees to rounding
+    g_ref = advection_blocks_reference(mesh, w)
+    assert np.max(np.abs(g_blocks - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])

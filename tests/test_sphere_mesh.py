@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import eigsh
 
-from conftest import assert_csr_equal, block_scatter_reference, p1_scatter_reference
+from conftest import assert_csr_equal, p1_scatter_reference
 from spherelab import AreaConvention, assemble_pencil, build_icosphere, to_area_one
 from spherelab.errors import PreconditionError, ResourceLimitError
 from spherelab.sphere_mesh import (
@@ -238,15 +238,10 @@ def test_assemble_faces_matches_hand_written_scatters(level):
     assert_csr_equal(pencil.M, m_ref)
     assert_csr_equal(pencil.K, pencil.K.T)
     assert_csr_equal(pencil.M, pencil.M.T)
-    # nonsymmetric blocks catch a transposed scatter: a scalar form (as the
-    # advection block G) and a form on C coordinates (as the Hessian)
+    # nonsymmetric blocks, as the advection block G, catch a transposed scatter
     gen = np.random.default_rng(level)
     scalar = gen.standard_normal((mesh.face_count, 3, 3))
     assert_csr_equal(assemble_faces(mesh, scalar), p1_scatter_reference(mesh, scalar))
-    for C in (2, 4):
-        blocks = gen.standard_normal((mesh.face_count, 3, 3, C, C))
-        assert_csr_equal(assemble_faces(mesh, blocks),
-                         block_scatter_reference(mesh, blocks))
 
 
 def test_assembly_deterministic(mesh3):
