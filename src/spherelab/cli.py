@@ -2,9 +2,12 @@
 
 Subcommands: census | flow | spectrum | covers | pinch | morse | validate.
 Each run writes report.json (every numeric claim tagged with a stable
-anchor string) plus CSV side files into the output directory.  Exit
-status: 0 all checks pass, 2 a required numeric check failed, 3 the
-configuration is invalid.  Reports are byte-identical across reruns with
+anchor string) plus CSV side files into the output directory.  A config
+may hold only the fields its kind reads, plus seed and level, which
+--seed and --level set before the one validation; flow and covers need
+level <= 7.  Exit status: 0 all checks pass, 2 a required numeric check
+failed, 3 the configuration is invalid, 4 an internal error (traceback
+on stderr).  Reports are byte-identical across reruns with
 the same config and seeds except for the timestamp field.  The only
 environment knob is SPHERELAB_THREADS (thread count for spatial queries).
 """
@@ -17,6 +20,7 @@ import json
 import math
 import os
 import sys
+import traceback
 import warnings
 from datetime import datetime, timezone
 
@@ -34,6 +38,11 @@ from .sphere_mesh import build_icosphere, mesh_json_doc, mesh_to_obj
 EXIT_OK = 0
 EXIT_NUMERIC = 2
 EXIT_CONFIG = 3
+EXIT_INTERNAL = 4
+
+# a runner raising one of these has a bug in it, not a numeric failure
+INTERNAL_ERRORS = (TypeError, AttributeError, NameError, KeyError, IndexError,
+                   AssertionError, NotImplementedError)
 
 KINDS = ("census", "flow", "spectrum", "covers", "pinch", "morse")
 
@@ -49,138 +58,132 @@ SPECTRUM_MAX_COST = 20 * 4**4 * (SPECTRUM_MAX_N + 1) ** 2
 # a morse run's desk model and predicted counts need n >= 4, and its census of
 # G_3(R^(n+1)) needs n + 1 within topology's size guard
 MORSE_MAX_N = topology_mod.MAX_N - 1
+# flow and covers factor the V x V P1 matrix K + M with SuperLU: 37.8 M nonzeros,
+# 10.7 s and 1.0 GB at level 7; at level 8 over 100 M nonzeros
+FACTORED_MAX_LEVEL = 7
 
 
 # -- config validation -----------------------------------------------------------
 
-def _require(cfg, field, types, diagnostics, predicate=None, note=""):
-    if field not in cfg:
-        diagnostics.append(f"missing required field '{field}' {note}".strip())
-        return None
-    value = cfg[field]
+# field -> (types, interval or None, required).  An interval is over the reals,
+# "[" / "]" closed and "(" / ")" open; a bool passes only where bool is the type.
+# seed and level are declared on every kind: --seed and --level may set them.
+INT, NUMBER, BOOL = (int,), (int, float), (bool,)
+LEVEL = "[0, 8]"                    # build_icosphere's guard
+FACTORED_LEVEL = f"[0, {FACTORED_MAX_LEVEL}]"
+POSITIVE = "(0, inf)"
+_EVERY_KIND = {"kind": ((str,), None, True), "seed": (INT, None, False),
+               "level": (INT, LEVEL, False)}
+CONFIG_FIELDS = {
+    "census": {**_EVERY_KIND, "m": (INT, "[1, inf)", True),
+               "N_min": (INT, "[2, inf)", True),
+               "N_max": (INT, f"(-inf, {topology_mod.MAX_N}]", True)},
+    "flow": {**_EVERY_KIND, "level": (INT, FACTORED_LEVEL, True),
+             "n": (INT, "[2, inf)", True), "alpha_schedule": ((list,), None, True),
+             "start": ((str,), None, False), "max_iterations": (INT, "[1, inf)", False),
+             "grad_tol": (NUMBER, POSITIVE, False), "preconditioned": (BOOL, None, False),
+             "export_mesh": (BOOL, None, False),
+             "semicontinuity_experiment": (BOOL, None, False)},
+    "spectrum": {**_EVERY_KIND, "level": (INT, LEVEL, True),
+                 "n": (INT, f"[3, {SPECTRUM_MAX_N}]", True),
+                 "alpha": (NUMBER, "[1, inf]", False),
+                 "k": (INT, f"[1, {SPECTRUM_MAX_K}]", False),
+                 "tau": (NUMBER, POSITIVE, False), "export_mesh": (BOOL, None, False)},
+    "covers": {**_EVERY_KIND, "level": (INT, FACTORED_LEVEL, True),
+               "n": (INT, "[3, inf)", True), "degree": (INT, "[1, 6]", True),
+               "export_mesh": (BOOL, None, False)},
+    "pinch": {**_EVERY_KIND, "delta": (NUMBER, "(0, 1]", True),
+              "samples": (INT, f"[1, {PINCH_MAX_SAMPLES}]", True),
+              "n": (INT, f"[4, {PINCH_MAX_N}]", True)},
+    # n is required unless complex_path is given: see _cross_field_rules
+    "morse": {**_EVERY_KIND, "complex_path": ((str,), None, False),
+              "n": (INT, f"[4, {MORSE_MAX_N}]", False)},
+}
+
+
+def _field_diagnostic(name, value, types, interval):
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        diagnostics.append(
-            f"field '{field}' has type {type(value).__name__}, expected "
-            f"{'/'.join(t.__name__ for t in types)}"
-        )
-        return None
-    if predicate is not None and not predicate(value):
-        diagnostics.append(f"field '{field}' value {value!r} out of range {note}".strip())
-        return None
-    return value
+        return (f"field '{name}' has type {type(value).__name__}, expected "
+                f"{'/'.join(t.__name__ for t in types)}")
+    if interval is not None:
+        lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+        if not ((lo < value or interval[0] == "[" and lo == value)
+                and (value < hi or interval[-1] == "]" and value == hi)):
+            return f"field '{name}' value {value!r} out of range {interval}"
+    return None
+
+
+def _cross_field_rules(kind, cfg):
+    """Yield the diagnostics of the rules that read several fields of a kind."""
+    if kind == "census":
+        m, n_min, n_max = cfg["m"], cfg["N_min"], cfg["N_max"]
+        total = sum(math.comb(N, m) for N in range(n_min, n_max + 1))
+        if n_min > n_max:
+            yield "'N_min' exceeds 'N_max'"
+        elif m >= n_min:
+            yield (f"fields 'm', 'N_min': m = {m} must be below N_min = {n_min} "
+                   f"(G_m(R^N) needs m < N)")
+        elif total > CENSUS_MAX_PARTITIONS:
+            yield (f"fields 'm', 'N_min', 'N_max': the census would enumerate "
+                   f"{total} partitions (sum of C(N, m) over N in [N_min, N_max]), "
+                   f"more than {CENSUS_MAX_PARTITIONS}")
+    elif kind == "spectrum":
+        cost = 20 * 4 ** cfg["level"] * (cfg["n"] + 1) ** 2
+        if cost > SPECTRUM_MAX_COST:
+            yield (f"fields 'level', 'n': faces x (n+1)^2 = {cost} exceeds "
+                   f"{SPECTRUM_MAX_COST}, the size of a level-4, n = {SPECTRUM_MAX_N} run")
+    elif kind == "flow":
+        schedule = cfg["alpha_schedule"]
+        if not schedule or any(_field_diagnostic("alpha_schedule", a, NUMBER, "[1, inf]")
+                               for a in schedule):
+            yield "'alpha_schedule' must be a nonempty list of numbers >= 1"
+        start = cfg.get("start", "distorted_equator")
+        if start == "perturbed_constant":
+            yield ("field 'start': 'perturbed_constant' always collapses to a "
+                   "constant map, which cannot be recentered")
+        elif start not in ("distorted_equator", "equator"):
+            yield f"field 'start': unknown start map {start!r}"
+    elif kind == "morse" and "n" not in cfg and "complex_path" not in cfg:
+        yield "missing required field 'n' (or give 'complex_path')"
 
 
 def validate_config(cfg: dict):
-    """Schema diagnostics for an experiment config; empty list means OK."""
-    diags = []
+    """Schema diagnostics for an experiment config; empty list means OK.
+
+    Every field is checked against its kind's row of CONFIG_FIELDS, and a key
+    that row does not declare is refused; the cross-field rules run once every
+    field has passed.
+    """
     if not isinstance(cfg, dict):
         return ["config document must be a JSON object"]
     kind = cfg.get("kind")
     if kind not in KINDS:
-        diags.append(f"field 'kind' must be one of {KINDS}, got {kind!r}")
-        return diags
-    # level and n are checked once: by the kinds that use them, else here
-    if "level" in cfg and kind not in ("flow", "spectrum", "covers"):
-        _require(cfg, "level", (int,), diags, lambda v: 0 <= v <= 8,
-                 note="(mesh level in [0, 8])")
-    if "n" in cfg and kind == "census":
-        _require(cfg, "n", (int,), diags, lambda v: v >= 2, note="(target n >= 2)")
-    if "seed" in cfg:
-        _require(cfg, "seed", (int,), diags)
-    if kind == "census":
-        _require(cfg, "m", (int,), diags, lambda v: v >= 1)
-        _require(cfg, "N_min", (int,), diags, lambda v: v >= 2)
-        _require(cfg, "N_max", (int,), diags, lambda v: v <= topology_mod.MAX_N)
-        if not diags and cfg["N_min"] > cfg["N_max"]:
-            diags.append("'N_min' exceeds 'N_max'")
-        elif not diags and cfg["m"] >= cfg["N_min"]:
-            diags.append(
-                f"fields 'm', 'N_min': m = {cfg['m']} must be below N_min = "
-                f"{cfg['N_min']} (G_m(R^N) needs m < N)")
-        elif not diags:
-            m = cfg["m"]
-            total = sum(math.comb(N, m) for N in range(cfg["N_min"], cfg["N_max"] + 1))
-            if total > CENSUS_MAX_PARTITIONS:
-                diags.append(
-                    f"fields 'm', 'N_min', 'N_max': the census would enumerate "
-                    f"{total} partitions (sum of C(N, m) over N in [N_min, N_max]), "
-                    f"more than {CENSUS_MAX_PARTITIONS}")
-    elif kind == "flow":
-        _require(cfg, "level", (int,), diags, lambda v: 0 <= v <= 8,
-                 note="(mesh level in [0, 8])")
-        _require(cfg, "n", (int,), diags, lambda v: v >= 2, note="(target n >= 2)")
-        if "max_iterations" in cfg:
-            _require(cfg, "max_iterations", (int,), diags, lambda v: v >= 1,
-                     note="(an integer >= 1)")
-        if "grad_tol" in cfg:
-            _require(cfg, "grad_tol", (int, float), diags, lambda v: 0 < v < math.inf,
-                     note="(a positive number)")
-        if "preconditioned" in cfg:
-            _require(cfg, "preconditioned", (bool,), diags)
-        sched = _require(cfg, "alpha_schedule", (list,), diags,
-                         lambda v: len(v) > 0, note="(nonempty list)")
-        if sched is not None and not all(
-            isinstance(a, (int, float)) and not isinstance(a, bool) and a >= 1
-            for a in sched
-        ):
-            diags.append("'alpha_schedule' entries must be numbers >= 1")
-        start = cfg.get("start", "distorted_equator")
-        if start == "perturbed_constant":
-            diags.append("field 'start': 'perturbed_constant' always collapses to a "
-                         "constant map, which cannot be recentered")
-        elif start not in ("distorted_equator", "equator"):
-            diags.append(f"field 'start': unknown start map {start!r}")
-    elif kind == "spectrum":
-        level = _require(cfg, "level", (int,), diags, lambda v: 0 <= v <= 8,
-                         note="(mesh level in [0, 8])")
-        n = _require(cfg, "n", (int,), diags, lambda v: 3 <= v <= SPECTRUM_MAX_N,
-                     note=f"(n in [3, {SPECTRUM_MAX_N}])")
-        if level is not None and n is not None:
-            cost = 20 * 4**level * (n + 1) ** 2
-            if cost > SPECTRUM_MAX_COST:
-                diags.append(
-                    f"fields 'level', 'n': faces x (n+1)^2 = {cost} exceeds "
-                    f"{SPECTRUM_MAX_COST}, the size of a level-4, n = {SPECTRUM_MAX_N} run")
-        if "alpha" in cfg:
-            _require(cfg, "alpha", (int, float), diags, lambda v: v >= 1)
-        if "k" in cfg:
-            _require(cfg, "k", (int,), diags, lambda v: 1 <= v <= SPECTRUM_MAX_K,
-                     note=f"(k in [1, {SPECTRUM_MAX_K}])")
-        if "tau" in cfg:
-            _require(cfg, "tau", (int, float), diags, lambda v: 0 < v < math.inf,
-                     note="(a positive number)")
-    elif kind == "covers":
-        _require(cfg, "level", (int,), diags, lambda v: 0 <= v <= 8,
-                 note="(mesh level in [0, 8])")
-        _require(cfg, "n", (int,), diags, lambda v: v >= 3, note="(target n >= 3)")
-        _require(cfg, "degree", (int,), diags, lambda v: 1 <= v <= 6)
-    elif kind == "pinch":
-        _require(cfg, "delta", (int, float), diags, lambda v: 0 < v <= 1)
-        _require(cfg, "samples", (int,), diags,
-                 lambda v: 1 <= v <= PINCH_MAX_SAMPLES,
-                 note=f"(samples in [1, {PINCH_MAX_SAMPLES}])")
-        _require(cfg, "n", (int,), diags, lambda v: 4 <= v <= PINCH_MAX_N,
-                 note=f"(n in [4, {PINCH_MAX_N}])")
-    elif kind == "morse":
-        if "complex_path" in cfg:
-            _require(cfg, "complex_path", (str,), diags)
-        if "n" in cfg or "complex_path" not in cfg:
-            _require(cfg, "n", (int,), diags, lambda v: 4 <= v <= MORSE_MAX_N,
-                     note=f"(n in [4, {MORSE_MAX_N}])")
-    return diags
+        return [f"field 'kind' must be one of {KINDS}, got {kind!r}"]
+    fields = CONFIG_FIELDS[kind]
+    diags = [f"unknown field {key!r}: a {kind} config takes {', '.join(fields)}"
+             for key in cfg if key not in fields]
+    for name, (types, interval, required) in fields.items():
+        if name in cfg:
+            diag = _field_diagnostic(name, cfg[name], types, interval)
+            diags += [diag] if diag else []
+        elif required:
+            diags.append(f"missing required field '{name}'")
+    return diags or list(_cross_field_rules(kind, cfg))
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, overrides=None) -> dict:
+    """Parse a JSON config, apply the command-line overrides, then validate it."""
     try:
         with open(path) as fh:
-            text = fh.read()
-        cfg = json.loads(text)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    if isinstance(cfg, dict):
+        cfg.update(overrides or {})
     diags = validate_config(cfg)
     if diags:
         raise ConfigError("invalid configuration", diagnostics=diags)
@@ -203,16 +206,8 @@ class Report:
         self.doc["metrics"][name] = {"value": value, "anchor": anchor}
 
     def check(self, name, passed, anchor, value=None, bound=None, required=True):
-        self.doc["checks"].append(
-            {
-                "name": name,
-                "passed": bool(passed),
-                "anchor": anchor,
-                "value": value,
-                "bound": bound,
-                "required": required,
-            }
-        )
+        self.doc["checks"].append(dict(name=name, passed=bool(passed), anchor=anchor,
+                                       value=value, bound=bound, required=required))
 
     @property
     def all_passed(self):
@@ -409,25 +404,22 @@ def run_flow(cfg, out_dir, report):
     )
     rec0 = flow_mod.descend(map0, config)
     result = flow_mod.continue_in_alpha(rec0, schedule, config)
-    telemetry = []
-    for stage, rec in enumerate(result.records):
-        for it, (xn, dn, dfx) in enumerate(rec.pseudogradient_log):
-            e_alpha = rec.energy_log[it + 1] if it + 1 < len(rec.energy_log) else ""
-            step = rec.step_log[it] if it < len(rec.step_log) else ""
-            telemetry.append((stage, it, rec.alpha, e_alpha, dn, step, xn, dfx))
+    # a converged record logs one energy more than steps and directions
+    telemetry = [(stage, it, rec.alpha, e_alpha, dn, step, xn, dfx)
+                 for stage, rec in enumerate(result.records)
+                 for it, (e_alpha, step, (xn, dn, dfx)) in enumerate(
+                     zip(rec.energy_log[1:], rec.step_log, rec.pseudogradient_log))]
     _write_csv(out_dir, "telemetry.csv",
                ("stage", "iteration", "alpha", "alpha_energy", "grad_norm",
                 "step", "direction_norm", "slope"), telemetry)
-    if result.records:
-        with open(os.path.join(out_dir, "critical_record.json"), "w") as fh:
-            json.dump(result.records[-1].to_json_dict(), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
     report.metric("stages_completed", len(result.records), "flow.stages")
     report.check("all_stages_converged", result.succeeded,
                  "flow.continuation_converged")
     if result.records:
         last = result.records[-1]
+        with open(os.path.join(out_dir, "critical_record.json"), "w") as fh:
+            json.dump(last.to_json_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
         report.metric("final_energy", last.energy, "flow.final_energy")
         report.metric("final_alpha_energy", last.alpha_energy,
                       "flow.final_alpha_energy")
@@ -442,11 +434,8 @@ def run_flow(cfg, out_dir, report):
                      last.center_of_mass_norm <= 1e-4 * scale,
                      "flow.center_of_mass_criticality",
                      value=last.center_of_mass_norm, bound=1e-4 * scale)
-        rows = []
-        for rec in result.records:
-            rows.append((rec.alpha, rec.energy, rec.alpha_energy, rec.grad_norm,
-                         rec.iterations, rec.center_of_mass_norm,
-                         rec.harmonic_residual))
+        rows = [(rec.alpha, rec.energy, rec.alpha_energy, rec.grad_norm, rec.iterations,
+                 rec.center_of_mass_norm, rec.harmonic_residual) for rec in result.records]
         _write_csv(out_dir, "records.csv",
                    ("alpha", "energy", "alpha_energy", "grad_norm", "iterations",
                     "center_of_mass", "harmonic_residual"), rows)
@@ -459,14 +448,8 @@ def run_flow(cfg, out_dir, report):
     _maybe_export_mesh(cfg, mesh, out_dir)
 
 
-RUNNERS = {
-    "census": run_census,
-    "spectrum": run_spectrum,
-    "covers": run_covers,
-    "pinch": run_pinch,
-    "morse": run_morse,
-    "flow": run_flow,
-}
+RUNNERS = {"census": run_census, "spectrum": run_spectrum, "covers": run_covers,
+           "pinch": run_pinch, "morse": run_morse, "flow": run_flow}
 
 
 def run(cfg: dict, out_dir: str) -> int:
@@ -482,9 +465,7 @@ def run(cfg: dict, out_dir: str) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="spherelab",
-        description="experiments on discretized minimal two-spheres",
-    )
+        prog="spherelab", description="experiments on discretized minimal two-spheres")
     sub = parser.add_subparsers(dest="command", required=True)
     for kind in KINDS + ("validate",):
         p = sub.add_parser(kind)
@@ -495,9 +476,10 @@ def main(argv=None) -> int:
             p.add_argument("--level", type=int, default=None,
                            help="mesh level override")
     args = parser.parse_args(argv)
-
+    overrides = {key: value for key in ("seed", "level")
+                 if (value := getattr(args, key, None)) is not None}
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         for diag in exc.diagnostics:
@@ -509,25 +491,16 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     if cfg["kind"] != args.command:
-        print(
-            f"config error: config kind {cfg['kind']!r} does not match "
-            f"subcommand {args.command!r}",
-            file=sys.stderr,
-        )
+        print(f"config error: config kind {cfg['kind']!r} does not match "
+              f"subcommand {args.command!r}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.level is not None:
-        cfg["level"] = args.level
-        diags = validate_config(cfg)
-        if diags:
-            print("config error after overrides:", file=sys.stderr)
-            for diag in diags:
-                print(f"  - {diag}", file=sys.stderr)
-            return EXIT_CONFIG
     out_dir = args.out or f"spherelab_{cfg['kind']}_out"
     try:
         status = run(cfg, out_dir)
+    except INTERNAL_ERRORS:
+        print(f"internal error in {cfg['kind']}:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
     except Exception as exc:  # numeric failures propagate with module context
         print(f"numeric failure in {cfg['kind']}: {type(exc).__name__}: {exc}",
               file=sys.stderr)

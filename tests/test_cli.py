@@ -14,8 +14,10 @@ from spherelab import spectrum as spectrum_mod
 from spherelab.cli import (
     CENSUS_MAX_PARTITIONS,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_NUMERIC,
     EXIT_OK,
+    FACTORED_MAX_LEVEL,
     MORSE_MAX_N,
     PINCH_MAX_N,
     PINCH_MAX_SAMPLES,
@@ -26,6 +28,7 @@ from spherelab.cli import (
     validate_config,
 )
 from spherelab.energy import equator_map
+from spherelab.errors import NumericError
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -143,6 +146,18 @@ def test_validate_rejects_bools(tmp_path, capsys, cfg, field):
       "grad_tol": "1e-3"}, ["grad_tol"]),
     ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
       "preconditioned": 1}, ["preconditioned"]),
+    # flow and covers factor a V x V P1 matrix: level 8 exhausts memory
+    ({"kind": "flow", "level": FACTORED_MAX_LEVEL + 1, "n": 4, "alpha_schedule": [1.2]},
+     ["level"]),
+    ({"kind": "covers", "level": FACTORED_MAX_LEVEL + 1, "n": 4, "degree": 2}, ["level"]),
+    # a key no runner reads is refused by name, census n included
+    ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
+      "grad_tolerance": 1e-3}, ["grad_tolerance"]),
+    ({"kind": "census", "m": 3, "N_min": 5, "N_max": 9, "n": 4}, ["n"]),
+    # flags that were read as truthy
+    ({"kind": "spectrum", "level": 3, "n": 4, "export_mesh": 1}, ["export_mesh"]),
+    ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
+      "semicontinuity_experiment": "yes"}, ["semicontinuity_experiment"]),
 ])
 def test_validate_cost_guards(tmp_path, capsys, cfg, fields):
     diags = validate_config(cfg)
@@ -167,6 +182,25 @@ def test_cost_guards_admit_their_bounds():
     assert 20 * 4**4 * (SPECTRUM_MAX_N + 1) ** 2 == SPECTRUM_MAX_COST
     assert validate_config({"kind": "spectrum", "level": 5, "n": 7}) == []
     assert validate_config({"kind": "spectrum", "level": 6, "n": 3}) == []
+    assert FACTORED_MAX_LEVEL == 7
+    assert validate_config({"kind": "flow", "level": 7, "n": 4,
+                            "alpha_schedule": [1.2]}) == []
+    assert validate_config({"kind": "covers", "level": 7, "n": 4, "degree": 2}) == []
+
+
+@pytest.mark.parametrize("kind, cfg, flags", [
+    ("spectrum", {"kind": "spectrum", "level": 3, "n": 4}, ["--level", "9"]),
+    ("flow", {"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2]},
+     ["--level", "8"]),
+])
+def test_level_override_validated_with_the_config(tmp_path, capsys, kind, cfg, flags):
+    # the overrides are applied before the one validation, not checked after it
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = str(tmp_path / "out")
+    assert main([kind, "--config", path, "--out", out, *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'level'" in err
+    assert not os.path.exists(out)
 
 
 def test_census_plane_dimension_below_n_min(tmp_path, capsys):
@@ -452,3 +486,21 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
                         {"kind": "census", "m": 3, "N_min": 5, "N_max": 6})
     assert main(["census", "--config", path,
                  "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("error, status", [(TypeError, EXIT_INTERNAL),
+                                           (NumericError, EXIT_NUMERIC)])
+def test_runner_exception_exit_codes(tmp_path, monkeypatch, capsys, error, status):
+    # a bug in a runner exits 4 with its traceback; a numeric failure exits 2
+    import spherelab.cli as cli_mod
+
+    def raising_runner(cfg, out_dir, report):
+        raise error("raised by the runner")
+
+    monkeypatch.setitem(cli_mod.RUNNERS, "census", raising_runner)
+    path = write_config(tmp_path, "census.json",
+                        {"kind": "census", "m": 3, "N_min": 5, "N_max": 6})
+    assert main(["census", "--config", path, "--out", str(tmp_path / "out")]) == status
+    err = capsys.readouterr().err
+    assert ("Traceback" in err) == (status == EXIT_INTERNAL)
+    assert ("numeric failure" in err) == (status == EXIT_NUMERIC)

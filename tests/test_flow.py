@@ -179,6 +179,19 @@ def test_continuation_reaches_harmonic_limit(mesh3, rng):
     assert result.records[-1].harmonic_residual <= 10.0 * reference
 
 
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_level5_continuation_completes_schedule(seed):
+    # the start map and config of `spherelab flow` at level 5, n = 4
+    rng = np.random.default_rng(seed)
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    f0 = dilated_equator_map(build_icosphere(5), 4, 0.4, axis=axis)
+    schedule = [1.2, 1.1, 1.05]
+    config = FlowConfig(alpha=schedule[0], max_iterations=4000, seed=seed)
+    result = continue_in_alpha(descend(f0, config), schedule, config)
+    assert result.succeeded and len(result.records) == len(schedule)
+
+
 def test_continuation_empty_schedule(mesh2):
     record = CriticalRecord(
         map=equator_map(mesh2, 4), alpha=1.1, energy=1.0, alpha_energy=1.0,
