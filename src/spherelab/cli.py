@@ -8,8 +8,8 @@ may hold only the fields its kind reads, plus seed and level, which
 level <= 7.  Exit status: 0 all checks pass, 2 a required numeric check
 failed, 3 the configuration is invalid, 4 an internal error (traceback
 on stderr).  Reports are byte-identical across reruns with
-the same config and seeds except for the timestamp field.  The only
-environment knob is SPHERELAB_THREADS (thread count for spatial queries).
+the same config and seeds except for the timestamp field.  spherelab
+reads no environment variable of its own.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ INT, NUMBER, BOOL = (int,), (int, float), (bool,)
 LEVEL = "[0, 8]"                    # build_icosphere's guard
 FACTORED_LEVEL = f"[0, {FACTORED_MAX_LEVEL}]"
 POSITIVE = "(0, inf)"
-_EVERY_KIND = {"kind": ((str,), None, True), "seed": (INT, None, False),
+_EVERY_KIND = {"kind": ((str,), None, True), "seed": (INT, "[0, inf)", False),
                "level": (INT, LEVEL, False)}
 CONFIG_FIELDS = {
     "census": {**_EVERY_KIND, "m": (INT, "[1, inf)", True),
@@ -86,7 +86,7 @@ CONFIG_FIELDS = {
              "semicontinuity_experiment": (BOOL, None, False)},
     "spectrum": {**_EVERY_KIND, "level": (INT, LEVEL, True),
                  "n": (INT, f"[3, {SPECTRUM_MAX_N}]", True),
-                 "alpha": (NUMBER, "[1, inf]", False),
+                 "alpha": (NUMBER, "[1, inf)", False),
                  "k": (INT, f"[1, {SPECTRUM_MAX_K}]", False),
                  "tau": (NUMBER, POSITIVE, False), "export_mesh": (BOOL, None, False)},
     "covers": {**_EVERY_KIND, "level": (INT, FACTORED_LEVEL, True),
@@ -134,9 +134,9 @@ def _cross_field_rules(kind, cfg):
                    f"{SPECTRUM_MAX_COST}, the size of a level-4, n = {SPECTRUM_MAX_N} run")
     elif kind == "flow":
         schedule = cfg["alpha_schedule"]
-        if not schedule or any(_field_diagnostic("alpha_schedule", a, NUMBER, "[1, inf]")
+        if not schedule or any(_field_diagnostic("alpha_schedule", a, NUMBER, "[1, inf)")
                                for a in schedule):
-            yield "'alpha_schedule' must be a nonempty list of numbers >= 1"
+            yield "'alpha_schedule' must be a nonempty list of finite numbers >= 1"
         start = cfg.get("start", "distorted_equator")
         if start == "perturbed_constant":
             yield ("field 'start': 'perturbed_constant' always collapses to a "
@@ -386,9 +386,8 @@ def run_morse(cfg, out_dir, report):
 def run_flow(cfg, out_dir, report):
     level, n = cfg["level"], cfg["n"]
     schedule = [float(a) for a in cfg["alpha_schedule"]]
-    seed = cfg.get("seed", 0)
     mesh = build_icosphere(level)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.get("seed", 0))
     if cfg.get("start") == "equator":
         map0 = energy_mod.equator_map(mesh, n)
     else:
@@ -400,7 +399,6 @@ def run_flow(cfg, out_dir, report):
         max_iterations=cfg.get("max_iterations", 4000),
         grad_tol=cfg.get("grad_tol", 1e-3),
         preconditioned=cfg.get("preconditioned", True),
-        seed=seed,
     )
     rec0 = flow_mod.descend(map0, config)
     result = flow_mod.continue_in_alpha(rec0, schedule, config)

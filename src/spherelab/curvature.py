@@ -239,9 +239,11 @@ def verify_pinch_implication(op: CurvatureOperator, delta: float,
     either fails, the report flags the hypothesis instead of sampling.
 
     The sampled planes have the form (e1 + i e2, a e3 + i b e4) over random
-    orthonormal 4-frames with log-uniform a, b > 0.  Samples are evaluated
-    SAMPLE_BLOCK at a time; the random draws and the per-sample checks are
-    those of a loop over random_orthonormal_frame, ComplexPlane and
+    orthonormal 4-frames with log-uniform a, b > 0.  The frames continue the
+    pretests' stream; a and b come from a second generator seeded with
+    [rng_seed, 1], so neither stream depends on SAMPLE_BLOCK.  Samples are
+    evaluated SAMPLE_BLOCK at a time with the per-sample checks of a loop
+    over random_orthonormal_frame, ComplexPlane and
     complex_sectional_curvature.
     """
     if op.n < 4:
@@ -276,14 +278,10 @@ def verify_pinch_implication(op: CurvatureOperator, delta: float,
     lower, upper = pinch_bounds(delta)
     violations = 0
     worst = float("inf")
-    gauss = np.empty((SAMPLE_BLOCK, op.n, 4))
-    log_ab = np.empty((SAMPLE_BLOCK, 2))
+    ab_rng = np.random.default_rng([rng_seed, 1])
     for m in _blocks(sample_count):
-        for s in range(m):  # one frame's draws, then a and b, per sample
-            rng.standard_normal(out=gauss[s])
-            log_ab[s] = rng.uniform(-2.0, 2.0, size=2)
-        e = _frames(gauss[:m])
-        ab = np.exp(log_ab[:m])
+        e = _frames(rng.standard_normal((m, op.n, 4)))
+        ab = np.exp(ab_rng.uniform(-2.0, 2.0, size=(m, 2)))
         ki, checks = _complex_quotients(R2, e[:, 0], e[:, 1],
                                         ab[:, :1] * e[:, 2], ab[:, 1:] * e[:, 3])
         _first_failure(checks)

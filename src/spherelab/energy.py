@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NumericError, PreconditionError
-from .sphere_mesh import FOUR_PI, SphereMesh, worker_count
+from .sphere_mesh import FOUR_PI, SphereMesh
 
 # below this t, psi_alpha sums its Taylor series: the relative error of the
 # series through t^5 is about 3e-13 there for alpha in [1, 5]
@@ -348,7 +348,7 @@ def sample_map(sphere_map: SphereMap, points: np.ndarray) -> np.ndarray:
     mesh = sphere_map.mesh
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k = min(16, mesh.face_count)
-    _, cand = mesh.centroid_tree.query(pts, k=k, workers=worker_count())
+    _, cand = mesh.centroid_tree.query(pts, k=k)
     cand = cand.reshape(len(pts), k)
     # try the candidates in distance order, each only for the points still
     # unplaced: the first hit is the face a batched solve over all k picks
@@ -372,7 +372,7 @@ def sample_map(sphere_map: SphereMap, points: np.ndarray) -> np.ndarray:
     vals = np.einsum("qi,qic->qc", b, sphere_map.values[mesh.faces[face_idx]])
     if len(todo):
         # extremely rare: fall back to the nearest vertex value
-        _, nearest = mesh.vertex_tree.query(pts[todo])
+        nearest = np.argmax(pts[todo] @ mesh.vertices.T, axis=1)
         vals[todo] = sphere_map.values[nearest]
     return normalize_rows(vals)
 

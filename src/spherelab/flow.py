@@ -26,7 +26,7 @@ from .energy import (
     recenter,
 )
 from .errors import PreconditionError, StagnationError
-from .sphere_mesh import assemble_pencil, geodesic_distance, worker_count
+from .sphere_mesh import assemble_pencil, geodesic_distance
 
 
 @dataclass
@@ -39,7 +39,6 @@ class FlowConfig:
     step_init: float = 1.0
     step_shrink: float = 0.5
     preconditioned: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.alpha < 1.0:
@@ -241,19 +240,21 @@ def detect_concentration(sphere_map: SphereMap, epsilon_su: float,
     """Greedy cover of the domain by geodesic balls holding excess energy.
 
     Faces belong to a ball when their centroid lies within the geodesic
-    radius of its center (a mesh vertex).  Balls are claimed greedily by
-    energy content; only balls with more than ``epsilon_su`` Dirichlet
-    energy are reported, as {center, local_energy} dicts sorted by energy.
-    A density bound certifies termination without scanning every center.
+    radius of its center (a mesh vertex).  Each round weighs the balls
+    centered at the 64 vertices nearest the face of most remaining energy
+    and claims the one holding the most; only balls with more than
+    ``epsilon_su`` Dirichlet energy are reported, as {center, local_energy}
+    dicts sorted by energy.  A density bound certifies termination without
+    scanning every center.
     """
     if not 0.0 < radius < np.pi / 2.0:
         raise PreconditionError("radius must lie in (0, pi/2)")
     mesh = sphere_map.mesh
     face_energy = 0.5 * element_energy_integrals(sphere_map)
     centroids = mesh.face_centroids
-    tree = mesh.centroid_tree
     chordal = 2.0 * np.sin(radius / 2.0)
     ball_area = 2.0 * np.pi * (1.0 - np.cos(radius + 2.0 * mesh.max_edge_length()))
+    k = min(64, mesh.vertex_count)
     remaining = face_energy.copy()
     detections = []
     for _ in range(64):  # energy/epsilon bounds the count long before this
@@ -264,31 +265,31 @@ def detect_concentration(sphere_map: SphereMap, epsilon_su: float,
         if float(np.max(density)) * ball_area <= epsilon_su:
             break  # no ball can reach the threshold
         seed_face = int(np.argmax(remaining))
-        _, candidate_vertices = mesh.vertex_tree.query(
-            centroids[seed_face], k=min(64, mesh.vertex_count),
-            workers=worker_count(),
-        )
-        candidate_vertices = np.atleast_1d(candidate_vertices)
-        best_energy = -1.0
-        best_center = None
-        best_faces = None
-        for vi in candidate_vertices:
-            center = mesh.vertices[vi]
-            members = tree.query_ball_point(center, r=chordal + 1e-12,
-                                            workers=worker_count())
-            local = float(remaining[members].sum())
-            if local > best_energy:
-                best_energy = local
-                best_center = center
-                best_faces = members
+        seed = centroids[seed_face]
+        # the k vertices nearest the seed, nearest first
+        nearest = np.argpartition(-(mesh.vertices @ seed), k - 1)[:k]
+        dist = np.linalg.norm(mesh.vertices[nearest] - seed, axis=1)
+        order = np.argsort(dist, kind="stable")
+        centers = mesh.vertices[nearest[order]]
+        # a face in some candidate's ball lies within the farthest candidate's
+        # distance plus the ball radius of the seed (triangle inequality); on
+        # the unit sphere |c - seed| <= reach is c . seed >= 1 - reach^2 / 2,
+        # and the 1e-9 slack covers the rounding of that dot-product form
+        reach = dist.max() + chordal + 1e-9
+        near = np.flatnonzero(centroids @ seed >= 1.0 - 0.5 * reach * reach)
+        d = centroids[near, None, :] - centers[None, :, :]
+        members = np.sqrt(np.einsum("fvc,fvc->fv", d, d)) <= chordal + 1e-12
+        local = remaining[near] @ members
+        best = int(np.argmax(local))  # the nearest of equal balls
+        best_energy = float(local[best])
         if best_energy <= epsilon_su:
             # the seed region cannot be covered above threshold; drop it so
             # the loop terminates (its faces cannot help any other ball more)
             remaining[seed_face] = 0.0
             continue
-        detections.append({"center": np.array(best_center),
+        detections.append({"center": centers[best],
                            "local_energy": best_energy})
-        remaining[best_faces] = 0.0
+        remaining[near[members[:, best]]] = 0.0
     detections.sort(key=lambda d: -d["local_energy"])
     return detections
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,14 +29,6 @@ from .errors import MeshAssemblyError, PreconditionError, ResourceLimitError
 FOUR_PI = 4.0 * math.pi
 # P1 consistent mass matrix of a face of unit area
 MASS_LOCAL = (np.ones((3, 3)) + np.eye(3)) / 12.0
-
-
-def worker_count() -> int:
-    """Thread count for spatial queries (SPHERELAB_THREADS, default 1)."""
-    try:
-        return max(1, int(os.environ.get("SPHERELAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class AreaConvention(enum.Enum):
@@ -213,11 +204,6 @@ class SphereMesh:
     def centroid_tree(self):
         """kd-tree over the face centroids (cached)."""
         return self._cached("centroid_tree", lambda: cKDTree(self.face_centroids))
-
-    @property
-    def vertex_tree(self):
-        """kd-tree over the vertices (cached)."""
-        return self._cached("vertex_tree", lambda: cKDTree(self.vertices))
 
     def total_area(self):
         return float(self.face_areas.sum())

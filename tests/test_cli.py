@@ -158,6 +158,12 @@ def test_validate_rejects_bools(tmp_path, capsys, cfg, field):
     ({"kind": "spectrum", "level": 3, "n": 4, "export_mesh": 1}, ["export_mesh"]),
     ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
       "semicontinuity_experiment": "yes"}, ["semicontinuity_experiment"]),
+    # np.random.default_rng refuses a negative seed
+    ({"kind": "pinch", "delta": 0.5, "samples": 10, "n": 4, "seed": -1}, ["seed"]),
+    # an infinite alpha makes the weighted pencil singular
+    ({"kind": "spectrum", "level": 2, "n": 4, "alpha": math.inf}, ["alpha"]),
+    ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2, math.inf]},
+     ["alpha_schedule"]),
 ])
 def test_validate_cost_guards(tmp_path, capsys, cfg, fields):
     diags = validate_config(cfg)
@@ -192,14 +198,16 @@ def test_cost_guards_admit_their_bounds():
     ("spectrum", {"kind": "spectrum", "level": 3, "n": 4}, ["--level", "9"]),
     ("flow", {"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2]},
      ["--level", "8"]),
+    ("pinch", {"kind": "pinch", "delta": 0.5, "samples": 10, "n": 4}, ["--seed", "-1"]),
 ])
 def test_level_override_validated_with_the_config(tmp_path, capsys, kind, cfg, flags):
-    # the overrides are applied before the one validation, not checked after it
+    # the overrides (--level, --seed) are applied before the one validation,
+    # not checked after it; the diagnostic names the overridden field
     path = write_config(tmp_path, "cfg.json", cfg)
     out = str(tmp_path / "out")
     assert main([kind, "--config", path, "--out", out, *flags]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "'level'" in err
+    assert f"'{flags[0][2:]}'" in err
     assert not os.path.exists(out)
 
 

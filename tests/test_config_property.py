@@ -106,6 +106,8 @@ def assert_contract(cfg):
     kind = cfg["kind"]
     assert set(cfg) <= set(CONFIG_FIELDS[kind])
     assert all(not isinstance(v, bool) for k, v in cfg.items() if k not in FLAGS)
+    assert cfg.get("seed", 0) >= 0  # np.random.default_rng refuses negative seeds
+    assert all(math.isfinite(a) for a in [cfg.get("alpha", 1), *cfg.get("alpha_schedule", [])])
     if kind == "census":
         m, n_min, n_max = cfg["m"], cfg["N_min"], cfg["N_max"]
         assert 1 <= m < n_min <= n_max <= topology_mod.MAX_N

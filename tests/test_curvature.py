@@ -250,9 +250,10 @@ def scalar_pinch_loop(op, delta, sample_count, seed, pretest_count=2000):
             return 0, math.nan, f"mixed term {mixed} violates the Berger bound {berger}"
     lower, upper = pinch_bounds(delta)
     violations, worst = 0, math.inf
+    ab_rng = np.random.default_rng([seed, 1])
     for _ in range(sample_count):
         e = random_orthonormal_frame(op.n, 4, rng)
-        a, b = np.exp(rng.uniform(-2.0, 2.0, size=2))
+        a, b = np.exp(ab_rng.uniform(-2.0, 2.0, size=2))
         plane = ComplexPlane(e[0] + 1j * e[1], a * e[2] + 1j * b * e[3])
         ki = complex_sectional_curvature(op, plane)
         margin = min(ki - lower, upper - ki)
@@ -288,6 +289,14 @@ def test_verify_pinch_matches_scalar_loop(seed):
         assert rep.hypothesis_satisfied and rep.samples == count
         assert rep.violations == violations
         assert rep.worst_margin == pytest.approx(worst, rel=1e-12, abs=0)
+
+
+def test_verify_pinch_report_does_not_depend_on_block_size(monkeypatch):
+    op = pinched_operator(5, 0.5, np.random.default_rng(4))
+    count = 3 * SAMPLE_BLOCK + 11
+    rep = verify_pinch_implication(op, 0.5, count, 4, pretest_count=300)
+    monkeypatch.setattr(curvature, "SAMPLE_BLOCK", 97)
+    assert verify_pinch_implication(op, 0.5, count, 4, pretest_count=300) == rep
 
 
 def test_verify_pinch_counts_violations_like_scalar_loop():

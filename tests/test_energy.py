@@ -4,6 +4,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
 
 from spherelab import build_icosphere
 from spherelab import energy
@@ -33,6 +34,7 @@ from spherelab.energy import (
     sample_map,
 )
 from spherelab.errors import PreconditionError
+from spherelab.sphere_mesh import SphereMesh
 
 FOUR_PI = 4.0 * math.pi
 
@@ -390,9 +392,23 @@ def sample_map_batched(sphere_map, points):
     vals = np.einsum("qi,qic->qc", b, sphere_map.values[mesh.faces[face_idx]])
     if not np.all(found):
         missing = np.where(~found)[0]
-        _, nearest = mesh.vertex_tree.query(pts[missing])
+        _, nearest = cKDTree(mesh.vertices).query(pts[missing])
         vals[missing] = sphere_map.values[nearest]
     return normalize_rows(vals)
+
+
+def test_sample_map_falls_back_to_nearest_vertex():
+    # a northern cap of faces: no candidate face holds a southern point
+    mesh = build_icosphere(3)
+    cap = mesh.faces[mesh.face_centroids[:, 2] > 0.5]
+    cap_mesh = SphereMesh(vertices=mesh.vertices, faces=cap, subdivision_level=3)
+    f = random_map(cap_mesh, 4, np.random.default_rng(0))
+    pts = normalize_rows(np.random.default_rng(1).standard_normal((200, 3)))
+    pts[:, 2] = -np.abs(pts[:, 2]) - 0.1
+    pts = normalize_rows(pts)
+    _, nearest = cKDTree(mesh.vertices).query(pts)
+    assert np.array_equal(sample_map(f, pts), normalize_rows(f.values[nearest]))
+    assert np.array_equal(sample_map(f, pts), sample_map_batched(f, pts))
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])

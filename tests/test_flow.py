@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from spherelab import build_icosphere
 from spherelab.energy import (
     alpha_energy_gradient,
     constant_map,
     dilated_equator_map,
+    element_energy_integrals,
     equator_map,
     perturbed_constant_map,
     random_map,
@@ -114,8 +116,6 @@ def test_descend_equivariant_under_mesh_symmetry(mesh2, rng):
         [0.0, 0.0, 1.0],
     ])
     rotated = mesh2.vertices @ rot.T
-    from scipy.spatial import cKDTree
-
     dist, perm = cKDTree(mesh2.vertices).query(rotated)
     assert dist.max() < 1e-9  # confirms a genuine mesh symmetry
     f0 = dilated_equator_map(mesh2, 4, 0.3, axis="x")
@@ -187,7 +187,7 @@ def test_level5_continuation_completes_schedule(seed):
     axis /= np.linalg.norm(axis)
     f0 = dilated_equator_map(build_icosphere(5), 4, 0.4, axis=axis)
     schedule = [1.2, 1.1, 1.05]
-    config = FlowConfig(alpha=schedule[0], max_iterations=4000, seed=seed)
+    config = FlowConfig(alpha=schedule[0], max_iterations=4000)
     result = continue_in_alpha(descend(f0, config), schedule, config)
     assert result.succeeded and len(result.records) == len(schedule)
 
@@ -245,6 +245,70 @@ def test_dilated_family_concentrates():
     assert detections[0]["local_energy"] >= 0.9 * FOUR_PI
     # attracting pole of the dilation pullback is the south pole
     assert detections[0]["center"] @ np.array([0.0, 0.0, -1.0]) > 0.99
+
+
+def detect_concentration_kdtree(sphere_map, epsilon_su, radius):
+    """The kd-tree loop detect_concentration replaced, kept as its reference."""
+    if not 0.0 < radius < np.pi / 2.0:
+        raise PreconditionError("radius must lie in (0, pi/2)")
+    mesh = sphere_map.mesh
+    face_energy = 0.5 * element_energy_integrals(sphere_map)
+    centroids = mesh.face_centroids
+    tree = cKDTree(centroids)
+    vertex_tree = cKDTree(mesh.vertices)
+    chordal = 2.0 * np.sin(radius / 2.0)
+    ball_area = 2.0 * np.pi * (1.0 - np.cos(radius + 2.0 * mesh.max_edge_length()))
+    remaining = face_energy.copy()
+    detections = []
+    for _ in range(64):  # energy/epsilon bounds the count long before this
+        active = remaining > 0
+        if not np.any(active):
+            break
+        density = np.where(active, remaining / mesh.face_areas, 0.0)
+        if float(np.max(density)) * ball_area <= epsilon_su:
+            break  # no ball can reach the threshold
+        seed_face = int(np.argmax(remaining))
+        _, candidate_vertices = vertex_tree.query(
+            centroids[seed_face], k=min(64, mesh.vertex_count),
+        )
+        candidate_vertices = np.atleast_1d(candidate_vertices)
+        best_energy = -1.0
+        best_center = None
+        best_faces = None
+        for vi in candidate_vertices:
+            center = mesh.vertices[vi]
+            members = tree.query_ball_point(center, r=chordal + 1e-12)
+            local = float(remaining[members].sum())
+            if local > best_energy:
+                best_energy = local
+                best_center = center
+                best_faces = members
+        if best_energy <= epsilon_su:
+            # the seed region cannot be covered above threshold; drop it so
+            # the loop terminates (its faces cannot help any other ball more)
+            remaining[seed_face] = 0.0
+            continue
+        detections.append({"center": np.array(best_center),
+                           "local_energy": best_energy})
+        remaining[best_faces] = 0.0
+    detections.sort(key=lambda d: -d["local_energy"])
+    return detections
+
+
+@pytest.mark.parametrize("level, t, axis, count", [
+    (5, 2.0, "z", 4),
+    (6, 3.0, "z", 1),  # every one of the 64 rounds runs, most drop their seed
+    (5, 2.0, (0.6, -0.48, 0.64), 4),  # the seed is not at a pole
+])
+def test_detect_concentration_matches_kdtree_loop(level, t, axis, count):
+    axis = axis if isinstance(axis, str) else np.array(axis)
+    f = dilated_equator_map(build_icosphere(level), 4, t, axis=axis)
+    got = detect_concentration(f, 1.0, 0.2)
+    want = detect_concentration_kdtree(f, 1.0, 0.2)
+    assert len(got) == len(want) == count
+    for g, w in zip(got, want):
+        assert np.array_equal(g["center"], w["center"])
+        assert g["local_energy"] == pytest.approx(w["local_energy"], rel=1e-12, abs=0)
 
 
 def test_ball_energy_helper(mesh3):

@@ -84,9 +84,7 @@ def test_validate_rejects_edge_on_three_faces(mesh2):
 
 def test_kd_trees_cached(mesh2):
     assert mesh2.centroid_tree is mesh2.centroid_tree
-    assert mesh2.vertex_tree is mesh2.vertex_tree
     assert np.array_equal(mesh2.centroid_tree.data, mesh2.face_centroids)
-    assert np.array_equal(mesh2.vertex_tree.data, mesh2.vertices)
 
 
 def test_level_guard():
