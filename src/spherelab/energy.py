@@ -144,33 +144,37 @@ def dilated_equator_map(mesh: SphereMesh, n: int, t: float, axis="z",
 def _face_blocks(sphere_map: SphereMap):
     """Walk the faces FACE_BLOCK at a time in the cotangent edge form.
 
-    Yields (faces, d, c, q) per block of B faces: the block's slice; the
-    edge differences d[:, e] = f_e - f_(e+1), that is f_a - f_b, f_b - f_c
-    and f_c - f_a, as a (C, 3, B) array; their cotangent weights -k_01,
-    -k_12, -k_02 read from face_stiffness, as (3, B); and
-    q_f = sum_e c_e |d_e|^2, the integral of |df|^2 over the face
-    (Pinkall-Polthier).  The rows of k sum to zero, so q_f equals
-    sum_ij k_ij f_i . f_j.  Faces run along the last axis, so every
-    elementwise step works on rows of B contiguous values.
+    Yields (faces, d, c) per block of B faces: the block's slice; the edge
+    differences d[:, e] = f_e - f_(e+1), that is f_a - f_b, f_b - f_c and
+    f_c - f_a, as a (C, 3, B) array; and their cotangent weights -k_01,
+    -k_12, -k_02, a (3, B) view of mesh.face_cotangents.  Faces run along
+    the last axis, so every elementwise step works on rows of B contiguous
+    values.
     """
     mesh = sphere_map.mesh
     columns = np.ascontiguousarray(sphere_map.values.T)  # (C, V)
-    for start in range(0, mesh.face_count, FACE_BLOCK):
-        faces = slice(start, start + FACE_BLOCK)
-        corners = np.take(columns, mesh.faces[faces].T, axis=1)  # (C, 3, B)
+    for faces, corners in mesh.corner_blocks(columns, FACE_BLOCK):
         d = np.empty_like(corners)
         for e in range(3):
             np.subtract(corners[:, e], corners[:, (e + 1) % 3], out=d[:, e])
-        c = -mesh.face_stiffness[faces][:, (0, 1, 0), (1, 2, 2)].T
-        sq = np.einsum("ceb,ceb->eb", d, d)
-        yield faces, d, c, c[0] * sq[0] + c[1] * sq[1] + c[2] * sq[2]
+        yield faces, d, mesh.face_cotangents[:, faces]
+
+
+def _block_integrals(d, c):
+    """q_f = sum_e c_e |d_e|^2, the integral of |df|^2 over each face of a block.
+
+    This is the Pinkall-Polthier edge form: the rows of k sum to zero, so
+    q_f equals sum_ij k_ij f_i . f_j.
+    """
+    sq = np.einsum("ceb,ceb->eb", d, d)
+    return c[0] * sq[0] + c[1] * sq[1] + c[2] * sq[2]
 
 
 def element_energy_integrals(sphere_map: SphereMap) -> np.ndarray:
     """Per-element values of the integral of |df|^2 over the element."""
     q = np.empty(sphere_map.mesh.face_count)
-    for faces, _, _, q_block in _face_blocks(sphere_map):
-        q[faces] = q_block
+    for faces, d, c in _face_blocks(sphere_map):
+        q[faces] = _block_integrals(d, c)
     return q
 
 
@@ -179,14 +183,19 @@ def _density(q, areas):
     return np.maximum(FOUR_PI * q / areas, 0.0)
 
 
+def _density_area_one(mesh: SphereMesh, q):
+    """(|df|^2, dA) per element in the area-one convention, from the integrals q."""
+    areas = mesh.face_areas
+    return _density(q, areas), areas / FOUR_PI
+
+
 def element_density_area_one(sphere_map: SphereMap):
     """Per-element (|df|^2, dA) under the area-one convention.
 
     The density is clipped at zero: it is nonnegative analytically but the
     assembled quadratic form can round to tiny negative values.
     """
-    areas = sphere_map.mesh.face_areas
-    return _density(element_energy_integrals(sphere_map), areas), areas / FOUR_PI
+    return _density_area_one(sphere_map.mesh, element_energy_integrals(sphere_map))
 
 
 def dirichlet_energy(sphere_map: SphereMap) -> float:
@@ -202,10 +211,16 @@ def alpha_energy(sphere_map: SphereMap, alpha: float) -> float:
     which makes alpha_energy(f, 1) == dirichlet_energy(f) exactly and
     avoids cancellation for near-constant maps.
     """
+    return _alpha_energy_and_integrals(sphere_map, alpha)[0]
+
+
+def _alpha_energy_and_integrals(sphere_map: SphereMap, alpha: float):
+    """(alpha_energy, element_energy_integrals) of the map, from one kernel pass."""
     if alpha < 1.0:
         raise PreconditionError("alpha must be >= 1")
-    g, da = element_density_area_one(sphere_map)
-    return 0.5 * float(np.sum(((1.0 + g) ** alpha - 1.0) * da))
+    q = element_energy_integrals(sphere_map)
+    g, da = _density_area_one(sphere_map.mesh, q)
+    return 0.5 * float(np.sum(((1.0 + g) ** alpha - 1.0) * da)), q
 
 
 def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray:
@@ -216,11 +231,18 @@ def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray
     s_a = D_ab - D_ca, s_b = D_bc - D_ab, s_c = D_ca - D_bc for the
     weighted differences D_e = w_f c_e d_e.
     """
+    return _raw_gradient(sphere_map, alpha, None)
+
+
+def _raw_gradient(sphere_map: SphereMap, alpha: float, q):
+    """alpha_energy_raw_gradient; q, if not None, is the map's
+    element_energy_integrals, and the kernel does not recompute it."""
     mesh = sphere_map.mesh
     areas = mesh.face_areas
     out = np.zeros((sphere_map.values.shape[1], mesh.vertex_count))
-    for faces, d, c, q in _face_blocks(sphere_map):
-        w = alpha * (1.0 + _density(q, areas[faces])) ** (alpha - 1.0)
+    for faces, d, c in _face_blocks(sphere_map):
+        q_block = _block_integrals(d, c) if q is None else q[faces]
+        w = alpha * (1.0 + _density(q_block, areas[faces])) ** (alpha - 1.0)
         d *= w * c
         # s[:, f, i] for corner i of face f, so that each column's row is
         # face-major, in the order of mesh.faces.reshape(-1)
@@ -236,7 +258,12 @@ def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray
 
 
 def alpha_energy_gradient(sphere_map: SphereMap, alpha: float) -> TangentField:
-    raw = alpha_energy_raw_gradient(sphere_map, alpha)
+    return _gradient(sphere_map, alpha, None)
+
+
+def _gradient(sphere_map: SphereMap, alpha: float, q) -> TangentField:
+    """alpha_energy_gradient, reusing the integrals q as _raw_gradient does."""
+    raw = _raw_gradient(sphere_map, alpha, q)
     dots = np.sum(raw * sphere_map.values, axis=1)
     return TangentField(sphere_map, raw - dots[:, None] * sphere_map.values)
 
@@ -290,9 +317,13 @@ def center_of_mass(sphere_map: SphereMap, alpha: float) -> np.ndarray:
     The area-one convention is applied on read.  The integral vanishes at
     alpha-critical points and is used to normalize the conformal gauge.
     """
-    g, da = element_density_area_one(sphere_map)
-    weights = psi_alpha(g, alpha) * da
-    return sphere_map.mesh.face_centroids.T @ weights
+    return _center_of_mass(sphere_map.mesh, element_energy_integrals(sphere_map), alpha)
+
+
+def _center_of_mass(mesh: SphereMesh, q, alpha: float) -> np.ndarray:
+    """center_of_mass of a map whose element_energy_integrals are q."""
+    g, da = _density_area_one(mesh, q)
+    return mesh.face_centroids.T @ (psi_alpha(g, alpha) * da)
 
 
 def mean_density_area_one(sphere_map: SphereMap) -> float:

@@ -17,8 +17,10 @@ import numpy as np
 from .energy import (
     SphereMap,
     TangentField,
+    _alpha_energy_and_integrals,
+    _center_of_mass,
+    _gradient,
     alpha_energy,
-    alpha_energy_gradient,
     center_of_mass,
     dirichlet_energy,
     element_energy_integrals,
@@ -122,9 +124,11 @@ def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
     Raises StagnationError (carrying the last record) if the line search
     cannot decrease the energy at the smallest allowed step.
     """
+    # q is element_energy_integrals(f): the Armijo test computes it for the
+    # accepted trial, and the gradient and the record reuse it
     f = map0.copy()
-    energy_val = alpha_energy(f, config.alpha)
-    grad = alpha_energy_gradient(f, config.alpha).values
+    energy_val, q = _alpha_energy_and_integrals(f, config.alpha)
+    grad = _gradient(f, config.alpha, q).values
     grad_norm = float(np.linalg.norm(grad))
     target = max(config.grad_tol * grad_norm, config.grad_tol_abs)
     log = []
@@ -140,11 +144,12 @@ def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
         return CriticalRecord(
             map=f,
             alpha=config.alpha,
-            energy=dirichlet_energy(f),
+            energy=0.5 * float(q.sum()),  # dirichlet_energy(f)
             alpha_energy=energy_val,
             grad_norm=grad_norm,
             iterations=iterations,
-            center_of_mass_norm=float(np.linalg.norm(center_of_mass(f, config.alpha))),
+            center_of_mass_norm=float(np.linalg.norm(
+                _center_of_mass(f.mesh, q, config.alpha))),
             pseudogradient_log=log,
             energy_log=energy_log,
             step_log=step_log,
@@ -163,7 +168,7 @@ def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
         accepted = False
         while step > 1e-14 * config.step_init:
             trial = SphereMap(f.mesh, f.n, normalize_rows(f.values - step * direction))
-            trial_energy = alpha_energy(trial, config.alpha)
+            trial_energy, trial_q = _alpha_energy_and_integrals(trial, config.alpha)
             if trial_energy <= energy_val - config.armijo_c1 * step * slope:
                 accepted = True
                 break
@@ -171,11 +176,10 @@ def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
         if not accepted:
             raise StagnationError("line search failed to decrease the energy",
                                   record=make_record(False))
-        f = trial
-        energy_val = trial_energy
+        f, energy_val, q = trial, trial_energy, trial_q
         energy_log.append(energy_val)
         step_log.append(step)
-        grad = alpha_energy_gradient(f, config.alpha).values
+        grad = _gradient(f, config.alpha, q).values
         grad_norm = float(np.linalg.norm(grad))
         iterations += 1
     return make_record(grad_norm <= target)

@@ -29,6 +29,9 @@ from .errors import MeshAssemblyError, PreconditionError, ResourceLimitError
 FOUR_PI = 4.0 * math.pi
 # P1 consistent mass matrix of a face of unit area
 MASS_LOCAL = (np.ones((3, 3)) + np.eye(3)) / 12.0
+# faces per block of the geometry pass: a block's (3, 3, B) corner array and
+# its (3, B) temporaries stay small, and the pass makes no (F, 3, 3) array
+GEOMETRY_BLOCK = 1 << 16
 
 
 class AreaConvention(enum.Enum):
@@ -66,6 +69,33 @@ def _icosahedron():
     verts = verts @ rot.T
     verts /= np.linalg.norm(verts, axis=1)[:, None]
     return verts, faces
+
+
+# Three-component arithmetic on (3, B) coordinate rows, in the summation order
+# of np.einsum("fc,fc->f"), np.cross and np.linalg.norm over (F, 3) arrays,
+# so that blockwise results keep their bits.
+
+def _dot(x, y):
+    return (x[0] * y[0] + x[2] * y[2]) + x[1] * y[1]
+
+
+def _cross(x, y):
+    return (x[1] * y[2] - x[2] * y[1],
+            x[2] * y[0] - x[0] * y[2],
+            x[0] * y[1] - x[1] * y[0])
+
+
+def _norm_sq(x):
+    return (x[0] * x[0] + x[1] * x[1]) + x[2] * x[2]
+
+
+def _edges(a, b, c):
+    """Edges c - b, a - c, b - a of a triangle: edge i is opposite corner i."""
+    return c - b, a - c, b - a
+
+
+# the (i, j) of the cotangent rows -k_01, -k_12, -k_02
+_OFF_DIAGONAL = ((0, 1), (1, 2), (0, 2))
 
 
 def _edge_table(faces, v, return_inverse=False):
@@ -134,49 +164,86 @@ class SphereMesh:
                             lambda: _edge_table(self.faces, self.vertex_count)[0])
 
     def max_edge_length(self):
-        e = self.edges()
-        d = self.vertices[e[:, 0]] - self.vertices[e[:, 1]]
-        return float(np.max(np.linalg.norm(d, axis=1)))
+        """Longest edge chord; computed by the geometry pass and cached."""
+        return self._geometry()[3]
 
     # -- per-element geometry -------------------------------------------------
 
     def _geometry(self):
         return self._cached("geom", self._build_geometry)
 
+    def corner_blocks(self, columns, block):
+        """Walk the faces block at a time, gathering per-vertex columns.
+
+        columns is a (C, V) array.  Yields (faces, corners) per block of B
+        faces: the block's slice and the (C, 3, B) array with
+        corners[c, i, b] = columns[c, faces[start + b, i]], so that each
+        (c, i) row holds B contiguous values.
+        """
+        for start in range(0, self.face_count, block):
+            faces = slice(start, start + block)
+            yield faces, np.take(columns, self.faces[faces].T, axis=1)
+
+    def _corner_blocks(self):
+        """corner_blocks of the vertex coordinates, GEOMETRY_BLOCK faces at a
+        time, as (faces, (a, b, c)) with each corner a (3, B) array."""
+        columns = np.ascontiguousarray(self.vertices.T)  # (3, V)
+        for faces, corners in self.corner_blocks(columns, GEOMETRY_BLOCK):
+            yield faces, corners.swapaxes(0, 1)
+
     def _build_geometry(self):
-        p = self.vertices[self.faces]  # (F, 3, 3)
-        # edge i is opposite vertex i
-        e = np.empty_like(p)
-        np.subtract(p[:, 2], p[:, 1], out=e[:, 0])
-        np.subtract(p[:, 0], p[:, 2], out=e[:, 1])
-        np.subtract(p[:, 1], p[:, 0], out=e[:, 2])
-        # e1 x e2 is (p1 - p0) x (p2 - p0) up to sign, bit for bit
-        flat_area = 0.5 * np.linalg.norm(np.cross(e[:, 1], e[:, 2]), axis=1)
+        """Per-face areas and cotangent rows, and the longest edge, in one pass.
+
+        Every value has the bits of the np.einsum / np.cross /
+        np.linalg.norm formulas over (F, 3, 3) corner arrays.
+        """
+        f = self.face_count
+        area, flat_area = np.empty(f), np.empty(f)
+        cotangents = np.empty((3, f))
+        max_sq = 0.0
+        # a degenerate face divides by zero here and is reported below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for faces, (a, b, c) in self._corner_blocks():
+                e = _edges(a, b, c)
+                flat_area[faces] = 0.5 * np.sqrt(_norm_sq(_cross(e[1], e[2])))
+                den = 4.0 * flat_area[faces]
+                for row, (i, j) in zip(cotangents, _OFF_DIAGONAL):
+                    row[faces] = -(_dot(e[i], e[j]) / den)
+                # Quadrature weights use exact geodesic triangle areas; these
+                # tile the sphere, so the total mass is 4*pi to rounding.  The
+                # stiffness keeps flat-triangle cotangents (conformally
+                # immaterial in 2d).
+                num = np.abs(_dot(a, _cross(b, c)))
+                area[faces] = 2.0 * np.arctan2(
+                    num, 1.0 + _dot(a, b) + _dot(b, c) + _dot(c, a))
+                max_sq = max(max_sq, *(float(np.max(_norm_sq(x))) for x in e))
         if np.any(flat_area <= 0) or not np.all(np.isfinite(flat_area)):
             bad = int(np.argmin(flat_area))
             raise MeshAssemblyError(
                 f"degenerate face {bad} with area {flat_area[bad]!r}", face_index=bad
             )
-        # k_local[f, i, j] = e_i . e_j: six two-index einsums give the bits of
-        # the one three-index einsum in less time
-        k_local = np.empty_like(p)
-        for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)):
-            dot = np.einsum("fc,fc->f", e[:, i], e[:, j])
-            k_local[:, i, j] = k_local[:, j, i] = dot
-        k_local /= (4.0 * flat_area)[:, None, None]
-        # Quadrature weights use exact geodesic triangle areas; these tile
-        # the sphere, so the total mass is 4*pi to rounding.  The stiffness
-        # keeps flat-triangle cotangents (conformally immaterial in 2d).
-        a, b, c = p[:, 0], p[:, 1], p[:, 2]
-        num = np.abs(np.einsum("fc,fc->f", a, np.cross(b, c)))
-        den = (
-            1.0
-            + np.einsum("fc,fc->f", a, b)
-            + np.einsum("fc,fc->f", b, c)
-            + np.einsum("fc,fc->f", c, a)
-        )
-        area = 2.0 * np.arctan2(num, den)
-        return area, k_local, flat_area
+        return area, flat_area, cotangents, math.sqrt(max_sq)
+
+    def _build_stiffness(self):
+        """(F, 3, 3) blocks k_ij = e_i . e_j / (4 flat area): the cotangent
+        rows off the diagonal, the diagonal blockwise."""
+        _, flat_area, cotangents, _ = self._geometry()
+        k_local = np.empty((self.face_count, 3, 3))
+        for row, (i, j) in zip(cotangents, _OFF_DIAGONAL):
+            np.negative(row, out=k_local[:, i, j])
+            k_local[:, j, i] = k_local[:, i, j]
+        for faces, corners in self._corner_blocks():
+            den = 4.0 * flat_area[faces]
+            for i, x in enumerate(_edges(*corners)):
+                k_local[faces, i, i] = _dot(x, x) / den
+        return k_local
+
+    def _build_centroids(self):
+        centroids = np.empty((self.face_count, 3))
+        for faces, (a, b, c) in self._corner_blocks():
+            mean = (a + b + c) / 3.0
+            centroids[faces] = (mean / np.sqrt(_norm_sq(mean))).T
+        return centroids
 
     @property
     def face_areas(self):
@@ -185,20 +252,22 @@ class SphereMesh:
 
     @property
     def face_flat_areas(self):
+        return self._geometry()[1]
+
+    @property
+    def face_cotangents(self):
+        """(3, F) rows -k_01, -k_12, -k_02: the weights of edges ab, bc, ca."""
         return self._geometry()[2]
 
     @property
     def face_stiffness(self):
-        """Local 3x3 stiffness blocks (cotangent weights) per face."""
-        return self._geometry()[1]
+        """Local 3x3 stiffness blocks (cotangent weights) per face; built on first use."""
+        return self._cached("stiffness", self._build_stiffness)
 
     @property
     def face_centroids(self):
-        def build():
-            c = self.vertices[self.faces].mean(axis=1)
-            return c / np.linalg.norm(c, axis=1)[:, None]
-
-        return self._cached("centroids", build)
+        """Flat-triangle centroids projected to the sphere, (F, 3); built on first use."""
+        return self._cached("centroids", self._build_centroids)
 
     @property
     def centroid_tree(self):
@@ -267,7 +336,7 @@ def build_icosphere(subdivision_level: int) -> SphereMesh:
 
 
 def validate_mesh(mesh: SphereMesh) -> None:
-    """Check unit vertices, topology and closedness; cache the edge table on success."""
+    """Check unit vertices, topology, closedness and nondegenerate faces."""
     norms = np.linalg.norm(mesh.vertices, axis=1)
     if np.max(np.abs(norms - 1.0)) > 1e-12:
         raise PreconditionError("vertices are not on the unit sphere")
@@ -280,7 +349,6 @@ def validate_mesh(mesh: SphereMesh) -> None:
     if not np.all(counts == 2):
         raise PreconditionError("mesh is not closed: an edge is not shared by 2 faces")
     mesh._geometry()  # raises MeshAssemblyError on degenerate faces
-    mesh._cache["edges"] = edges
 
 
 def assemble_faces(mesh: SphereMesh, blocks: np.ndarray) -> sp.csr_matrix:
@@ -304,9 +372,9 @@ def assemble_pencil(mesh: SphereMesh) -> FemPencil:
     annihilates constants at assembly precision.
     """
     def build():
-        area, k_local, _ = mesh._geometry()
-        return FemPencil(M=assemble_faces(mesh, area[:, None, None] * MASS_LOCAL),
-                         K=assemble_faces(mesh, k_local))
+        return FemPencil(
+            M=assemble_faces(mesh, mesh.face_areas[:, None, None] * MASS_LOCAL),
+            K=assemble_faces(mesh, mesh.face_stiffness))
 
     return mesh._cached("pencil", build)
 

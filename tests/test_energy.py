@@ -168,6 +168,20 @@ def test_raw_gradient_scatter_matches_add_at(level, alpha, monkeypatch):
     assert np.array_equal(alpha_energy_raw_gradient(f, alpha), expected)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.1])
+def test_gradient_from_handed_over_integrals_is_bit_identical(alpha):
+    # descend hands the accepted trial's q to the gradient; five 4096-face
+    # blocks at level 5 slice q as the kernel's own blocks would compute it
+    mesh = build_icosphere(5)
+    f = random_map(mesh, 4, np.random.default_rng(5))
+    energy_val, q = energy._alpha_energy_and_integrals(f, alpha)
+    assert energy_val == alpha_energy(f, alpha)
+    assert np.array_equal(q, element_energy_integrals(f))
+    got = energy._gradient(f, alpha, q).values
+    assert np.array_equal(got, alpha_energy_gradient(f, alpha).values)
+    assert np.array_equal(energy._center_of_mass(mesh, q, alpha), center_of_mass(f, alpha))
+
+
 @pytest.mark.parametrize("level", [3, 4, 5])
 @pytest.mark.parametrize("alpha", [1.0, 1.05, 1.2])
 def test_edge_form_matches_three_index_form(level, alpha, monkeypatch):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from spherelab import build_icosphere
+from spherelab import build_icosphere, energy, flow
 from spherelab.energy import (
     alpha_energy_gradient,
+    center_of_mass,
     constant_map,
     dilated_equator_map,
+    dirichlet_energy,
     element_energy_integrals,
     equator_map,
     perturbed_constant_map,
@@ -27,6 +29,7 @@ from spherelab.flow import (
     index_semicontinuity_report,
     project_tangent,
 )
+from spherelab.sphere_mesh import SphereMesh
 
 FOUR_PI = 4.0 * math.pi
 
@@ -143,6 +146,39 @@ def test_stagnation_carries_last_record():
     assert err.value.record.grad_norm <= 1e-10
 
 
+def test_descend_runs_the_energy_kernel_once_per_map(mesh3, rng, monkeypatch):
+    # the gradient and the record reuse the integrals q of the accepted
+    # trial: every kernel block belongs to an element_energy_integrals call
+    monkeypatch.setattr(energy, "FACE_BLOCK", 300)  # five blocks at level 3
+    calls = {"energies": 0, "integrals": 0, "blocks": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(flow, "_alpha_energy_and_integrals",
+                        counted("energies", flow._alpha_energy_and_integrals))
+    monkeypatch.setattr(energy, "element_energy_integrals",
+                        counted("integrals", energy.element_energy_integrals))
+    monkeypatch.setattr(energy, "_block_integrals",
+                        counted("blocks", energy._block_integrals))
+    alpha = 1.1
+    rec = descend(random_map(mesh3, 4, rng), FlowConfig(alpha=alpha, max_iterations=5))
+    assert rec.iterations == 5
+    # one kernel pass for the start map and for each Armijo trial; none for
+    # the gradients or the record
+    assert calls["energies"] > rec.iterations
+    assert calls["integrals"] == calls["energies"]
+    assert calls["blocks"] == 5 * calls["integrals"]
+    monkeypatch.undo()
+    # the handed-over values carry the bits of the public functions
+    assert rec.energy == dirichlet_energy(rec.map)
+    assert rec.center_of_mass_norm == float(np.linalg.norm(center_of_mass(rec.map, alpha)))
+    assert rec.grad_norm == float(np.linalg.norm(alpha_energy_gradient(rec.map, alpha).values))
+
+
 def test_flow_config_guards():
     with pytest.raises(PreconditionError):
         FlowConfig(alpha=0.9)
@@ -245,6 +281,29 @@ def test_dilated_family_concentrates():
     assert detections[0]["local_energy"] >= 0.9 * FOUR_PI
     # attracting pole of the dilation pullback is the south pole
     assert detections[0]["center"] @ np.array([0.0, 0.0, -1.0]) > 0.99
+
+
+def test_bubble_path_builds_no_stiffness_blocks_or_edge_table(monkeypatch):
+    # criterion 8's path: energy, gradient and detection read the (3, F)
+    # cotangent rows and centroids; the (F, 3, 3) blocks are for FEM assembly
+    mesh = build_icosphere(5)
+    f = dilated_equator_map(mesh, 4, 5.0, axis="z")
+    dirichlet_energy(f)
+    alpha_energy_gradient(f, 1.05)
+    detect_concentration(f, 1.0, 0.2)
+    assert "edges" not in mesh._cache and "stiffness" not in mesh._cache
+    for value in mesh._cache.values():
+        for part in value if isinstance(value, tuple) else (value,):
+            assert np.shape(part) != (mesh.face_count, 3, 3)
+    # the longest edge comes from the cached geometry pass, not a new one
+    builds = []
+    build = SphereMesh._build_geometry
+    monkeypatch.setattr(SphereMesh, "_build_geometry",
+                        lambda self: builds.append(self) or build(self))
+    longest = mesh.max_edge_length()
+    assert mesh.max_edge_length() == longest and builds == []
+    d = mesh.vertices[mesh.edges()[:, 0]] - mesh.vertices[mesh.edges()[:, 1]]
+    assert longest == float(np.max(np.linalg.norm(d, axis=1)))
 
 
 def detect_concentration_kdtree(sphere_map, epsilon_su, radius):

@@ -5,10 +5,11 @@ import pytest
 from scipy.sparse.linalg import eigsh
 
 from conftest import assert_csr_equal, p1_scatter_reference
-from spherelab import AreaConvention, assemble_pencil, build_icosphere, to_area_one
-from spherelab.errors import PreconditionError, ResourceLimitError
+from spherelab import AreaConvention, assemble_pencil, build_icosphere, sphere_mesh, to_area_one
+from spherelab.errors import MeshAssemblyError, PreconditionError, ResourceLimitError
 from spherelab.sphere_mesh import (
     SphereMesh,
+    _edge_table,
     assemble_faces,
     mesh_json_doc,
     mesh_to_obj,
@@ -218,6 +219,78 @@ def test_face_geometry_matches_reference_formulas(level):
     k_local = np.einsum("fic,fjc->fij", e, e) / (4.0 * flat_area)[:, None, None]
     assert np.array_equal(mesh.face_flat_areas, flat_area)
     assert np.array_equal(mesh.face_stiffness, k_local)
+
+
+def geometry_reference(mesh):
+    """The (F, 3, 3) geometry the blocked pass replaced, kept as its reference.
+
+    Returns (areas, flat areas, stiffness blocks, centroids, longest edge),
+    from the bodies of the old _build_geometry, face_centroids and
+    max_edge_length.
+    """
+    p = mesh.vertices[mesh.faces]  # (F, 3, 3)
+    e = np.empty_like(p)
+    np.subtract(p[:, 2], p[:, 1], out=e[:, 0])
+    np.subtract(p[:, 0], p[:, 2], out=e[:, 1])
+    np.subtract(p[:, 1], p[:, 0], out=e[:, 2])
+    flat_area = 0.5 * np.linalg.norm(np.cross(e[:, 1], e[:, 2]), axis=1)
+    k_local = np.empty_like(p)
+    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)):
+        dot = np.einsum("fc,fc->f", e[:, i], e[:, j])
+        k_local[:, i, j] = k_local[:, j, i] = dot
+    k_local /= (4.0 * flat_area)[:, None, None]
+    a, b, c = p[:, 0], p[:, 1], p[:, 2]
+    num = np.abs(np.einsum("fc,fc->f", a, np.cross(b, c)))
+    den = (
+        1.0
+        + np.einsum("fc,fc->f", a, b)
+        + np.einsum("fc,fc->f", b, c)
+        + np.einsum("fc,fc->f", c, a)
+    )
+    area = 2.0 * np.arctan2(num, den)
+    centroids = p.mean(axis=1)
+    centroids = centroids / np.linalg.norm(centroids, axis=1)[:, None]
+    edges = _edge_table(mesh.faces, mesh.vertex_count)[0]
+    d = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
+    longest = float(np.max(np.linalg.norm(d, axis=1)))
+    return area, flat_area, k_local, centroids, longest
+
+
+@pytest.mark.parametrize("block", [None, 97])
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 6])
+def test_blocked_geometry_matches_reference_bit_for_bit(level, block, monkeypatch):
+    # 97 faces per block: blocks straddle the subdivision's face groups, and
+    # level 0's 20 faces are one short block
+    if block is not None:
+        monkeypatch.setattr(sphere_mesh, "GEOMETRY_BLOCK", block)
+    mesh = build_icosphere(level)
+    area, flat_area, k_local, centroids, longest = geometry_reference(mesh)
+    assert np.array_equal(mesh.face_areas, area)
+    assert np.array_equal(mesh.face_flat_areas, flat_area)
+    assert np.array_equal(mesh.face_stiffness, k_local)
+    assert np.array_equal(mesh.face_cotangents, -k_local[:, (0, 1, 0), (1, 2, 2)].T)
+    assert np.array_equal(mesh.face_centroids, centroids)
+    assert mesh.max_edge_length() == longest
+
+
+@pytest.mark.parametrize("nan_face, expected", [(False, 150), (True, 250)])
+def test_degenerate_faces_in_two_blocks_report_global_argmin(mesh2, nan_face,
+                                                             expected, monkeypatch):
+    # faces 150 and 250 lie in the second and third 97-face blocks; the
+    # diagnostic names np.argmin over all faces: the first zero area, or the
+    # first NaN, which np.argmin prefers to any number
+    monkeypatch.setattr(sphere_mesh, "GEOMETRY_BLOCK", 97)
+    verts = np.vstack([mesh2.vertices, np.full(3, np.nan)])
+    faces = mesh2.faces.copy()
+    faces[150, 1] = faces[150, 0]
+    if nan_face:
+        faces[250, 2] = mesh2.vertex_count  # the NaN vertex, on this face only
+    else:
+        faces[250, 2] = faces[250, 0]
+    broken = SphereMesh(vertices=verts, faces=faces, subdivision_level=2)
+    with pytest.raises(MeshAssemblyError) as err:
+        broken.face_areas
+    assert err.value.face_index == expected
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])
