@@ -299,9 +299,10 @@ def run_covers(cfg, out_dir, report):
     g = covers_mod.RationalMap.power(degree)
     h = covers_mod.EquatorTargetMap(n)
     f = covers_mod.compose_cover(h, g, mesh)
-    energy = energy_mod.dirichlet_energy(f)
     # a double cover's normal index needs k = 16; lambda1 reads the same batch
     res = covers_mod.induced_metric_lambda1(f, k=16 if degree == 2 else 8)
+    # after the eigensolve, so the map's face integrals are not alive at its peak
+    energy = energy_mod.dirichlet_energy(f)
     area = energy  # conformal: area equals energy
     report.metric("energy", energy, "covers.cover_energy")
     report.metric("lambda1", res.lambda1, "covers.pullback_first_eigenvalue")

@@ -12,7 +12,7 @@ target sphere ("discretize then optimize").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,16 +32,25 @@ _AXES = {"x": np.array([1.0, 0.0, 0.0]),
          "z": np.array([0.0, 0.0, 1.0])}
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SphereMap:
-    """Discrete map from the mesh into the unit sphere of R^(n+1)."""
+    """Discrete map from the mesh into the unit sphere of R^(n+1).
+
+    The map is immutable: ``values`` is a read-only view of the array it
+    was built from (not a copy, so the caller must not write to that
+    array afterwards), and element_energy_integrals keeps its result on
+    the map.
+    """
 
     mesh: SphereMesh
     n: int
     values: np.ndarray  # (V, n+1), unit rows
+    _integrals: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float).view()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
         if self.n < 2:
             raise PreconditionError("target dimension n must be >= 2")
         if self.values.shape != (self.mesh.vertex_count, self.n + 1):
@@ -171,10 +180,19 @@ def _block_integrals(d, c):
 
 
 def element_energy_integrals(sphere_map: SphereMap) -> np.ndarray:
-    """Per-element values of the integral of |df|^2 over the element."""
-    q = np.empty(sphere_map.mesh.face_count)
-    for faces, d, c in _face_blocks(sphere_map):
-        q[faces] = _block_integrals(d, c)
+    """Per-element values of the integral of |df|^2 over the element.
+
+    The kernel runs on the first call for a map; the read-only result is
+    kept on the map, and every energy, gradient, center of mass and
+    density of that map reads it.
+    """
+    q = sphere_map._integrals
+    if q is None:
+        q = np.empty(sphere_map.mesh.face_count)
+        for faces, d, c in _face_blocks(sphere_map):
+            q[faces] = _block_integrals(d, c)
+        q.flags.writeable = False
+        object.__setattr__(sphere_map, "_integrals", q)
     return q
 
 
@@ -183,19 +201,14 @@ def _density(q, areas):
     return np.maximum(FOUR_PI * q / areas, 0.0)
 
 
-def _density_area_one(mesh: SphereMesh, q):
-    """(|df|^2, dA) per element in the area-one convention, from the integrals q."""
-    areas = mesh.face_areas
-    return _density(q, areas), areas / FOUR_PI
-
-
 def element_density_area_one(sphere_map: SphereMap):
     """Per-element (|df|^2, dA) under the area-one convention.
 
     The density is clipped at zero: it is nonnegative analytically but the
     assembled quadratic form can round to tiny negative values.
     """
-    return _density_area_one(sphere_map.mesh, element_energy_integrals(sphere_map))
+    areas = sphere_map.mesh.face_areas
+    return _density(element_energy_integrals(sphere_map), areas), areas / FOUR_PI
 
 
 def dirichlet_energy(sphere_map: SphereMap) -> float:
@@ -211,16 +224,10 @@ def alpha_energy(sphere_map: SphereMap, alpha: float) -> float:
     which makes alpha_energy(f, 1) == dirichlet_energy(f) exactly and
     avoids cancellation for near-constant maps.
     """
-    return _alpha_energy_and_integrals(sphere_map, alpha)[0]
-
-
-def _alpha_energy_and_integrals(sphere_map: SphereMap, alpha: float):
-    """(alpha_energy, element_energy_integrals) of the map, from one kernel pass."""
     if alpha < 1.0:
         raise PreconditionError("alpha must be >= 1")
-    q = element_energy_integrals(sphere_map)
-    g, da = _density_area_one(sphere_map.mesh, q)
-    return 0.5 * float(np.sum(((1.0 + g) ** alpha - 1.0) * da)), q
+    g, da = element_density_area_one(sphere_map)
+    return 0.5 * float(np.sum(((1.0 + g) ** alpha - 1.0) * da))
 
 
 def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray:
@@ -229,20 +236,15 @@ def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray
     Face f adds w_f sum_j k_ij f_j to its vertex i, with the weight
     w_f = alpha (1 + |df|^2)^(alpha-1); in the edge form that is
     s_a = D_ab - D_ca, s_b = D_bc - D_ab, s_c = D_ca - D_bc for the
-    weighted differences D_e = w_f c_e d_e.
+    weighted differences D_e = w_f c_e d_e.  The weights read the map's
+    element_energy_integrals, so the kernel here only scatters.
     """
-    return _raw_gradient(sphere_map, alpha, None)
-
-
-def _raw_gradient(sphere_map: SphereMap, alpha: float, q):
-    """alpha_energy_raw_gradient; q, if not None, is the map's
-    element_energy_integrals, and the kernel does not recompute it."""
     mesh = sphere_map.mesh
     areas = mesh.face_areas
+    q = element_energy_integrals(sphere_map)
     out = np.zeros((sphere_map.values.shape[1], mesh.vertex_count))
     for faces, d, c in _face_blocks(sphere_map):
-        q_block = _block_integrals(d, c) if q is None else q[faces]
-        w = alpha * (1.0 + _density(q_block, areas[faces])) ** (alpha - 1.0)
+        w = alpha * (1.0 + _density(q[faces], areas[faces])) ** (alpha - 1.0)
         d *= w * c
         # s[:, f, i] for corner i of face f, so that each column's row is
         # face-major, in the order of mesh.faces.reshape(-1)
@@ -258,12 +260,7 @@ def _raw_gradient(sphere_map: SphereMap, alpha: float, q):
 
 
 def alpha_energy_gradient(sphere_map: SphereMap, alpha: float) -> TangentField:
-    return _gradient(sphere_map, alpha, None)
-
-
-def _gradient(sphere_map: SphereMap, alpha: float, q) -> TangentField:
-    """alpha_energy_gradient, reusing the integrals q as _raw_gradient does."""
-    raw = _raw_gradient(sphere_map, alpha, q)
+    raw = alpha_energy_raw_gradient(sphere_map, alpha)
     dots = np.sum(raw * sphere_map.values, axis=1)
     return TangentField(sphere_map, raw - dots[:, None] * sphere_map.values)
 
@@ -317,13 +314,8 @@ def center_of_mass(sphere_map: SphereMap, alpha: float) -> np.ndarray:
     The area-one convention is applied on read.  The integral vanishes at
     alpha-critical points and is used to normalize the conformal gauge.
     """
-    return _center_of_mass(sphere_map.mesh, element_energy_integrals(sphere_map), alpha)
-
-
-def _center_of_mass(mesh: SphereMesh, q, alpha: float) -> np.ndarray:
-    """center_of_mass of a map whose element_energy_integrals are q."""
-    g, da = _density_area_one(mesh, q)
-    return mesh.face_centroids.T @ (psi_alpha(g, alpha) * da)
+    g, da = element_density_area_one(sphere_map)
+    return sphere_map.mesh.face_centroids.T @ (psi_alpha(g, alpha) * da)
 
 
 def mean_density_area_one(sphere_map: SphereMap) -> float:

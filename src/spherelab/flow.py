@@ -17,10 +17,8 @@ import numpy as np
 from .energy import (
     SphereMap,
     TangentField,
-    _alpha_energy_and_integrals,
-    _center_of_mass,
-    _gradient,
     alpha_energy,
+    alpha_energy_gradient,
     center_of_mass,
     dirichlet_energy,
     element_energy_integrals,
@@ -124,11 +122,11 @@ def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
     Raises StagnationError (carrying the last record) if the line search
     cannot decrease the energy at the smallest allowed step.
     """
-    # q is element_energy_integrals(f): the Armijo test computes it for the
-    # accepted trial, and the gradient and the record reuse it
-    f = map0.copy()
-    energy_val, q = _alpha_energy_and_integrals(f, config.alpha)
-    grad = _gradient(f, config.alpha, q).values
+    # a map keeps its element_energy_integrals: the Armijo test computes
+    # them for the accepted trial, and its gradient and record reuse them
+    f = map0
+    energy_val = alpha_energy(f, config.alpha)
+    grad = alpha_energy_gradient(f, config.alpha).values
     grad_norm = float(np.linalg.norm(grad))
     target = max(config.grad_tol * grad_norm, config.grad_tol_abs)
     log = []
@@ -144,12 +142,11 @@ def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
         return CriticalRecord(
             map=f,
             alpha=config.alpha,
-            energy=0.5 * float(q.sum()),  # dirichlet_energy(f)
+            energy=dirichlet_energy(f),
             alpha_energy=energy_val,
             grad_norm=grad_norm,
             iterations=iterations,
-            center_of_mass_norm=float(np.linalg.norm(
-                _center_of_mass(f.mesh, q, config.alpha))),
+            center_of_mass_norm=float(np.linalg.norm(center_of_mass(f, config.alpha))),
             pseudogradient_log=log,
             energy_log=energy_log,
             step_log=step_log,
@@ -168,7 +165,7 @@ def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
         accepted = False
         while step > 1e-14 * config.step_init:
             trial = SphereMap(f.mesh, f.n, normalize_rows(f.values - step * direction))
-            trial_energy, trial_q = _alpha_energy_and_integrals(trial, config.alpha)
+            trial_energy = alpha_energy(trial, config.alpha)
             if trial_energy <= energy_val - config.armijo_c1 * step * slope:
                 accepted = True
                 break
@@ -176,10 +173,10 @@ def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
         if not accepted:
             raise StagnationError("line search failed to decrease the energy",
                                   record=make_record(False))
-        f, energy_val, q = trial, trial_energy, trial_q
+        f, energy_val = trial, trial_energy
         energy_log.append(energy_val)
         step_log.append(step)
-        grad = _gradient(f, config.alpha, q).values
+        grad = alpha_energy_gradient(f, config.alpha).values
         grad_norm = float(np.linalg.norm(grad))
         iterations += 1
     return make_record(grad_norm <= target)
@@ -254,12 +251,11 @@ def detect_concentration(sphere_map: SphereMap, epsilon_su: float,
     if not 0.0 < radius < np.pi / 2.0:
         raise PreconditionError("radius must lie in (0, pi/2)")
     mesh = sphere_map.mesh
-    face_energy = 0.5 * element_energy_integrals(sphere_map)
+    remaining = 0.5 * element_energy_integrals(sphere_map)  # face energies
     centroids = mesh.face_centroids
     chordal = 2.0 * np.sin(radius / 2.0)
     ball_area = 2.0 * np.pi * (1.0 - np.cos(radius + 2.0 * mesh.max_edge_length()))
     k = min(64, mesh.vertex_count)
-    remaining = face_energy.copy()
     detections = []
     for _ in range(64):  # energy/epsilon bounds the count long before this
         active = remaining > 0

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
-from scipy.spatial import cKDTree
 
 from .errors import MeshAssemblyError, PreconditionError, ResourceLimitError
 
@@ -272,6 +271,8 @@ class SphereMesh:
     @property
     def centroid_tree(self):
         """kd-tree over the face centroids (cached)."""
+        from scipy.spatial import cKDTree  # imported on use: it slows every start-up
+
         return self._cached("centroid_tree", lambda: cKDTree(self.face_centroids))
 
     def total_area(self):

@@ -468,18 +468,20 @@ def test_console_entry_point(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    # quadrature is imported where it is used, not on every start-up
+    # quadrature and kd-trees are imported where they are used, not on
+    # every start-up
     import spherelab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(spherelab.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, spherelab.cli; print('scipy.integrate' in sys.modules)"],
+         "import sys, spherelab.cli; "
+         "print([m for m in ('scipy.integrate', 'scipy.spatial') if m in sys.modules])"],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -165,21 +166,35 @@ def test_raw_gradient_scatter_matches_add_at(level, alpha, monkeypatch):
     np.add.at(expected, mesh.faces.reshape(-1), contributions.reshape(-1, 5))
     assert np.array_equal(alpha_energy_raw_gradient(f, alpha), expected)
     monkeypatch.setattr(energy, "FACE_BLOCK", 100)
-    assert np.array_equal(alpha_energy_raw_gradient(f, alpha), expected)
+    # a fresh map: f keeps the integrals its first evaluation computed
+    fresh = SphereMap(mesh, 4, f.values)
+    assert np.array_equal(alpha_energy_raw_gradient(fresh, alpha), expected)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.1])
-def test_gradient_from_handed_over_integrals_is_bit_identical(alpha):
-    # descend hands the accepted trial's q to the gradient; five 4096-face
-    # blocks at level 5 slice q as the kernel's own blocks would compute it
+def test_map_keeps_read_only_integrals(alpha):
+    # a fresh map's gradient computes q itself; after alpha_energy computed
+    # it, the gradient only reads the kept q: the bits agree, over five
+    # 4096-face blocks at level 5
     mesh = build_icosphere(5)
-    f = random_map(mesh, 4, np.random.default_rng(5))
-    energy_val, q = energy._alpha_energy_and_integrals(f, alpha)
-    assert energy_val == alpha_energy(f, alpha)
-    assert np.array_equal(q, element_energy_integrals(f))
-    got = energy._gradient(f, alpha, q).values
-    assert np.array_equal(got, alpha_energy_gradient(f, alpha).values)
-    assert np.array_equal(energy._center_of_mass(mesh, q, alpha), center_of_mass(f, alpha))
+    vals = normalize_rows(np.random.default_rng(5).standard_normal((mesh.vertex_count, 5)))
+    fresh = SphereMap(mesh, 4, vals)
+    grad = alpha_energy_gradient(fresh, alpha).values
+    f = SphereMap(mesh, 4, vals)
+    energy_val = alpha_energy(f, alpha)
+    assert np.array_equal(alpha_energy_gradient(f, alpha).values, grad)
+    assert energy_val == alpha_energy(fresh, alpha)
+    assert np.array_equal(center_of_mass(f, alpha), center_of_mass(fresh, alpha))
+    q = element_energy_integrals(f)
+    assert element_energy_integrals(f) is q
+    # the map holds a view of the caller's array, not a copy
+    assert np.shares_memory(f.values, vals)
+    for kept in (f.values, q):
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        f.values = vals.copy()
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])
@@ -205,10 +220,12 @@ def test_edge_form_matches_three_index_form(level, alpha, monkeypatch):
     raw = alpha_energy_raw_gradient(f, alpha)
     assert np.linalg.norm(raw) == pytest.approx(np.linalg.norm(old), rel=1e-12, abs=0)
     assert np.linalg.norm(raw - old) <= 1e-12 * np.linalg.norm(old)
-    # blocks below the face count: the same q, and the same scatter order
+    # blocks below the face count: the same q, and the same scatter order,
+    # on a fresh map, since f keeps the integrals computed above
     monkeypatch.setattr(energy, "FACE_BLOCK", mesh.face_count // 3 + 1)
-    assert np.array_equal(element_energy_integrals(f), q)
-    assert np.array_equal(alpha_energy_raw_gradient(f, alpha), raw)
+    fresh = SphereMap(mesh, 4, f.values)
+    assert np.array_equal(element_energy_integrals(fresh), q)
+    assert np.array_equal(alpha_energy_raw_gradient(fresh, alpha), raw)
 
 
 def test_dirichlet_energy_convention_independent(mesh3, rng):

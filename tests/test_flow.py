@@ -6,6 +6,7 @@ from scipy.spatial import cKDTree
 
 from spherelab import build_icosphere, energy, flow
 from spherelab.energy import (
+    alpha_energy,
     alpha_energy_gradient,
     center_of_mass,
     constant_map,
@@ -146,11 +147,13 @@ def test_stagnation_carries_last_record():
     assert err.value.record.grad_norm <= 1e-10
 
 
-def test_descend_runs_the_energy_kernel_once_per_map(mesh3, rng, monkeypatch):
-    # the gradient and the record reuse the integrals q of the accepted
-    # trial: every kernel block belongs to an element_energy_integrals call
+def test_descend_runs_the_energy_kernel_once_per_map(mesh3, monkeypatch):
+    # a map keeps its integrals q: the start map, every Armijo trial and
+    # every recentering resample runs the kernel once, and the gradients,
+    # records, centers of mass and the next stage read the kept q
     monkeypatch.setattr(energy, "FACE_BLOCK", 300)  # five blocks at level 3
-    calls = {"energies": 0, "integrals": 0, "blocks": 0}
+    maps = {}  # id -> map; holding every map keeps the ids distinct
+    calls = {"blocks": 0, "resamples": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -158,25 +161,38 @@ def test_descend_runs_the_energy_kernel_once_per_map(mesh3, rng, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(flow, "_alpha_energy_and_integrals",
-                        counted("energies", flow._alpha_energy_and_integrals))
-    monkeypatch.setattr(energy, "element_energy_integrals",
-                        counted("integrals", energy.element_energy_integrals))
+    integrals = energy.element_energy_integrals
+
+    def recorded_integrals(sphere_map):
+        maps[id(sphere_map)] = sphere_map
+        return integrals(sphere_map)
+
+    monkeypatch.setattr(energy, "element_energy_integrals", recorded_integrals)
     monkeypatch.setattr(energy, "_block_integrals",
                         counted("blocks", energy._block_integrals))
-    alpha = 1.1
-    rec = descend(random_map(mesh3, 4, rng), FlowConfig(alpha=alpha, max_iterations=5))
-    assert rec.iterations == 5
-    # one kernel pass for the start map and for each Armijo trial; none for
-    # the gradients or the record
-    assert calls["energies"] > rec.iterations
-    assert calls["integrals"] == calls["energies"]
-    assert calls["blocks"] == 5 * calls["integrals"]
+    monkeypatch.setattr(energy, "sample_map", counted("resamples", energy.sample_map))
+    alpha = 1.2
+    config = FlowConfig(alpha=alpha, grad_tol=1e-2, max_iterations=200)
+    f0 = dilated_equator_map(mesh3, 4, 0.3, axis=np.array([0.36, 0.48, 0.8]))
+    rec = descend(f0, config)
+    result = continue_in_alpha(rec, [1.1, 1.05], config)
+    assert result.succeeded
+    assert calls["resamples"] >= 7  # recentering took a Newton step
+    assert len(maps) > rec.iterations + calls["resamples"]
+    assert calls["blocks"] == 5 * len(maps)
+    # no map was evaluated twice under another identity either
+    assert len({m.values.tobytes() for m in maps.values()}) == len(maps)
     monkeypatch.undo()
-    # the handed-over values carry the bits of the public functions
-    assert rec.energy == dirichlet_energy(rec.map)
-    assert rec.center_of_mass_norm == float(np.linalg.norm(center_of_mass(rec.map, alpha)))
-    assert rec.grad_norm == float(np.linalg.norm(alpha_energy_gradient(rec.map, alpha).values))
+    # the kept values carry the bits of a fresh evaluation
+    fresh = rec.map.copy()
+    assert rec.energy == dirichlet_energy(fresh)
+    assert rec.center_of_mass_norm == float(np.linalg.norm(center_of_mass(fresh, alpha)))
+    assert rec.grad_norm == float(np.linalg.norm(alpha_energy_gradient(fresh, alpha).values))
+    last = result.records[-1]
+    fresh = last.map.copy()
+    assert last.energy == dirichlet_energy(fresh)
+    assert last.alpha_energy == alpha_energy(fresh, 1.05)
+    assert last.center_of_mass_norm == float(np.linalg.norm(center_of_mass(fresh, 1.05)))
 
 
 def test_flow_config_guards():
