@@ -50,16 +50,21 @@ KINDS = ("census", "flow", "spectrum", "covers", "pinch", "morse")
 PINCH_MAX_N = 16                    # the operator is an n^4 array, built several times
 PINCH_MAX_SAMPLES = 1_000_000       # about 10 s at n = 5
 CENSUS_MAX_PARTITIONS = 5_000_000   # sum of C(N, m) over N_min..N_max, each enumerated
-SPECTRUM_MAX_N = 16                 # level 4: 25 s and 0.21 GB; pencil blocks grow as n^2
-SPECTRUM_MAX_K = 200                # level 4, n = 4: 7.9 s (1.7 s at the default k = 22)
-# faces x (n+1)^2 of a level-4, n = SPECTRUM_MAX_N run: the Hessian grows with
-# both, about 4x in memory and 6x in time per level
+# the spectrum guards were sized on the full equator pencil, whose blocks grow
+# as n^2.  One BLAS thread, full pencil -> split solve: a level-4, n = 16 run
+# 20.7 s and 0.20 GB -> 1.3 s and 0.09 GB; level 4, n = 4, k = 200 6.7 -> 4.8 s
+SPECTRUM_MAX_N = 16
+SPECTRUM_MAX_K = 200
+# faces x (n+1)^2 of a level-4, n = SPECTRUM_MAX_N run: the full pencil's
+# Hessian grew with both, about 4x in memory and 6x in time per level
 SPECTRUM_MAX_COST = 20 * 4**4 * (SPECTRUM_MAX_N + 1) ** 2
 # a morse run's desk model and predicted counts need n >= 4, and its census of
 # G_3(R^(n+1)) needs n + 1 within topology's size guard
 MORSE_MAX_N = topology_mod.MAX_N - 1
-# flow and covers factor the V x V P1 matrix K + M with SuperLU: 37.8 M nonzeros,
-# 10.7 s and 1.0 GB at level 7; at level 8 over 100 M nonzeros
+# flow and covers factor V x V P1 matrices in nested-dissection order: at level 7,
+# 20.5 M nonzeros, 3.2 s for order and factor and 0.5 GB for a whole one-stage
+# flow (37.8 M, 7.4 s and 0.65 GB in SuperLU's COLAMD order); at level 8 about
+# 90 M nonzeros
 FACTORED_MAX_LEVEL = 7
 
 

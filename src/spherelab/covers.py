@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .energy import SphereMap, normalize_rows
 from .errors import (
@@ -457,8 +457,12 @@ def pullback_laplace_eigenvalues(f: SphereMap, k: int = 8,
     pencil = assemble_pencil(mesh)
     M_rho = assemble_faces(mesh, (rho * mesh.face_areas)[:, None, None] * MASS_LOCAL)
     rng = np.random.default_rng(1234)
-    v0 = rng.standard_normal(mesh.vertex_count)
+    v = mesh.vertex_count
+    v0 = rng.standard_normal(v)
+    # shift-invert at sigma = -0.1 applies (K + 0.1 M_rho)^-1
+    shifted = mesh.factor(pencil.K + 0.1 * M_rho)
     vals = eigsh(pencil.K, k=k, M=M_rho, sigma=-0.1, which="LM", v0=v0,
+                 OPinv=LinearOperator((v, v), matvec=shifted.solve, dtype=float),
                  return_eigenvectors=False)
     return np.sort(vals), floored
 

@@ -191,9 +191,13 @@ def element_energy_integrals(sphere_map: SphereMap) -> np.ndarray:
         q = np.empty(sphere_map.mesh.face_count)
         for faces, d, c in _face_blocks(sphere_map):
             q[faces] = _block_integrals(d, c)
-        q.flags.writeable = False
-        object.__setattr__(sphere_map, "_integrals", q)
+        _keep_integrals(sphere_map, q)
     return q
+
+
+def _keep_integrals(sphere_map: SphereMap, q: np.ndarray) -> None:
+    q.flags.writeable = False
+    object.__setattr__(sphere_map, "_integrals", q)
 
 
 def _density(q, areas):
@@ -221,13 +225,16 @@ def alpha_energy(sphere_map: SphereMap, alpha: float) -> float:
 
     Density and area element are taken in the area-one convention.  The
     constant is subtracted elementwise (the measure has total mass one),
-    which makes alpha_energy(f, 1) == dirichlet_energy(f) exactly and
-    avoids cancellation for near-constant maps.
+    which makes alpha_energy(f, 1) equal dirichlet_energy(f) to rounding
+    and avoids cancellation for near-constant maps.  The face terms are
+    summed exactly (math.fsum): a pairwise sum is off by about an ulp, more
+    than the decrease of a descent step near a critical point, and the
+    Armijo test compares such energies.
     """
     if alpha < 1.0:
         raise PreconditionError("alpha must be >= 1")
     g, da = element_density_area_one(sphere_map)
-    return 0.5 * float(np.sum(((1.0 + g) ** alpha - 1.0) * da))
+    return 0.5 * math.fsum((((1.0 + g) ** alpha - 1.0) * da).tolist())
 
 
 def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray:
@@ -237,13 +244,19 @@ def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray
     w_f = alpha (1 + |df|^2)^(alpha-1); in the edge form that is
     s_a = D_ab - D_ca, s_b = D_bc - D_ab, s_c = D_ca - D_bc for the
     weighted differences D_e = w_f c_e d_e.  The weights read the map's
-    element_energy_integrals, so the kernel here only scatters.
+    element_energy_integrals; a map that has none yet gets them from this
+    walk, block by block, before the block is scattered.
     """
     mesh = sphere_map.mesh
     areas = mesh.face_areas
-    q = element_energy_integrals(sphere_map)
+    q = sphere_map._integrals
+    fill = q is None
+    if fill:
+        q = np.empty(mesh.face_count)
     out = np.zeros((sphere_map.values.shape[1], mesh.vertex_count))
     for faces, d, c in _face_blocks(sphere_map):
+        if fill:
+            q[faces] = _block_integrals(d, c)
         w = alpha * (1.0 + _density(q[faces], areas[faces])) ** (alpha - 1.0)
         d *= w * c
         # s[:, f, i] for corner i of face f, so that each column's row is
@@ -256,6 +269,8 @@ def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray
         # FACE_BLOCK: it is one scatter over all faces, face by face
         for row, contributions in zip(out, s.reshape(len(out), -1)):
             np.add.at(row, idx, contributions)
+    if fill:
+        _keep_integrals(sphere_map, q)
     return np.ascontiguousarray(out.T)
 
 

@@ -4,7 +4,7 @@ The descent direction is either the projected gradient or, when
 preconditioning is on, the projected solution of (K + M) d = grad per
 coordinate.  Steps use Armijo backtracking followed by pointwise
 renormalization onto the target sphere, so the accepted energy sequence
-is strictly decreasing.  Per-iteration norms are logged so the two
+never increases.  Per-iteration norms are logged so the two
 pseudogradient inequalities can be audited after the fact.
 """
 
@@ -119,8 +119,11 @@ def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
 
     Terminates when the gradient norm falls below
     max(grad_tol * initial norm, grad_tol_abs) or at max_iterations.
-    Raises StagnationError (carrying the last record) if the line search
-    cannot decrease the energy at the smallest allowed step.
+    Near a critical point a step lowers the energy by less than an ulp, so
+    an accepted trial may read the same energy; such a step counts only if
+    it lowers the gradient norm.  Raises StagnationError (carrying the last
+    record) if the line search cannot decrease the energy at the smallest
+    allowed step, or if a step of equal energy does not lower the gradient.
     """
     # a map keeps its element_energy_integrals: the Armijo test computes
     # them for the accepted trial, and its gradient and record reuse them
@@ -170,14 +173,17 @@ def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
                 accepted = True
                 break
             step *= config.step_shrink
+        if accepted:
+            trial_grad = alpha_energy_gradient(trial, config.alpha).values
+            trial_grad_norm = float(np.linalg.norm(trial_grad))
+            accepted = trial_energy < energy_val or trial_grad_norm < grad_norm
         if not accepted:
             raise StagnationError("line search failed to decrease the energy",
                                   record=make_record(False))
         f, energy_val = trial, trial_energy
         energy_log.append(energy_val)
         step_log.append(step)
-        grad = alpha_energy_gradient(f, config.alpha).values
-        grad_norm = float(np.linalg.norm(grad))
+        grad, grad_norm = trial_grad, trial_grad_norm
         iterations += 1
     return make_record(grad_norm <= target)
 

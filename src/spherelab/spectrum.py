@@ -15,15 +15,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigs, eigsh
 
-from .energy import (
-    SphereMap,
-    alpha_energy_raw_gradient,
-    element_density_area_one,
-    equator_map,
-)
+from .energy import SphereMap, element_density_area_one, equator_map
 from .errors import DegenerateElementsError, PreconditionError
 from .sphere_mesh import (FOUR_PI, MASS_LOCAL, SphereMesh, assemble_faces,
                           assemble_pencil)
@@ -74,33 +70,46 @@ class SecondVariationPencil:
         return self.H.shape[0]
 
 
-def constrained_hessian(sphere_map: SphereMap, alpha: float) -> sp.csr_matrix:
-    """Hessian of the discrete alpha-energy with the sphere-constraint correction.
+def _weighted_stiffness(sphere_map: SphereMap, alpha: float):
+    """(K_w, K_w f): the alpha-weighted stiffness and the unconstrained gradient.
 
-    H = kron(K_w, I_C) + S^T diag(c) S - diag(lambda) in ambient coordinates
-    (row v*C + c is coordinate c at vertex v).  K_w is the stiffness with face
-    f weighted by w_f = alpha (1 + |df|^2)^(alpha-1), the alpha-weighted
-    Dirichlet form acting on each coordinate.  Row f of S holds s_f = k_f f
-    at face f's corners, and c_f >= 0, the derivative of w_f along s_f, gives
-    one rank-one term per face; it vanishes at alpha = 1.  K_w f is the
-    unconstrained gradient, so lambda = <K_w f, f> per vertex.
+    K_w is the stiffness with face f weighted by w_f = alpha (1 + |df|^2)^(alpha-1),
+    the alpha-weighted Dirichlet form acting on each coordinate, and K_w f
+    is the gradient of the alpha-energy before tangential projection.
     """
     if alpha < 1.0:
         raise PreconditionError("alpha must be >= 1")
     mesh = sphere_map.mesh
-    values = sphere_map.values
-    V, C = values.shape
-    k_local = mesh.face_stiffness
     g, _ = element_density_area_one(sphere_map)
     w = alpha * (1.0 + g) ** (alpha - 1.0)
-    K_w = assemble_faces(mesh, w[:, None, None] * k_local)
-    lam = np.sum((K_w @ values) * values, axis=1)
+    K_w = assemble_faces(mesh, w[:, None, None] * mesh.face_stiffness)
+    return K_w, K_w @ sphere_map.values
+
+
+def constrained_hessian(sphere_map: SphereMap, alpha: float,
+                        weighted=None) -> sp.csr_matrix:
+    """Hessian of the discrete alpha-energy with the sphere-constraint correction.
+
+    H = kron(K_w, I_C) + S^T diag(c) S - diag(lambda) in ambient coordinates
+    (row v*C + c is coordinate c at vertex v), with (K_w, K_w f) =
+    ``weighted``, built here when not given (see _weighted_stiffness).  Row
+    f of S holds s_f = k_f f at face f's corners, and c_f >= 0, the
+    derivative of w_f along s_f, gives one rank-one term per face; it
+    vanishes at alpha = 1.  K_w f is the unconstrained gradient, so
+    lambda = <K_w f, f> per vertex.
+    """
+    K_w, raw = _weighted_stiffness(sphere_map, alpha) if weighted is None else weighted
+    mesh = sphere_map.mesh
+    values = sphere_map.values
+    V, C = values.shape
+    lam = np.sum(raw * values, axis=1)
     H = sp.kron(K_w, sp.eye(C), format="csr")
     if alpha > 1.0:
+        g, _ = element_density_area_one(sphere_map)
         c = alpha * (alpha - 1.0) * (1.0 + g) ** (alpha - 2.0) \
             * (2.0 * FOUR_PI / mesh.face_areas)
         # S carries sqrt(c_f) s_f, so that the product S^T S is exactly symmetric
-        s = np.sqrt(c)[:, None, None] * np.einsum("fij,fjc->fic", k_local,
+        s = np.sqrt(c)[:, None, None] * np.einsum("fij,fjc->fic", mesh.face_stiffness,
                                                   values[mesh.faces])
         S = sp.csr_matrix(
             (s.reshape(-1), (mesh.faces[:, :, None] * C + np.arange(C)).reshape(-1),
@@ -123,10 +132,10 @@ def _frame_matrix(frame: np.ndarray) -> sp.csr_matrix:
 
 
 def _reduced_pencil(sphere_map: SphereMap, alpha: float, frames: np.ndarray,
-                    kind: str) -> SecondVariationPencil:
-    """Constrained Hessian and coordinatewise mass matrix, both reduced to frames."""
+                    kind: str, H: sp.csr_matrix) -> SecondVariationPencil:
+    """The constrained Hessian H and the coordinatewise mass matrix, both
+    reduced to frames."""
     B = _frame_matrix(frames)
-    H = constrained_hessian(sphere_map, alpha)
     M = assemble_pencil(sphere_map.mesh).M
     M_amb = sp.kron(M, sp.eye(sphere_map.n + 1, format="csr"), format="csr")
     return SecondVariationPencil(
@@ -183,13 +192,15 @@ def assemble_second_variation(sphere_map: SphereMap, alpha: float,
     index interpretation).  The mass side is the consistent mass matrix of
     the domain acting diagonally on coordinates, reduced to the frames.
     """
-    raw = alpha_energy_raw_gradient(sphere_map, alpha)
+    weighted = _weighted_stiffness(sphere_map, alpha)
+    raw = weighted[1]
     tang = raw - np.sum(raw * sphere_map.values, axis=1)[:, None] * sphere_map.values
     rawn = np.linalg.norm(raw)
     if rawn > 0 and np.linalg.norm(tang) / rawn > warn_threshold:
         warnings.warn("map is far from critical; Hessian spectrum is only formal",
                       stacklevel=2)
-    return _reduced_pencil(sphere_map, alpha, _tangent_frames(sphere_map), "tangent")
+    return _reduced_pencil(sphere_map, alpha, _tangent_frames(sphere_map), "tangent",
+                           constrained_hessian(sphere_map, alpha, weighted))
 
 
 def normal_second_variation(sphere_map: SphereMap, alpha: float = 1.0,
@@ -216,7 +227,8 @@ def normal_second_variation(sphere_map: SphereMap, alpha: float = 1.0,
     killed = proj_full + vals[:, :, None] * vals[:, None, :]
     _, svals, vt = np.linalg.svd(np.eye(C)[None] - killed)
     frames = vt[:, : C - 3, :].transpose(0, 2, 1)
-    return _reduced_pencil(sphere_map, alpha, frames, "normal")
+    return _reduced_pencil(sphere_map, alpha, frames, "normal",
+                           constrained_hessian(sphere_map, alpha))
 
 
 def pencil_eigenvalues(H: sp.spmatrix, M: sp.spmatrix, k: int,
@@ -269,17 +281,45 @@ def expected_equator_counts(n: int):
 def equator_spectrum(mesh: SphereMesh, n: int, alpha: float, k: int):
     """(eigenvalues, converged) of the equator's second-variation pencil.
 
+    The pencil splits exactly (Simons 1968).  S has nonzeros only in the R^3
+    columns and lambda is the same for every coordinate, so the Hessian of
+    the equator in S^n does not couple e_4 .. e_(n+1) to R^3.  Its R^3 block
+    is the Hessian of the equator into S^2, a pencil of size 2V; each of the
+    n - 2 other coordinates carries the scalar pencil (K_w - diag(lambda), M).
+    The spectrum is the tangential one merged with the scalar one counted
+    n - 2 times, and the k lowest of it need only ceil(k / (n - 2)) scalar
+    eigenvalues.  The list is as long as a solve of the full pencil, of
+    size nV, returns: min(k, nV - 1).
+
     Cached on the mesh per (n, alpha, k), so the tau calibration and a
     spectrum run with the same k and alpha share one solve.  Only the
-    eigenvalues are kept, read-only; the pencil is dropped.
+    eigenvalues are kept, read-only; the pencils are dropped.
     """
     def solve():
-        pencil = assemble_second_variation(equator_map(mesh, n), alpha)
-        vals, converged = pencil_eigenvalues(pencil.H, pencil.M, k)
+        f = equator_map(mesh, 2)
+        tangent = assemble_second_variation(f, alpha)
+        vals, converged = _lowest_eigenvalues(tangent.H, tangent.M, k)
+        copies = n - 2
+        if copies:
+            K_w, raw = _weighted_stiffness(f, alpha)
+            scalar = (K_w - sp.diags(np.sum(raw * f.values, axis=1))).tocsr()
+            scalar_vals, scalar_ok = _lowest_eigenvalues(
+                scalar, assemble_pencil(mesh).M, -(-k // copies))
+            vals = np.concatenate([vals, np.repeat(scalar_vals, copies)])
+            converged = converged and scalar_ok
+        vals = np.sort(vals)[:min(k, n * mesh.vertex_count - 1)]
         vals.setflags(write=False)
         return vals, converged
 
     return mesh._cached(("equator_spectrum", n, round(alpha, 12), k), solve)
+
+
+def _lowest_eigenvalues(H: sp.spmatrix, M: sp.spmatrix, k: int):
+    """pencil_eigenvalues, or every eigenvalue of a pencil too small for
+    ARPACK to return k (it returns at most N - 1 of N)."""
+    if k < H.shape[0] - 1:
+        return pencil_eigenvalues(H, M, k)
+    return scipy.linalg.eigh(H.toarray(), M.toarray(), eigvals_only=True), True
 
 
 def calibrate_tau(mesh: SphereMesh, n: int, alpha: float = 1.0,

@@ -31,6 +31,8 @@ MASS_LOCAL = (np.ones((3, 3)) + np.eye(3)) / 12.0
 # faces per block of the geometry pass: a block's (3, 3, B) corner array and
 # its (3, B) temporaries stay small, and the pass makes no (F, 3, 3) array
 GEOMETRY_BLOCK = 1 << 16
+# largest part the nested dissection leaves undivided
+DISSECTION_LEAF = 64
 
 
 class AreaConvention(enum.Enum):
@@ -278,28 +280,105 @@ class SphereMesh:
     def total_area(self):
         return float(self.face_areas.sum())
 
+    @property
+    def dissection_order(self):
+        """Nested-dissection order of the vertices (cached)."""
+        return self._cached("dissection_order",
+                            lambda: _nested_dissection(self.vertices, self.faces))
+
+    def factor(self, matrix):
+        """Factor of a symmetric positive definite V x V matrix on this mesh,
+        in the nested-dissection order."""
+        return DissectionFactor(matrix, self.dissection_order)
+
     def solve_mass(self, rhs):
         """Solve M x = rhs columnwise (M is the consistent mass matrix)."""
-        lu = self._cached("mass_lu", lambda: splu(assemble_pencil(self).M.tocsc()))
-        return _solve_columns(lu, rhs)
+        lu = self._cached("mass_lu", lambda: self.factor(assemble_pencil(self).M))
+        return lu.solve(rhs)
 
     def solve_stiff_plus_mass(self, rhs):
         """Solve (K + M) x = rhs columnwise; factorization is cached."""
         def factor():
             pencil = assemble_pencil(self)
-            return splu((pencil.K + pencil.M).tocsc())
+            return self.factor(pencil.K + pencil.M)
 
-        return _solve_columns(self._cached("km_lu", factor), rhs)
+        return self._cached("km_lu", factor).solve(rhs)
 
 
-def _solve_columns(lu, rhs):
-    """One SuperLU solve for all columns of rhs, as a C-ordered array.
+def _nested_dissection(points, faces):
+    """Geometric nested-dissection order of the vertices (George 1973).
 
-    With a vendor BLAS, blocks of four or more columns go through other
-    dtrsm / dgemm kernels than single columns do, so columns can differ from
-    one-column solves in the last bits.
+    A part of more than DISSECTION_LEAF vertices is split by
+    _dissection_step; both halves are numbered first, each dissected in
+    turn, and the separator last.  A factor in this order fills in only
+    within the parts and along the separators.
     """
-    return np.ascontiguousarray(lu.solve(np.asarray(rhs, dtype=float)))
+    ends = _edge_table(faces, len(points))[0].T.astype(np.int32)
+    side = np.empty(len(points), dtype=np.int8)
+    order = []
+
+    def dissect(part, ends):
+        if len(part) <= DISSECTION_LEAF:
+            order.append(np.sort(part))
+            return
+        left, right, separator = _dissection_step(points, part, ends, side)
+        dissect(*left)
+        dissect(*right)
+        order.append(separator)
+
+    dissect(np.arange(len(points)), ends)
+    return np.concatenate(order)
+
+
+def _dissection_step(points, part, ends, side):
+    """Split part at the median of its widest coordinate.
+
+    ends is a (2, m) array of the edges within part, in either direction,
+    and side a scratch array with an entry per vertex.  The separator is the
+    left-side vertices with an edge across the cut, and it is taken out of
+    the left half, so no edge joins the halves.  Returns ((left, edges within
+    left), (right, edges within right), separator).
+    """
+    coords = points[part]
+    axis = int(np.argmax(np.ptp(coords, axis=0)))
+    half = len(part) // 2
+    ranks = np.argpartition(coords[:, axis], half)
+    left, right = part[ranks[:half]], part[ranks[half:]]
+    side[left], side[right] = 0, 1
+    s = side[ends]
+    cross = s[0] != s[1]
+    separator = np.unique(np.where(s[0, cross] == 0, ends[0, cross], ends[1, cross]))
+    side[separator] = 2
+    s = side[ends]
+    inner = s[0] == s[1]
+    return ((left[side[left] == 0], ends[:, inner & (s[0] == 0)]),
+            (right, ends[:, inner & (s[0] == 1)]), separator)
+
+
+class DissectionFactor:
+    """LU factor of a symmetric positive definite matrix in a given order.
+
+    The permuted matrix is factored as it stands (no column ordering and no
+    pivoting, both safe for a positive definite matrix).
+    """
+
+    def __init__(self, matrix, order):
+        self.order = order
+        self.lu = splu(matrix.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+    def solve(self, rhs):
+        """Solve for a vector or for all columns of a (V, m) block in one
+        SuperLU call, as a C-ordered array.
+
+        With a vendor BLAS, blocks of four or more columns go through other
+        dtrsm / dgemm kernels than single columns do, so columns can differ
+        from one-column solves in the last bits.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        x = np.empty(rhs.shape)
+        x[self.order] = self.lu.solve(rhs[self.order])
+        return x
 
 
 @dataclass(frozen=True)

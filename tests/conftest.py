@@ -42,6 +42,21 @@ def count_eigsh(monkeypatch, module):
     return calls
 
 
+def assert_spectra_close(vals, ref, rtol=1e-10):
+    """Same length, and every value within rtol of the largest |ref|."""
+    assert len(vals) == len(ref)
+    assert np.max(np.abs(np.asarray(vals) - ref)) <= rtol * np.max(np.abs(ref))
+
+
+def count_face_blocks(monkeypatch, energy_module):
+    """Record the map of every _face_blocks walk, however the kernel is reached."""
+    walks = []
+    face_blocks = energy_module._face_blocks
+    monkeypatch.setattr(energy_module, "_face_blocks",
+                        lambda f: walks.append(f) or face_blocks(f))
+    return walks
+
+
 def p1_scatter_reference(mesh, vals, symmetrize=False):
     """The hand-written P1 scatter that sphere_mesh.assemble_faces replaced.
 

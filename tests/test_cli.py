@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import count_eigsh
+from conftest import assert_spectra_close, count_eigsh
 from spherelab import build_icosphere
 from spherelab import covers as covers_mod
 from spherelab import spectrum as spectrum_mod
@@ -325,7 +325,9 @@ def test_spectrum_run_solves_once(tmp_path, monkeypatch):
     path = write_config(tmp_path, "spectrum.json",
                         {"kind": "spectrum", "level": 3, "n": 4})
     assert main(["spectrum", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert calls == [22]  # the tau calibration and the index share the solve
+    # the tau calibration and the index share one split solve: the tangential
+    # pencil at k = 22 and the scalar one at ceil(22 / (n - 2)) = 11
+    assert calls == [22, 11]
 
 
 def test_spectrum_run_with_own_k_solves_twice(tmp_path, monkeypatch):
@@ -334,7 +336,7 @@ def test_spectrum_run_with_own_k_solves_twice(tmp_path, monkeypatch):
                         {"kind": "spectrum", "level": 3, "n": 4, "k": 25})
     out = str(tmp_path / "out")
     assert main(["spectrum", "--config", path, "--out", out]) == EXIT_OK
-    assert calls == [22, 25]
+    assert calls == [22, 11, 25, 13]
     assert read_report(out)["metrics"]["nullity"]["value"] == 12
 
 
@@ -343,11 +345,12 @@ def test_spectrum_run_matches_separate_solves(tmp_path):
                         {"kind": "spectrum", "level": 3, "n": 5})
     out = str(tmp_path / "out")
     assert main(["spectrum", "--config", path, "--out", out]) == EXIT_OK
-    # the pre-sharing path: calibration and index each solve a fresh pencil
+    # the pre-sharing path: calibration and index each make a fresh split
+    # solve, on meshes of their own
     mesh = build_icosphere(3)
     tau = spectrum_mod.calibrate_tau(mesh, 5)
-    pencil = spectrum_mod.assemble_second_variation(equator_map(mesh, 5), 1.0)
-    rep = spectrum_mod.morse_index_nullity(pencil, 26, tau)
+    vals, converged = spectrum_mod.equator_spectrum(build_icosphere(3), 5, 1.0, 26)
+    rep = spectrum_mod.classify_spectrum(vals, converged, 26, tau)
     metrics = read_report(out)["metrics"]
     assert metrics["tau"]["value"] == tau
     assert (metrics["index"]["value"], metrics["nullity"]["value"]) == (rep.index,
@@ -355,6 +358,11 @@ def test_spectrum_run_matches_separate_solves(tmp_path):
     with open(os.path.join(out, "spectra.csv"), newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [(int(r), float(v), c) for r, v, c in rows] == rep.to_rows()
+    # and the full reduced pencil, to 1e-10, with the same index and nullity
+    pencil = spectrum_mod.assemble_second_variation(equator_map(mesh, 5), 1.0)
+    full = spectrum_mod.morse_index_nullity(pencil, 26, tau)
+    assert_spectra_close(rep.eigenvalues, full.eigenvalues)
+    assert (full.index, full.nullity) == (rep.index, rep.nullity)
 
 
 def test_double_cover_run_solves_once(tmp_path, monkeypatch):

@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 import sympy
+from scipy.sparse.linalg import eigsh
 
+from conftest import assert_spectra_close
+from spherelab import build_icosphere
+from spherelab import covers as covers_mod
 from spherelab.covers import (
     INF,
     EquatorTargetMap,
@@ -20,6 +24,7 @@ from spherelab.covers import (
     induced_metric_lambda1,
     inverse_stereographic,
     normalize_double_cover,
+    pullback_laplace_eigenvalues,
     stereographic,
 )
 from spherelab.energy import constant_map, dirichlet_energy, equator_map
@@ -28,6 +33,7 @@ from spherelab.errors import (
     InvariantViolationError,
     PreconditionError,
 )
+from spherelab.sphere_mesh import MASS_LOCAL, assemble_faces, assemble_pencil
 
 FOUR_PI = 4.0 * math.pi
 
@@ -246,6 +252,43 @@ def test_normal_index_bounds(mesh4):
     assert double_cover_normal_index(f5, 5) >= 6
     base = compose_cover(EquatorTargetMap(4), RationalMap.power(1), mesh4)
     assert double_cover_normal_index(base, 4) == 2
+
+
+def pullback_pencil(level):
+    """K and M_rho of the degree-2 cover of the equator in S^4."""
+    mesh = build_icosphere(level)
+    f = compose_cover(EquatorTargetMap(4), RationalMap.power(2), mesh)
+    rho, _ = covers_mod._conformal_factors(f, 1e-8)
+    M_rho = assemble_faces(mesh, (rho * mesh.face_areas)[:, None, None] * MASS_LOCAL)
+    return f, assemble_pencil(mesh).K, M_rho
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_dissection_factor_solves_shifted_pullback_pencil(level):
+    f, K, M_rho = pullback_pencil(level)
+    A = K + 0.1 * M_rho
+    factor = f.mesh.factor(A)
+    rhs = np.random.default_rng(level).standard_normal((f.mesh.vertex_count, 5))
+    for b in (rhs[:, 3], rhs):
+        x = factor.solve(b)
+        assert x.shape == b.shape
+        assert np.all(np.linalg.norm(A @ x - b, axis=0) <= 1e-12 * np.linalg.norm(b, axis=0))
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_pullback_eigenvalues_match_eigsh_own_factor(monkeypatch, level):
+    # reference: eigsh factoring K + 0.1 M_rho itself (SuperLU's default
+    # COLAMD order) for the same pencil, shift and start vector
+    f, K, M_rho = pullback_pencil(level)
+    inverses = []
+    monkeypatch.setattr(covers_mod, "eigsh",
+                        lambda *a, **kw: inverses.append(kw["OPinv"]) or eigsh(*a, **kw))
+    vals, _ = pullback_laplace_eigenvalues(f, k=16)
+    assert len(inverses) == 1
+    v0 = np.random.default_rng(1234).standard_normal(f.mesh.vertex_count)
+    ref = eigsh(K, k=16, M=M_rho, sigma=-0.1, which="LM", v0=v0,
+                return_eigenvectors=False)
+    assert_spectra_close(vals, np.sort(ref), rtol=1e-12)
 
 
 def test_constant_map_has_no_pulled_back_metric(mesh2):

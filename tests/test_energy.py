@@ -1,12 +1,14 @@
 import math
 from dataclasses import FrozenInstanceError
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
+from conftest import count_face_blocks
 from spherelab import build_icosphere
 from spherelab import energy
 from spherelab.energy import (
@@ -195,6 +197,35 @@ def test_map_keeps_read_only_integrals(alpha):
             kept[0] = 0.0
     with pytest.raises(FrozenInstanceError):
         f.values = vals.copy()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.1, 1.5])
+def test_alpha_energy_is_the_correctly_rounded_sum_of_its_face_terms(mesh3, alpha):
+    # oracle: the exact rational sum of the same face terms
+    for seed in range(4):
+        f = random_map(mesh3, 4, np.random.default_rng(seed))
+        g, da = element_density_area_one(f)
+        terms = ((1.0 + g) ** alpha - 1.0) * da
+        exact = sum((Fraction(t) for t in terms.tolist()), Fraction(0))
+        assert alpha_energy(f, alpha) == 0.5 * float(exact)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.1])
+def test_fresh_gradient_walks_the_faces_once(monkeypatch, alpha):
+    # a fresh map's gradient keeps the integrals of its own walk: the bits of
+    # a separate element_energy_integrals walk, over five 4096-face blocks
+    walks = count_face_blocks(monkeypatch, energy)
+    mesh = build_icosphere(5)
+    vals = normalize_rows(np.random.default_rng(6).standard_normal((mesh.vertex_count, 5)))
+    f = SphereMap(mesh, 4, vals)
+    grad = alpha_energy_gradient(f, alpha).values
+    assert walks == [f]
+    q = element_energy_integrals(f)
+    assert len(walks) == 1 and not q.flags.writeable
+    other = SphereMap(mesh, 4, vals)
+    assert np.array_equal(q, element_energy_integrals(other))
+    assert np.array_equal(alpha_energy_gradient(other, alpha).values, grad)
+    assert len(walks) == 3
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])

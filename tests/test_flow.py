@@ -231,9 +231,11 @@ def test_continuation_reaches_harmonic_limit(mesh3, rng):
     assert result.records[-1].harmonic_residual <= 10.0 * reference
 
 
-@pytest.mark.parametrize("seed", [2, 3, 4])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_level5_continuation_completes_schedule(seed):
-    # the start map and config of `spherelab flow` at level 5, n = 4
+    # the start map and config of `spherelab flow` at level 5, n = 4; with a
+    # pairwise-summed alpha-energy, seed 1's last stage stalled: near its end
+    # every Armijo trial read one ulp above the current energy
     rng = np.random.default_rng(seed)
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 from conftest import (
     assert_csr_equal,
+    assert_spectra_close,
     block_scatter_reference,
     count_eigsh,
+    count_face_blocks,
     p1_scatter_reference,
     record_face_blocks,
     smooth_weight,
 )
 from spherelab import build_icosphere
 from spherelab import covers as covers_mod
+from spherelab import energy as energy_mod
 from spherelab import spectrum as spectrum_mod
 from spherelab.energy import (
     SphereMap,
@@ -32,6 +36,7 @@ from spherelab.errors import DegenerateElementsError, PreconditionError
 from spherelab.spectrum import (
     assemble_second_variation,
     calibrate_tau,
+    classify_spectrum,
     constrained_hessian,
     cutoff_dirichlet_energy,
     cutoff_profile,
@@ -157,19 +162,95 @@ def test_calibration_shares_the_equator_solve(monkeypatch):
     mesh = build_icosphere(3)
     n = 4
     idx, nul = expected_equator_counts(n)
+    k = idx + nul + 8
     calls = count_eigsh(monkeypatch, spectrum_mod)
     tau = calibrate_tau(mesh, n)
-    vals, converged = equator_spectrum(mesh, n, 1.0, idx + nul + 8)
-    assert calls == [idx + nul + 8] and converged
-    assert calibrate_tau(mesh, n) == tau and len(calls) == 1
+    vals, converged = equator_spectrum(mesh, n, 1.0, k)
+    # one split solve: the tangential pencil at k, the scalar one at k / (n - 2)
+    assert calls == [k, k // 2] and converged
+    assert calibrate_tau(mesh, n) == tau and len(calls) == 2
     assert not vals.flags.writeable
-    # the cached eigenvalues are those of the uncached full solve, bit for bit
+    # the cached eigenvalues are those of an uncached split solve, bit for bit
+    fresh, _ = equator_spectrum(build_icosphere(3), n, 1.0, k)
+    np.testing.assert_array_equal(fresh, vals)
+    # and those of the full reduced pencil to 1e-10, with its index and nullity
     pencil = assemble_second_variation(equator_map(mesh, n), 1.0)
-    report = morse_index_nullity(pencil, idx + nul + 8, tau)
-    np.testing.assert_array_equal(report.eigenvalues, vals)
+    report = morse_index_nullity(pencil, k, tau)
+    assert_spectra_close(vals, report.eigenvalues)
     assert (report.index, report.nullity) == (idx, nul)
+    assert calls == [k, k // 2, k, k // 2, k]
     equator_spectrum(mesh, n, 1.0, 25)
-    assert calls == [idx + nul + 8, idx + nul + 8, 25]
+    assert calls[5:] == [25, 13]
+
+
+@pytest.mark.parametrize("level, n, alpha",
+                         [(level, n, alpha) for level in (3, 4) for n in (3, 4, 5, 6)
+                          for alpha in (1.0, 1.1)] + [(5, 3, 1.0)])
+def test_equator_split_matches_full_pencil(request, level, n, alpha):
+    # oracle: a sparse solve of the full reduced pencil, of size nV, with a
+    # shift of its own, at the calibration's k (with fewer values past the
+    # null cluster, the full solve can miss one copy of a multiple eigenvalue)
+    mesh = request.getfixturevalue(f"mesh{level}") if level < 5 else build_icosphere(5)
+    idx, nul = expected_equator_counts(n)
+    k = idx + nul + 8
+    tau = calibrate_tau(mesh, n)
+    vals, converged = equator_spectrum(mesh, n, alpha, k)
+    pencil = assemble_second_variation(equator_map(mesh, n), alpha)
+    v0 = np.random.default_rng(level).standard_normal(pencil.dim)
+    full = classify_spectrum(
+        np.sort(eigsh(pencil.H.tocsc(), k=k, M=pencil.M.tocsc(), sigma=-4.0, v0=v0,
+                      return_eigenvectors=False)), True, k, tau)
+    assert converged
+    assert_spectra_close(vals, full.eigenvalues)
+    split = classify_spectrum(vals, converged, k, tau)
+    assert (split.index, split.nullity) == (full.index, full.nullity)
+    if alpha == 1.0:
+        assert (split.index, split.nullity) == (idx, nul)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_equator_split_lists_as_many_values_as_the_full_solve(level, n):
+    # at k = 200 a part can be too small for ARPACK, which returns at most
+    # N - 1 of N eigenvalues; the merged list is still as long as the full
+    # solve's, min(k, nV - 1)
+    mesh = build_icosphere(level)
+    vals, converged = equator_spectrum(mesh, n, 1.0, 200)
+    pencil = assemble_second_variation(equator_map(mesh, n), 1.0)
+    full, full_converged = pencil_eigenvalues(pencil.H, pencil.M, 200)
+    assert converged and full_converged
+    assert len(vals) == min(200, n * mesh.vertex_count - 1)
+    assert_spectra_close(vals, full)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("alpha", [1.0, 1.1])
+def test_equator_split_at_every_small_k_matches_dense_full_pencil(n, alpha):
+    # ceil(k / (n - 2)) scalar values: with one fewer, the k-th merged value
+    # can be a tangential one where the full pencil has a scalar one
+    mesh = build_icosphere(1)
+    pencil = assemble_second_variation(equator_map(mesh, n), alpha)
+    full = scipy.linalg.eigh(pencil.H.toarray(), pencil.M.toarray(), eigvals_only=True)
+    for k in range(1, 4 * (n - 2) + 3):
+        vals, converged = equator_spectrum(mesh, n, alpha, k)
+        assert converged
+        assert_spectra_close(vals, full[:k])
+
+
+@pytest.mark.filterwarnings("ignore:map is far from critical")
+@pytest.mark.parametrize("alpha", [1.0, 1.1])
+def test_second_variation_walks_the_faces_once(monkeypatch, mesh3, alpha):
+    # the warning and the multipliers both read the one K_w f; the density
+    # behind K_w is the fresh map's one kernel walk
+    walks = count_face_blocks(monkeypatch, energy_mod)
+    assemblies = record_face_blocks(monkeypatch, spectrum_mod)
+    f = perturbed_equator(mesh3, 4, seed=11)
+    pencil = assemble_second_variation(f, alpha)
+    assert walks == [f] and len(assemblies) == 1
+    H_ref, M_ref = reduced_pencil_reference(perturbed_equator(mesh3, 4, seed=11), alpha,
+                                            pencil.frame)
+    assert_csr_equal(pencil.H, H_ref)
+    assert_csr_equal(pencil.M, M_ref)
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -323,8 +323,55 @@ def test_assembly_deterministic(mesh3):
     assert abs(a.M - b.M).max() == 0.0
 
 
+@pytest.mark.parametrize("level", [2, 4, 6])
+def test_dissection_separates_halves_and_numbers_separators_last(level):
+    # the walk keeps its own edge lists, from the unique edge table, and
+    # checks each step: a median split, no edge between the halves, a
+    # separator of left vertices each with an edge across; the order is
+    # each half's order and then the separator
+    mesh = build_icosphere(level)
+    v = mesh.vertex_count
+    order = mesh.dissection_order
+    assert np.array_equal(np.sort(order), np.arange(v))
+    label = np.empty(v, dtype=np.int8)
+    side = np.empty(v, dtype=np.int8)
+
+    def walk(part, edges):
+        if len(part) <= sphere_mesh.DISSECTION_LEAF:
+            return [np.sort(part)]
+        left, right, separator = sphere_mesh._dissection_step(
+            mesh.vertices, part, edges.T.astype(np.int32), side)
+        (left, _), (right, _) = left, right
+        assert np.array_equal(np.sort(np.concatenate([left, right, separator])),
+                              np.sort(part))
+        assert len(left) + len(separator) == len(part) // 2
+        label[left], label[right], label[separator] = 0, 1, 2
+        ends = label[edges]
+        assert not np.any((ends[:, 0] + ends[:, 1] == 1))
+        across = np.any(ends == 1, axis=1) & np.any(ends == 2, axis=1)
+        assert np.array_equal(np.unique(edges[across][ends[across] == 2]), separator)
+        return (walk(left, edges[(ends[:, 0] == 0) & (ends[:, 1] == 0)])
+                + walk(right, edges[(ends[:, 0] == 1) & (ends[:, 1] == 1)]) + [separator])
+
+    assert np.array_equal(order, np.concatenate(walk(np.arange(v), mesh.edges())))
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_dissection_factor_solves_mass_and_stiff_plus_mass(level):
+    mesh = build_icosphere(level)
+    pencil = assemble_pencil(mesh)
+    rhs = np.random.default_rng(level).standard_normal((mesh.vertex_count, 5))
+    for solve, A in ((mesh.solve_mass, pencil.M),
+                     (mesh.solve_stiff_plus_mass, pencil.K + pencil.M)):
+        for b in (rhs[:, 1], rhs):
+            x = solve(b)
+            assert x.shape == b.shape
+            assert np.all(np.linalg.norm(A @ x - b, axis=0)
+                          <= 1e-12 * np.linalg.norm(b, axis=0))
+
+
 class CountingLU:
-    """Wraps a SuperLU factorization and counts its solve calls."""
+    """Wraps a cached factorization and counts its solve calls."""
 
     def __init__(self, lu):
         self.lu, self.calls = lu, 0
