@@ -10,6 +10,7 @@ pseudogradient inequalities can be audited after the fact.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -310,19 +311,16 @@ def index_semicontinuity_report(sphere_map: SphereMap, alpha: float,
     recorded, never asserted: it can fail near degeneration where the
     discretization under-resolves the concentrating region.
     """
-    from .spectrum import assemble_second_variation, calibrate_tau, morse_index_nullity
+    from .spectrum import calibrate_tau, classify_spectrum, split_spectrum
 
     n = sphere_map.n
     if tau is None:
         tau = calibrate_tau(sphere_map.mesh, n, alpha=1.0)
     if k is None:
         k = (n - 2) * 4 + 6 + 10
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        pencil = assemble_second_variation(sphere_map, alpha)
-    report = morse_index_nullity(pencil, k, tau)
+        report = classify_spectrum(*split_spectrum(sphere_map, alpha, k), k, tau)
     detections = detect_concentration(sphere_map, epsilon_su, radius)
     bound = len(detections) * (n - 2)
     return {

@@ -6,6 +6,11 @@ standard correction that subtracts, per vertex, the inner product of the
 unconstrained gradient with the vertex value.  Pencils are reduced to
 per-vertex orthonormal tangent (or normal) frames and solved by a sparse
 shift-invert Lanczos iteration with a deterministic start vector.
+
+Every index solve is split_spectrum, which splits the coordinates a map
+leaves identically zero off as copies of one scalar pencil.  Only
+normal_second_variation and the tests (criterion 02 among them) build
+the full pencil of size nV.
 """
 
 from __future__ import annotations
@@ -278,40 +283,45 @@ def expected_equator_counts(n: int):
     return n - 2, 3 * (n - 2) + 6
 
 
-def equator_spectrum(mesh: SphereMesh, n: int, alpha: float, k: int):
-    """(eigenvalues, converged) of the equator's second-variation pencil.
+def split_spectrum(sphere_map: SphereMap, alpha: float, k: int):
+    """(eigenvalues, converged): the k lowest of the map's second-variation pencil.
 
-    The pencil splits exactly (Simons 1968).  S has nonzeros only in the R^3
-    columns and lambda is the same for every coordinate, so the Hessian of
-    the equator in S^n does not couple e_4 .. e_(n+1) to R^3.  Its R^3 block
-    is the Hessian of the equator into S^2, a pencil of size 2V; each of the
-    n - 2 other coordinates carries the scalar pencil (K_w - diag(lambda), M).
-    The spectrum is the tangential one merged with the scalar one counted
-    n - 2 times, and the k lowest of it need only ceil(k / (n - 2)) scalar
-    eigenvalues.  The list is as long as a solve of the full pencil, of
-    size nV, returns: min(k, nV - 1).
-
-    Cached on the mesh per (n, alpha, k), so the tau calibration and a
-    spectrum run with the same k and alpha share one solve.  Only the
-    eigenvalues are kept, read-only; the pencils are dropped.
+    The pencil splits exactly (Simons 1968).  Let m >= 2 index the last
+    column of the values that is not identically zero.  S has nonzeros
+    only in columns 0 .. m and lambda is the same for every coordinate, so
+    the Hessian is that of the head map into S^m (a pencil of size mV) and
+    n - m copies of the scalar pencil (K_w - diag(lambda), M), of which the
+    k lowest need only ceil(k / (n - m)) scalar eigenvalues.  A map that
+    uses every column is solved as its full pencil.  The read-only list is
+    as long as a solve of the full pencil, of size nV, returns: min(k, nV - 1).
     """
-    def solve():
-        f = equator_map(mesh, 2)
-        tangent = assemble_second_variation(f, alpha)
-        vals, converged = _lowest_eigenvalues(tangent.H, tangent.M, k)
-        copies = n - 2
-        if copies:
-            K_w, raw = _weighted_stiffness(f, alpha)
-            scalar = (K_w - sp.diags(np.sum(raw * f.values, axis=1))).tocsr()
-            scalar_vals, scalar_ok = _lowest_eigenvalues(
-                scalar, assemble_pencil(mesh).M, -(-k // copies))
-            vals = np.concatenate([vals, np.repeat(scalar_vals, copies)])
-            converged = converged and scalar_ok
-        vals = np.sort(vals)[:min(k, n * mesh.vertex_count - 1)]
-        vals.setflags(write=False)
-        return vals, converged
+    mesh, n = sphere_map.mesh, sphere_map.n
+    m = max(2, int(np.flatnonzero(np.any(sphere_map.values != 0.0, axis=0))[-1]))
+    head = sphere_map if m == n else SphereMap(mesh, m, sphere_map.values[:, :m + 1])
+    tangent = assemble_second_variation(head, alpha)
+    vals, converged = _lowest_eigenvalues(tangent.H, tangent.M, k)
+    copies = n - m
+    if copies:
+        K_w, raw = _weighted_stiffness(head, alpha)
+        scalar = (K_w - sp.diags(np.sum(raw * head.values, axis=1))).tocsr()
+        scalar_vals, scalar_ok = _lowest_eigenvalues(
+            scalar, assemble_pencil(mesh).M, -(-k // copies))
+        vals = np.concatenate([vals, np.repeat(scalar_vals, copies)])
+        converged = converged and scalar_ok
+    vals = np.sort(vals)[:min(k, n * mesh.vertex_count - 1)]
+    vals.setflags(write=False)
+    return vals, converged
 
-    return mesh._cached(("equator_spectrum", n, round(alpha, 12), k), solve)
+
+def equator_spectrum(mesh: SphereMesh, n: int, alpha: float, k: int):
+    """split_spectrum of the equator in S^n, cached on the mesh per (n, alpha, k).
+
+    The tau calibration and a spectrum run with the same k and alpha share
+    one solve.  Only the eigenvalues are kept, read-only; the pencils are
+    dropped.
+    """
+    return mesh._cached(("equator_spectrum", n, round(alpha, 12), k),
+                        lambda: split_spectrum(equator_map(mesh, n), alpha, k))
 
 
 def _lowest_eigenvalues(H: sp.spmatrix, M: sp.spmatrix, k: int):

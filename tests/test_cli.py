@@ -10,6 +10,7 @@ import pytest
 from conftest import assert_spectra_close, count_eigsh
 from spherelab import build_icosphere
 from spherelab import covers as covers_mod
+from spherelab import flow as flow_mod
 from spherelab import spectrum as spectrum_mod
 from spherelab.cli import (
     CENSUS_MAX_PARTITIONS,
@@ -418,6 +419,40 @@ def test_flow_run_with_telemetry(tmp_path):
         header = fh.readline().strip().split(",")
     assert header[:6] == ["stage", "iteration", "alpha", "alpha_energy",
                           "grad_norm", "step"]
+
+
+def test_no_cli_run_builds_the_full_pencil(tmp_path, monkeypatch):
+    # every index solve on a CLI path is the split one: whatever n is, each
+    # reduced pencil built is that of a map into S^2 (C = 3, size 2V)
+    shapes, reported = [], []
+    reduced = spectrum_mod._reduced_pencil
+    monkeypatch.setattr(spectrum_mod, "_reduced_pencil",
+                        lambda f, alpha, frames, *a: shapes.append(frames.shape)
+                        or reduced(f, alpha, frames, *a))
+    semicontinuity = flow_mod.index_semicontinuity_report
+    monkeypatch.setattr(flow_mod, "index_semicontinuity_report",
+                        lambda f, alpha: reported.append((f, alpha))
+                        or semicontinuity(f, alpha))
+    flow_path = write_config(tmp_path, "flow.json",
+                             {"kind": "flow", "level": 3, "n": 5,
+                              "alpha_schedule": [1.2, 1.1],
+                              "semicontinuity_experiment": True})
+    spectrum_path = write_config(tmp_path, "spectrum.json",
+                                 {"kind": "spectrum", "level": 3, "n": 5})
+    flow_out = str(tmp_path / "flow")
+    assert main(["flow", "--config", flow_path, "--out", flow_out]) == EXIT_OK
+    assert main(["spectrum", "--config", spectrum_path,
+                 "--out", str(tmp_path / "spectrum")]) == EXIT_OK
+    assert shapes and all(shape[1] == 3 for shape in shapes)
+    monkeypatch.undo()
+    # oracle: the full reduced pencil of the reported map, at flow's k and tau
+    ((f, alpha),) = reported
+    k = (f.n - 2) * 4 + 6 + 10
+    full = spectrum_mod.morse_index_nullity(
+        spectrum_mod.assemble_second_variation(f, alpha), k,
+        spectrum_mod.calibrate_tau(f.mesh, f.n))
+    metric = read_report(flow_out)["metrics"]["index_semicontinuity"]["value"]
+    assert metric["index"] == full.index
 
 
 def test_kind_subcommand_mismatch(tmp_path, capsys):

@@ -30,6 +30,8 @@ from spherelab.flow import (
     index_semicontinuity_report,
     project_tangent,
 )
+from spherelab.spectrum import (assemble_second_variation, calibrate_tau,
+                                morse_index_nullity)
 from spherelab.sphere_mesh import SphereMesh
 
 FOUR_PI = 4.0 * math.pi
@@ -400,9 +402,14 @@ def test_detection_radius_guard(mesh2):
         detect_concentration(equator_map(mesh2, 4), 1.0, 2.0)
 
 
+@pytest.mark.filterwarnings("ignore:map is far from critical")
 def test_index_semicontinuity_report(mesh3):
     f = dilated_equator_map(mesh3, 4, 1.5, axis="z")
     report = index_semicontinuity_report(f, alpha=1.05, radius=0.4)
     assert set(report) >= {"index", "detections", "bubble_index_bound",
                            "satisfied"}
     assert report["bubble_index_bound"] == report["detections"] * 2
+    # oracle: the full reduced pencil at the report's default k and tau
+    full = morse_index_nullity(assemble_second_variation(f, 1.05), 2 * 4 + 6 + 10,
+                               calibrate_tau(mesh3, 4))
+    assert report["index"] == full.index

@@ -26,6 +26,7 @@ from spherelab.energy import (
     alpha_energy_gradient,
     alpha_energy_raw_gradient,
     constant_map,
+    dilated_equator_map,
     element_density_area_one,
     equator_map,
     normalize_rows,
@@ -33,6 +34,7 @@ from spherelab.energy import (
     random_tangent_field,
 )
 from spherelab.errors import DegenerateElementsError, PreconditionError
+from spherelab.flow import FlowConfig, continue_in_alpha, descend
 from spherelab.spectrum import (
     assemble_second_variation,
     calibrate_tau,
@@ -47,6 +49,7 @@ from spherelab.spectrum import (
     normal_second_variation,
     pencil_eigenvalues,
     scaling_invariance_check,
+    split_spectrum,
     weighted_scalar_pencil,
 )
 from spherelab.sphere_mesh import assemble_pencil
@@ -181,6 +184,16 @@ def test_calibration_shares_the_equator_solve(monkeypatch):
     assert calls == [k, k // 2, k, k // 2, k]
     equator_spectrum(mesh, n, 1.0, 25)
     assert calls[5:] == [25, 13]
+    assert np.array_equal(vals, split_spectrum(equator_map(mesh, n), 1.0, k)[0])
+
+
+def full_pencil_report(f, alpha, k, tau, seed):
+    """Oracle: a sparse solve of the full reduced pencil with a shift of its own."""
+    pencil = assemble_second_variation(f, alpha)
+    v0 = np.random.default_rng(seed).standard_normal(pencil.dim)
+    return classify_spectrum(
+        np.sort(eigsh(pencil.H.tocsc(), k=k, M=pencil.M.tocsc(), sigma=-4.0, v0=v0,
+                      return_eigenvectors=False)), True, k, tau)
 
 
 @pytest.mark.parametrize("level, n, alpha",
@@ -195,11 +208,7 @@ def test_equator_split_matches_full_pencil(request, level, n, alpha):
     k = idx + nul + 8
     tau = calibrate_tau(mesh, n)
     vals, converged = equator_spectrum(mesh, n, alpha, k)
-    pencil = assemble_second_variation(equator_map(mesh, n), alpha)
-    v0 = np.random.default_rng(level).standard_normal(pencil.dim)
-    full = classify_spectrum(
-        np.sort(eigsh(pencil.H.tocsc(), k=k, M=pencil.M.tocsc(), sigma=-4.0, v0=v0,
-                      return_eigenvectors=False)), True, k, tau)
+    full = full_pencil_report(equator_map(mesh, n), alpha, k, tau, seed=level)
     assert converged
     assert_spectra_close(vals, full.eigenvalues)
     split = classify_spectrum(vals, converged, k, tau)
@@ -235,6 +244,77 @@ def test_equator_split_at_every_small_k_matches_dense_full_pencil(n, alpha):
         vals, converged = equator_spectrum(mesh, n, alpha, k)
         assert converged
         assert_spectra_close(vals, full[:k])
+
+
+def padded(f, n):
+    """The map f followed by the totally geodesic inclusion of its sphere into S^n."""
+    vals = np.zeros((f.mesh.vertex_count, n + 1))
+    vals[:, :f.n + 1] = f.values
+    return SphereMap(f.mesh, n, vals)
+
+
+@pytest.fixture(scope="module")
+def flow_stage_maps(mesh3, mesh4):
+    """{(level, alpha): map}: one flow per level into S^2 through [1.2, 1.05]."""
+    maps = {}
+    for level, mesh in ((3, mesh3), (4, mesh4)):
+        f0 = dilated_equator_map(mesh, 2, 0.4, axis=np.array([0.36, 0.48, 0.8]))
+        config = FlowConfig(alpha=1.2)
+        result = continue_in_alpha(descend(f0, config), [1.2, 1.05], config)
+        assert result.succeeded
+        maps.update({(level, rec.alpha): rec.map for rec in result.records})
+    return maps
+
+
+@pytest.mark.parametrize("level, n", [(3, n) for n in (3, 4, 5, 6)] + [(4, 3), (4, 4)])
+@pytest.mark.parametrize("alpha", [1.05, 1.2])
+def test_split_matches_full_pencil_on_flow_critical_maps(request, flow_stage_maps,
+                                                         level, n, alpha):
+    # a flow critical map lies in R^3 x 0 like the equator, at any alpha; k
+    # is that of flow's index report
+    mesh = request.getfixturevalue(f"mesh{level}")
+    f = padded(flow_stage_maps[level, alpha], n)
+    k = (n - 2) * 4 + 6 + 10
+    tau = calibrate_tau(mesh, n)
+    vals, converged = split_spectrum(f, alpha, k)
+    full = full_pencil_report(f, alpha, k, tau, seed=level)
+    assert converged and not vals.flags.writeable
+    assert_spectra_close(vals, full.eigenvalues)
+    split = classify_spectrum(vals, converged, k, tau)
+    assert (split.index, split.nullity) == (full.index, full.nullity)
+
+
+@pytest.mark.filterwarnings("ignore:map is far from critical")
+def test_split_of_a_map_using_every_column_is_the_full_solve(mesh2, rng):
+    f = random_map(mesh2, 4, rng)
+    vals, converged = split_spectrum(f, 1.1, 12)
+    pencil = assemble_second_variation(f, 1.1)
+    full, full_converged = pencil_eigenvalues(pencil.H, pencil.M, 12)
+    assert converged == full_converged
+    assert np.array_equal(vals, full)
+
+
+@pytest.mark.filterwarnings("ignore:map is far from critical")
+def test_split_keeps_every_column_up_to_the_last_nonzero_one(mesh2):
+    # a map into S^3 included into S^6: the head map is the S^3 one (m = 3),
+    # and three copies of the scalar pencil split off
+    f = padded(perturbed_equator(mesh2, 3, seed=5), 6)
+    vals, converged = split_spectrum(f, 1.1, 20)
+    full = full_pencil_report(f, 1.1, 20, calibrate_tau(mesh2, 6), seed=2)
+    assert converged
+    assert_spectra_close(vals, full.eigenvalues)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_split_counts_every_null_copy_at_a_tight_k(mesh3, n):
+    # k ends one value past the null cluster; ARPACK on the full pencil
+    # finds only 14 of the 15 (n = 5) or 18 (n = 6) null directions there
+    idx, nul = expected_equator_counts(n)
+    k = idx + nul + 1
+    vals, converged = split_spectrum(equator_map(mesh3, n), 1.0, k)
+    report = classify_spectrum(vals, converged, k, calibrate_tau(mesh3, n))
+    assert converged and k == {5: 19, 6: 23}[n]
+    assert (report.index, report.nullity) == (idx, nul)
 
 
 @pytest.mark.filterwarnings("ignore:map is far from critical")
