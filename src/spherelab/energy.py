@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericError, PreconditionError
+from .errors import (ConvergenceError, InvariantViolationError, NumericError,
+                     PreconditionError)
 from .sphere_mesh import FOUR_PI, SphereMesh
 
 # below this t, psi_alpha sums its Taylor series: the relative error of the
@@ -353,16 +354,14 @@ def dilate_points(points, t: float, axis="z"):
     single = points.ndim == 1
     pts = np.atleast_2d(points)
     c = np.clip(pts @ a, -1.0, 1.0)
-    out = np.empty_like(pts)
-    at_pole = 1.0 - np.abs(c) < 1e-14
-    safe = ~at_pole
+    out = pts.copy()  # the two poles on the axis stay
+    safe = 1.0 - np.abs(c) >= 1e-14
     u = np.arctanh(c[safe])
     c_new = np.tanh(u + t)
     s_old = np.sqrt(np.clip(1.0 - c[safe] ** 2, 0.0, None))
     s_new = np.sqrt(np.clip(1.0 - c_new**2, 0.0, None))
     perp = pts[safe] - c[safe, None] * a[None, :]
     out[safe] = c_new[:, None] * a[None, :] + (s_new / s_old)[:, None] * perp
-    out[at_pole] = pts[at_pole]
     out /= np.linalg.norm(out, axis=1)[:, None]
     return out[0] if single else out
 
@@ -379,47 +378,26 @@ def apply_axis_dilations(points, params):
 def sample_map(sphere_map: SphereMap, points: np.ndarray) -> np.ndarray:
     """Evaluate the piecewise-linear map at arbitrary unit domain points.
 
-    Each query is located in the face whose flat triangle is pierced by
-    the ray through the point (candidates come from a centroid kd-tree);
+    Each point is located down the subdivision (SphereMesh.locate) in a
+    face whose flat triangle is pierced by the ray through the point;
     barycentric interpolation is followed by renormalization.
     """
     mesh = sphere_map.mesh
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    k = min(16, mesh.face_count)
-    _, cand = mesh.centroid_tree.query(pts, k=k)
-    cand = cand.reshape(len(pts), k)
-    # try the candidates in distance order, each only for the points still
-    # unplaced: the first hit is the face a batched solve over all k picks
-    todo = np.arange(len(pts))
-    face_idx = cand[:, 0].copy()
-    for j in range(k):
-        faces = cand[todo, j]
-        mats = mesh.vertices[mesh.faces[faces]].transpose(0, 2, 1)  # columns are corners
-        bary = np.linalg.solve(mats, pts[todo, :, None])[..., 0]
-        hit = np.all(bary >= -1e-10, axis=1)
-        if j == 0:
-            b = bary  # a point no candidate contains keeps candidate 0's
-        else:
-            face_idx[todo[hit]] = faces[hit]
-            b[todo[hit]] = bary[hit]
-        todo = todo[~hit]
-        if not len(todo):
-            break
+    faces = mesh.faces[mesh.locate(pts)]
+    mats = mesh.vertices[faces].transpose(0, 2, 1)  # columns are corners
+    b = np.linalg.solve(mats, pts[:, :, None])[..., 0]
+    if np.any(b < -1e-10):
+        raise InvariantViolationError("a located face does not hold its point")
     b = np.clip(b, 0.0, None)
     b /= b.sum(axis=1)[:, None]
-    vals = np.einsum("qi,qic->qc", b, sphere_map.values[mesh.faces[face_idx]])
-    if len(todo):
-        # extremely rare: fall back to the nearest vertex value
-        nearest = np.argmax(pts[todo] @ mesh.vertices.T, axis=1)
-        vals[todo] = sphere_map.values[nearest]
-    return normalize_rows(vals)
+    return normalize_rows(np.einsum("qi,qic->qc", b, sphere_map.values[faces]))
 
 
 def precompose_with_dilations(sphere_map: SphereMap, params) -> SphereMap:
     """Resample the map after moving the domain by three axis dilations."""
     moved = apply_axis_dilations(sphere_map.mesh.vertices, params)
-    vals = sample_map(sphere_map, moved)
-    return SphereMap(sphere_map.mesh, sphere_map.n, vals)
+    return SphereMap(sphere_map.mesh, sphere_map.n, sample_map(sphere_map, moved))
 
 
 # -- recentering ---------------------------------------------------------------
@@ -433,8 +411,8 @@ def fit_centering_dilation(sphere_map: SphereMap, alpha: float,
     """
     if dirichlet_energy(sphere_map) < 1e-12:
         raise PreconditionError("cannot recenter a constant map")
-    com0 = center_of_mass(sphere_map, alpha)
-    if np.linalg.norm(com0) <= tol:
+    com = center_of_mass(sphere_map, alpha)
+    if np.linalg.norm(com) <= tol:
         return sphere_map, np.zeros(3)
 
     def resample(params):
@@ -442,15 +420,11 @@ def fit_centering_dilation(sphere_map: SphereMap, alpha: float,
         return moved, center_of_mass(moved, alpha)
 
     params = np.zeros(3)
-    com = com0
     res = float(np.linalg.norm(com))
     h = 1e-6
     for _ in range(max_iter):
-        jac = np.empty((3, 3))
-        for j in range(3):
-            dp = np.zeros(3)
-            dp[j] = h
-            jac[:, j] = (resample(params + dp)[1] - resample(params - dp)[1]) / (2.0 * h)
+        jac = np.stack([resample(params + dp)[1] - resample(params - dp)[1]
+                        for dp in h * np.eye(3)], axis=1) / (2.0 * h)
         try:
             step = np.linalg.solve(jac, com)
         except np.linalg.LinAlgError as exc:

@@ -190,14 +190,16 @@ def _image_tangent_planes(sphere_map: SphereMap):
 
 
 def assemble_second_variation(sphere_map: SphereMap, alpha: float,
-                              warn_threshold: float = 0.05) -> SecondVariationPencil:
+                              warn_threshold: float = 0.05,
+                              weighted=None) -> SecondVariationPencil:
     """Second-variation pencil of the alpha-energy on tangent fields.
 
     Warns when the map is visibly non-critical (the Hessian then has no
     index interpretation).  The mass side is the consistent mass matrix of
     the domain acting diagonally on coordinates, reduced to the frames.
+    ``weighted`` is (K_w, K_w f) as constrained_hessian takes it.
     """
-    weighted = _weighted_stiffness(sphere_map, alpha)
+    weighted = _weighted_stiffness(sphere_map, alpha) if weighted is None else weighted
     raw = weighted[1]
     tang = raw - np.sum(raw * sphere_map.values, axis=1)[:, None] * sphere_map.values
     rawn = np.linalg.norm(raw)
@@ -298,11 +300,11 @@ def split_spectrum(sphere_map: SphereMap, alpha: float, k: int):
     mesh, n = sphere_map.mesh, sphere_map.n
     m = max(2, int(np.flatnonzero(np.any(sphere_map.values != 0.0, axis=0))[-1]))
     head = sphere_map if m == n else SphereMap(mesh, m, sphere_map.values[:, :m + 1])
-    tangent = assemble_second_variation(head, alpha)
+    weighted = K_w, raw = _weighted_stiffness(head, alpha)
+    tangent = assemble_second_variation(head, alpha, weighted=weighted)
     vals, converged = _lowest_eigenvalues(tangent.H, tangent.M, k)
     copies = n - m
     if copies:
-        K_w, raw = _weighted_stiffness(head, alpha)
         scalar = (K_w - sp.diags(np.sum(raw * head.values, axis=1))).tocsr()
         scalar_vals, scalar_ok = _lowest_eigenvalues(
             scalar, assemble_pencil(mesh).M, -(-k // copies))

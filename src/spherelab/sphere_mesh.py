@@ -116,7 +116,10 @@ def _edge_table(faces, v, return_inverse=False):
 
 
 def _subdivide(verts, faces):
-    """One loop-subdivision round with midpoints projected to the sphere."""
+    """One loop-subdivision round with midpoints projected to the sphere.
+
+    Invariant: face f = (a, b, c) has the children 4f .. 4f+3, (a, m01, m20),
+    (b, m12, m01), (c, m20, m12) and the centre child (m01, m12, m20) last."""
     uniq, inv, _ = _edge_table(faces, len(verts), return_inverse=True)
     mid = verts[uniq[:, 0]] + verts[uniq[:, 1]]
     mid /= np.linalg.norm(mid, axis=1)[:, None]
@@ -136,7 +139,9 @@ def _subdivide(verts, faces):
 
 @dataclass(eq=False)
 class SphereMesh:
-    """Closed oriented triangulation of the unit sphere."""
+    """Closed oriented triangulation of the unit sphere.  Meshes from
+    build_icosphere keep _subdivide's layout: the children of face f of the
+    level before are faces 4f .. 4f+3, the centre child last."""
 
     vertices: np.ndarray
     faces: np.ndarray
@@ -270,12 +275,31 @@ class SphereMesh:
         """Flat-triangle centroids projected to the sphere, (F, 3); built on first use."""
         return self._cached("centroids", self._build_centroids)
 
-    @property
-    def centroid_tree(self):
-        """kd-tree over the face centroids (cached)."""
-        from scipy.spatial import cKDTree  # imported on use: it slows every start-up
+    def locate(self, points):
+        """Index of a face whose cone holds each of the (Q, 3) unit points,
+        found down the subdivision from the level-0 face with the largest
+        smallest barycentric: corner child j if centre row j is negative, else
+        the centre child.  A point on an edge gets the face it reaches first."""
+        top, *centres = self._cached("hierarchy", self._build_hierarchy)
+        face = (top.reshape(-1, 3) @ points.T).reshape(20, 3, -1).min(axis=1).argmax(axis=0)
+        for rows in centres:
+            crossed = np.einsum("qij,qj->iq", rows[face], points) < 0.0
+            face = 4 * face + np.select(crossed, (0, 1, 2), 3)
+        return face
 
-        return self._cached("centroid_tree", lambda: cKDTree(self.face_centroids))
+    def _build_hierarchy(self):
+        """The barycentric rows, those of inv(corners.T), of the 20 level-0
+        faces, then per level those of every centre child (m01, m12, m20) with
+        its corners turned so that row j is negative in corner child j."""
+        level = self.subdivision_level
+        if self.face_count != 20 * 4 ** level:
+            raise PreconditionError(f"not a subdivided icosahedron of level {level}")
+        faces, centres = self.faces, []
+        for _ in range(level):
+            centres.insert(0, faces[3::4, [1, 2, 0]])
+            faces = faces.reshape(-1, 4, 3)[:, :3, 0]
+        return [np.linalg.inv(self.vertices[f].transpose(0, 2, 1))
+                for f in [faces, *centres]]
 
     def total_area(self):
         return float(self.face_areas.sum())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from spherelab import build_icosphere
 
@@ -55,6 +56,41 @@ def count_face_blocks(monkeypatch, energy_module):
     monkeypatch.setattr(energy_module, "_face_blocks",
                         lambda f: walks.append(f) or face_blocks(f))
     return walks
+
+
+def kd_tree_location(mesh, points):
+    """The point location SphereMesh.locate replaced, kept as its reference.
+
+    Of the 16 faces with the nearest centroids (a kd-tree query), the first
+    whose barycentrics are all >= -1e-10, each candidate tried only for the
+    points still unplaced.  Returns that face and its barycentrics.
+    """
+    k = min(16, mesh.face_count)
+    _, cand = cKDTree(mesh.face_centroids).query(points, k=k)
+    cand = cand.reshape(len(points), k)
+    face = np.full(len(points), -1)
+    bary = np.empty(points.shape)
+    for j in range(k):
+        todo = np.flatnonzero(face < 0)
+        mats = mesh.vertices[mesh.faces[cand[todo, j]]].transpose(0, 2, 1)
+        b = np.linalg.solve(mats, points[todo, :, None])[..., 0]
+        hit = np.all(b >= -1e-10, axis=1)
+        face[todo[hit]], bary[todo[hit]] = cand[todo[hit], j], b[hit]
+    assert np.all(face >= 0), "no candidate holds the point"
+    return face, bary
+
+
+def assert_located_like_kd_tree(mesh, points, face):
+    """The kd-tree's face where it holds the point with every barycentric
+    >= 1e-10; elsewhere, near an edge, two faces hold the point and the
+    located one must be one of them (barycentrics >= -1e-10).  Returns the
+    mask of the points not near an edge and the kd-tree's (face, bary)."""
+    reference = kd_tree_location(mesh, points)
+    clear = np.all(reference[1] >= 1e-10, axis=1)
+    assert np.array_equal(face[clear], reference[0][clear])
+    mats = mesh.vertices[mesh.faces[face]].transpose(0, 2, 1)
+    assert np.all(np.linalg.solve(mats, points[:, :, None]) >= -1e-10)
+    return clear, reference
 
 
 def p1_scatter_reference(mesh, vals, symmetrize=False):

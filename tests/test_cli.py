@@ -511,8 +511,8 @@ def test_console_entry_point(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    # quadrature and kd-trees are imported where they are used, not on
-    # every start-up
+    # quadrature is imported where it is used, not on every start-up, and
+    # nothing in the package imports scipy.spatial
     import spherelab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(spherelab.__file__)))
@@ -525,6 +525,27 @@ def test_cli_import_leaves_out_scipy_integrate():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_flow_run_leaves_out_scipy_spatial(tmp_path):
+    # recentering resamples the map through the subdivision hierarchy, so a
+    # flow run builds no kd-tree and never loads scipy.spatial
+    import spherelab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spherelab.__file__)))
+    path = write_config(tmp_path, "flow.json",
+                        {"kind": "flow", "level": 3, "n": 4, "seed": 1,
+                         "start": "distorted_equator", "alpha_schedule": [1.2, 1.1]})
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from spherelab.cli import main; "
+         f"status = main(['flow', '--config', {path!r}, '--out', {str(tmp_path / 'out')!r}]); "
+         "print(status, 'scipy.spatial' in sys.modules)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == [str(EXIT_OK), "False"]
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):

@@ -6,9 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.spatial import cKDTree
 
-from conftest import count_face_blocks
+from conftest import assert_located_like_kd_tree, count_face_blocks
 from spherelab import build_icosphere
 from spherelab import energy
 from spherelab.energy import (
@@ -36,8 +35,8 @@ from spherelab.energy import (
     recenter,
     sample_map,
 )
-from spherelab.errors import PreconditionError
-from spherelab.sphere_mesh import SphereMesh
+from spherelab.errors import InvariantViolationError, PreconditionError
+from spherelab.sphere_mesh import SphereMesh, validate_mesh
 
 FOUR_PI = 4.0 * math.pi
 
@@ -433,56 +432,58 @@ def test_sample_map_at_vertices_is_identity(mesh3):
     assert np.allclose(sample_map(f, mesh3.vertices), f.values, atol=1e-12)
 
 
-def sample_map_batched(sphere_map, points):
-    """Point location that solves all 16 candidates of every point at once."""
-    mesh = sphere_map.mesh
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    k = min(16, mesh.face_count)
-    _, cand = mesh.centroid_tree.query(pts, k=k)
-    cand = np.atleast_2d(cand)
-    corner = mesh.vertices[mesh.faces[cand]]          # (Q, k, 3, 3)
-    mats = corner.transpose(0, 1, 3, 2)               # columns are corners
-    rhs = np.repeat(pts[:, None, :, None], k, axis=1)
-    bary = np.linalg.solve(mats, rhs)[..., 0]
-    ok = np.all(bary >= -1e-10, axis=2)
-    first = np.argmax(ok, axis=1)
-    found = ok[np.arange(len(pts)), first]
-    face_idx = cand[np.arange(len(pts)), first]
-    b = bary[np.arange(len(pts)), first]
+def interpolate_at(sphere_map, face_idx, b):
+    """sample_map's interpolation at a given location: faces and barycentrics."""
     b = np.clip(b, 0.0, None)
     b /= b.sum(axis=1)[:, None]
-    vals = np.einsum("qi,qic->qc", b, sphere_map.values[mesh.faces[face_idx]])
-    if not np.all(found):
-        missing = np.where(~found)[0]
-        _, nearest = cKDTree(mesh.vertices).query(pts[missing])
-        vals[missing] = sphere_map.values[nearest]
-    return normalize_rows(vals)
+    values = sphere_map.values[sphere_map.mesh.faces[face_idx]]
+    return normalize_rows(np.einsum("qi,qic->qc", b, values))
 
 
-def test_sample_map_falls_back_to_nearest_vertex():
-    # a northern cap of faces: no candidate face holds a southern point
+def test_sample_map_refuses_a_mesh_that_is_no_icosphere():
+    # a northern cap of faces has no subdivision hierarchy to locate points in
     mesh = build_icosphere(3)
     cap = mesh.faces[mesh.face_centroids[:, 2] > 0.5]
     cap_mesh = SphereMesh(vertices=mesh.vertices, faces=cap, subdivision_level=3)
     f = random_map(cap_mesh, 4, np.random.default_rng(0))
     pts = normalize_rows(np.random.default_rng(1).standard_normal((200, 3)))
-    pts[:, 2] = -np.abs(pts[:, 2]) - 0.1
-    pts = normalize_rows(pts)
-    _, nearest = cKDTree(mesh.vertices).query(pts)
-    assert np.array_equal(sample_map(f, pts), normalize_rows(f.values[nearest]))
-    assert np.array_equal(sample_map(f, pts), sample_map_batched(f, pts))
+    with pytest.raises(PreconditionError, match="not a subdivided icosahedron"):
+        sample_map(f, pts)
 
 
-@pytest.mark.parametrize("level", [3, 4, 5])
+def test_sample_map_raises_where_the_located_face_misses_the_point():
+    # the same faces with their corners turned: a valid mesh, but the
+    # coarser levels read off it are wrong, so the walk lands in faces that
+    # do not hold the points, and sample_map refuses to interpolate
+    mesh = build_icosphere(2)
+    turned = SphereMesh(vertices=mesh.vertices, faces=mesh.faces[:, [1, 2, 0]],
+                        subdivision_level=2)
+    validate_mesh(turned)
+    f = random_map(turned, 4, np.random.default_rng(1))
+    with pytest.raises(InvariantViolationError, match="does not hold"):
+        sample_map(f, mesh.vertices)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 6])
 def test_sample_map_matches_batched_location(level):
+    # away from edges the kd-tree and the hierarchy find the same face, and
+    # the values are equal bit for bit; a point within 1e-10 of an edge lies
+    # in two faces, whose interpolants differ by the rounding of their
+    # barycentric solves, amplified where a random map's interpolant is short
+    # (down to norm 0.04 at level-6 edge midpoints)
     mesh = build_icosphere(level)
     rng = np.random.default_rng(level)
     f = random_map(mesh, 4, rng)
-    point_sets = [mesh.vertices, -mesh.vertices, normalize_rows(rng.standard_normal((5000, 3)))]
+    ends = mesh.vertices[mesh.edges()]
+    point_sets = [mesh.vertices, -mesh.vertices, normalize_rows(rng.standard_normal((5000, 3))),
+                  normalize_rows(ends[:, 0] + ends[:, 1])]
     point_sets += [apply_axis_dilations(mesh.vertices, np.array(p))
                    for p in ((1e-6, 0.0, 0.0), (1e-3, 2e-3, -1e-3), (0.3, 0.2, -0.4))]
     for pts in point_sets:
-        assert np.array_equal(sample_map(f, pts), sample_map_batched(f, pts))
+        clear, location = assert_located_like_kd_tree(mesh, pts, mesh.locate(pts))
+        values, reference = sample_map(f, pts), interpolate_at(f, *location)
+        assert np.array_equal(values[clear], reference[clear])
+        assert np.max(np.abs(values - reference)) <= 1e-13
 
 
 # -- axisymmetric reduced energy ------------------------------------------------------

@@ -317,6 +317,14 @@ def test_split_counts_every_null_copy_at_a_tight_k(mesh3, n):
     assert (report.index, report.nullity) == (idx, nul)
 
 
+def test_split_assembles_one_weighted_stiffness(monkeypatch, mesh3):
+    # the tangent Hessian and the scalar pencil of the split share one K_w
+    calls = record_face_blocks(monkeypatch, spectrum_mod)
+    vals, converged = split_spectrum(equator_map(mesh3, 5), 1.0, 19)
+    assert converged and len(vals) == 19
+    assert len(calls) == 1
+
+
 @pytest.mark.filterwarnings("ignore:map is far from critical")
 @pytest.mark.parametrize("alpha", [1.0, 1.1])
 def test_second_variation_walks_the_faces_once(monkeypatch, mesh3, alpha):

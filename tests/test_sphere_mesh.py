@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import eigsh
 
-from conftest import assert_csr_equal, p1_scatter_reference
+from conftest import assert_csr_equal, assert_located_like_kd_tree, p1_scatter_reference
 from spherelab import AreaConvention, assemble_pencil, build_icosphere, sphere_mesh, to_area_one
+from spherelab.energy import normalize_rows
 from spherelab.errors import MeshAssemblyError, PreconditionError, ResourceLimitError
 from spherelab.sphere_mesh import (
     SphereMesh,
@@ -83,9 +84,35 @@ def test_validate_rejects_edge_on_three_faces(mesh2):
         validate_mesh(fin)
 
 
-def test_kd_trees_cached(mesh2):
-    assert mesh2.centroid_tree is mesh2.centroid_tree
-    assert np.array_equal(mesh2.centroid_tree.data, mesh2.face_centroids)
+def test_location_hierarchy_cached(monkeypatch):
+    # built once per mesh, and the area-one view shares it with the mesh
+    mesh = build_icosphere(3)
+    builds = []
+    build = SphereMesh._build_hierarchy
+    monkeypatch.setattr(SphereMesh, "_build_hierarchy",
+                        lambda self: builds.append(self) or build(self))
+    pts = mesh.vertices[:10]
+    first = mesh.locate(pts)
+    assert np.array_equal(to_area_one(mesh).locate(pts), first)
+    assert np.array_equal(mesh.locate(pts), first)
+    assert builds == [mesh]
+    assert to_area_one(mesh)._cache["hierarchy"] is mesh._cache["hierarchy"]
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+def test_subdivision_layout(level):
+    # the layout SphereMesh.locate reads the hierarchy from: the children of
+    # face f are faces 4f .. 4f+3, each corner child starting at its parent's
+    # corner, and the centre child's corners are the renormalized midpoints
+    # of the parent's edges 01, 12 and 20
+    fine, coarse = build_icosphere(level), build_icosphere(level - 1)
+    children = fine.faces.reshape(-1, 4, 3)
+    assert np.array_equal(children[:, :3, 0], coarse.faces)
+    assert np.array_equal(fine.vertices[:coarse.vertex_count], coarse.vertices)
+    corners = coarse.vertices[coarse.faces]
+    mids = corners + np.roll(corners, -1, axis=1)
+    mids /= np.linalg.norm(mids, axis=2)[:, :, None]
+    assert np.array_equal(fine.vertices[children[:, 3]], mids)
 
 
 def test_level_guard():
@@ -182,6 +209,17 @@ def test_rotate_mesh_preserves_geometry(mesh2):
     rotated = rotate_mesh(mesh2, rot)
     validate_mesh(rotated)
     assert abs(rotated.total_area() - mesh2.total_area()) < 1e-10
+
+
+def test_locate_on_a_rotated_copy(mesh3):
+    # a rotated copy keeps the face layout, so locate walks its own hierarchy
+    rot, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    rotated = rotate_mesh(mesh3, rot)
+    rng = np.random.default_rng(6)
+    near_vertices = rotated.vertices + 1e-3 * rng.standard_normal(rotated.vertices.shape)
+    for pts in (rotated.vertices, -rotated.vertices,
+                normalize_rows(rng.standard_normal((5000, 3))), normalize_rows(near_vertices)):
+        assert_located_like_kd_tree(rotated, pts, rotated.locate(pts))
 
 
 def test_exports(tmp_path, mesh2):
