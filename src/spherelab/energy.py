@@ -126,10 +126,17 @@ def perturbed_constant_map(mesh: SphereMesh, n: int, rng, eps=0.1) -> SphereMap:
     return SphereMap(mesh, n, normalize_rows(vals))
 
 
+def project_tangent(sphere_map: SphereMap, field_values: np.ndarray) -> TangentField:
+    """Remove the component along the map values at every vertex."""
+    field_values = np.asarray(field_values, dtype=float)
+    if field_values.shape != sphere_map.values.shape:
+        raise PreconditionError("field shape does not match the map")
+    dots = np.sum(field_values * sphere_map.values, axis=1)
+    return TangentField(sphere_map, field_values - dots[:, None] * sphere_map.values)
+
+
 def random_tangent_field(sphere_map: SphereMap, rng) -> TangentField:
-    raw = rng.standard_normal(sphere_map.values.shape)
-    dots = np.sum(raw * sphere_map.values, axis=1)
-    return TangentField(sphere_map, raw - dots[:, None] * sphere_map.values)
+    return project_tangent(sphere_map, rng.standard_normal(sphere_map.values.shape))
 
 
 def dilated_equator_map(mesh: SphereMesh, n: int, t: float, axis="z",
@@ -276,9 +283,7 @@ def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray
 
 
 def alpha_energy_gradient(sphere_map: SphereMap, alpha: float) -> TangentField:
-    raw = alpha_energy_raw_gradient(sphere_map, alpha)
-    dots = np.sum(raw * sphere_map.values, axis=1)
-    return TangentField(sphere_map, raw - dots[:, None] * sphere_map.values)
+    return project_tangent(sphere_map, alpha_energy_raw_gradient(sphere_map, alpha))
 
 
 # -- the center-of-mass weight function --------------------------------------

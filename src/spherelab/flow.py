@@ -17,13 +17,13 @@ import numpy as np
 
 from .energy import (
     SphereMap,
-    TangentField,
     alpha_energy,
     alpha_energy_gradient,
     center_of_mass,
     dirichlet_energy,
     element_energy_integrals,
     normalize_rows,
+    project_tangent,
     recenter,
 )
 from .errors import PreconditionError, StagnationError
@@ -96,23 +96,11 @@ class ContinuationResult:
         return self.failed_stage is None
 
 
-def project_tangent(sphere_map: SphereMap, field_values: np.ndarray) -> TangentField:
-    """Remove the component along the map values at every vertex."""
-    field_values = np.asarray(field_values, dtype=float)
-    if field_values.shape != sphere_map.values.shape:
-        raise PreconditionError("field shape does not match the map")
-    dots = np.sum(field_values * sphere_map.values, axis=1)
-    return TangentField(sphere_map,
-                        field_values - dots[:, None] * sphere_map.values)
-
-
 def _descent_direction(sphere_map: SphereMap, grad: np.ndarray,
                        preconditioned: bool) -> np.ndarray:
     if not preconditioned:
         return grad
-    smoothed = sphere_map.mesh.solve_stiff_plus_mass(grad)
-    dots = np.sum(smoothed * sphere_map.values, axis=1)
-    return smoothed - dots[:, None] * sphere_map.values
+    return project_tangent(sphere_map, sphere_map.mesh.solve_stiff_plus_mass(grad)).values
 
 
 def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
@@ -197,9 +185,7 @@ def harmonic_residual(sphere_map: SphereMap) -> float:
     the L2 norm of the discrete Laplacian's tangential part.
     """
     pencil = assemble_pencil(sphere_map.mesh)
-    r = pencil.K @ sphere_map.values
-    dots = np.sum(r * sphere_map.values, axis=1)
-    r = r - dots[:, None] * sphere_map.values
+    r = project_tangent(sphere_map, pencil.K @ sphere_map.values).values
     z = sphere_map.mesh.solve_mass(r)
     return float(np.sqrt(np.sum(r * z)))
 

@@ -1,16 +1,15 @@
 """Second-variation pencils, Morse index and nullity, and spectral checks.
 
-The Hessian is the exact second derivative of the discrete alpha-energy
-restricted to the tangent space of the unit-sphere constraint, with the
-standard correction that subtracts, per vertex, the inner product of the
-unconstrained gradient with the vertex value.  Pencils are reduced to
-per-vertex orthonormal tangent (or normal) frames and solved by a sparse
-shift-invert Lanczos iteration with a deterministic start vector.
-
-Every index solve is split_spectrum, which splits the coordinates a map
-leaves identically zero off as copies of one scalar pencil.  Only
-normal_second_variation and the tests (criterion 02 among them) build
-the full pencil of size nV.
+The Hessian is the exact second derivative of the discrete alpha-energy on
+the tangent space of the unit-sphere constraint.  Every pencil is built from
+two parts made once per map: the scalar Hessian A = K_w - diag(lambda), the
+weighted stiffness less the constraint's multiplier, and for alpha > 1 the
+face rows S.  In per-vertex orthonormal tangent or normal frames F it is
+(A (x) F + (S F)^T (S F), M (x) F); the ambient Hessian is kron(A, I) + S^T S.
+Pencils are solved by shift-invert Lanczos with a deterministic start vector.
+Every index solve is split_spectrum: the coordinates a map leaves zero split
+off as copies of the scalar pencil (A, M).  Only normal_second_variation and
+the tests build the full pencil of size nV.
 """
 
 from __future__ import annotations
@@ -24,12 +23,14 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigs, eigsh
 
-from .energy import SphereMap, element_density_area_one, equator_map
+from .energy import SphereMap, element_density_area_one, equator_map, project_tangent
 from .errors import DegenerateElementsError, PreconditionError
 from .sphere_mesh import (FOUR_PI, MASS_LOCAL, SphereMesh, assemble_faces,
                           assemble_pencil)
 
 _EIG_SEED = 20240
+# block rows per slab of _in_frames
+FRAME_ROWS = 1 << 9
 
 
 @dataclass(frozen=True)
@@ -75,82 +76,86 @@ class SecondVariationPencil:
         return self.H.shape[0]
 
 
-def _weighted_stiffness(sphere_map: SphereMap, alpha: float):
-    """(K_w, K_w f): the alpha-weighted stiffness and the unconstrained gradient.
+def _hessian_parts(sphere_map: SphereMap, alpha: float):
+    """(A, s, K_w f): the scalar Hessian, the face rows and the raw gradient.
 
-    K_w is the stiffness with face f weighted by w_f = alpha (1 + |df|^2)^(alpha-1),
-    the alpha-weighted Dirichlet form acting on each coordinate, and K_w f
-    is the gradient of the alpha-energy before tangential projection.
-    """
+    K_w is the stiffness with face f weighted by w_f = alpha (1 + |df|^2)^(alpha-1)
+    and K_w f the raw gradient, so lambda = <K_w f, f> per vertex is the
+    multiplier and A = K_w - diag(lambda).  The face rows s (F, 3, C) hold
+    sqrt(c_f) k_f f at face f's corners, c_f >= 0 the derivative of w_f along
+    k_f f; they vanish at alpha = 1, where s is None."""
     if alpha < 1.0:
         raise PreconditionError("alpha must be >= 1")
-    mesh = sphere_map.mesh
+    mesh, values = sphere_map.mesh, sphere_map.values
     g, _ = element_density_area_one(sphere_map)
     w = alpha * (1.0 + g) ** (alpha - 1.0)
     K_w = assemble_faces(mesh, w[:, None, None] * mesh.face_stiffness)
-    return K_w, K_w @ sphere_map.values
-
-
-def constrained_hessian(sphere_map: SphereMap, alpha: float,
-                        weighted=None) -> sp.csr_matrix:
-    """Hessian of the discrete alpha-energy with the sphere-constraint correction.
-
-    H = kron(K_w, I_C) + S^T diag(c) S - diag(lambda) in ambient coordinates
-    (row v*C + c is coordinate c at vertex v), with (K_w, K_w f) =
-    ``weighted``, built here when not given (see _weighted_stiffness).  Row
-    f of S holds s_f = k_f f at face f's corners, and c_f >= 0, the
-    derivative of w_f along s_f, gives one rank-one term per face; it
-    vanishes at alpha = 1.  K_w f is the unconstrained gradient, so
-    lambda = <K_w f, f> per vertex.
-    """
-    K_w, raw = _weighted_stiffness(sphere_map, alpha) if weighted is None else weighted
-    mesh = sphere_map.mesh
-    values = sphere_map.values
-    V, C = values.shape
-    lam = np.sum(raw * values, axis=1)
-    H = sp.kron(K_w, sp.eye(C), format="csr")
+    raw = K_w @ values
+    A = (K_w - sp.diags(np.sum(raw * values, axis=1))).tocsr()
+    s = None
     if alpha > 1.0:
-        g, _ = element_density_area_one(sphere_map)
         c = alpha * (alpha - 1.0) * (1.0 + g) ** (alpha - 2.0) \
             * (2.0 * FOUR_PI / mesh.face_areas)
-        # S carries sqrt(c_f) s_f, so that the product S^T S is exactly symmetric
         s = np.sqrt(c)[:, None, None] * np.einsum("fij,fjc->fic", mesh.face_stiffness,
                                                   values[mesh.faces])
-        S = sp.csr_matrix(
-            (s.reshape(-1), (mesh.faces[:, :, None] * C + np.arange(C)).reshape(-1),
-             np.arange(0, s.size + 1, 3 * C)),
-            shape=(mesh.face_count, V * C),
-        )
-        H = H + S.T @ S
-    return (H - sp.diags(np.repeat(lam, C))).tocsr()
+    return A, s, raw
 
 
-def _frame_matrix(frame: np.ndarray) -> sp.csr_matrix:
-    """Block-diagonal sparse matrix from per-vertex frames (V, C, dim)."""
-    v, C, dim = frame.shape
-    cols = np.arange(v)[:, None, None] * dim + np.arange(dim)
-    return sp.csr_matrix(
-        (frame.reshape(-1), np.broadcast_to(cols, frame.shape).reshape(-1),
-         np.arange(0, frame.size + 1, dim)),
-        shape=(v * C, v * dim),
-    )
+def _plus_face_rows(H: sp.csr_matrix, mesh: SphereMesh, s: np.ndarray,
+                    frames: np.ndarray = None) -> sp.csr_matrix:
+    """H + R^T R, row f of R holding s_f at face f's corners in the frames
+    (V, C, d) if given, else in ambient coordinates; H when s is None."""
+    if s is None:
+        return H
+    if frames is not None:
+        s = np.einsum("fic,ficd->fid", s, frames[mesh.faces])
+    d = s.shape[2]
+    R = sp.csr_matrix((s.reshape(-1), (mesh.faces[:, :, None] * d + np.arange(d)).reshape(-1),
+                       np.arange(0, s.size + 1, 3 * d)),
+                      shape=(mesh.face_count, mesh.vertex_count * d))
+    return (H + R.T @ R).tocsr()
 
 
-def _reduced_pencil(sphere_map: SphereMap, alpha: float, frames: np.ndarray,
-                    kind: str, H: sp.csr_matrix) -> SecondVariationPencil:
-    """The constrained Hessian H and the coordinatewise mass matrix, both
-    reduced to frames."""
-    B = _frame_matrix(frames)
-    M = assemble_pencil(sphere_map.mesh).M
-    M_amb = sp.kron(M, sp.eye(sphere_map.n + 1, format="csr"), format="csr")
-    return SecondVariationPencil(
-        H=(B.T @ H @ B).tocsr(),
-        M=(B.T @ M_amb @ B).tocsr(),
-        frame=frames,
-        base=sphere_map,
-        alpha=alpha,
-        kind=kind,
-    )
+def _in_frames(X: sp.csr_matrix, frames: np.ndarray) -> sp.csr_matrix:
+    """X (x) F: the blocks X[a, b] F_a^T F_b of a symmetric V x V matrix X in
+    per-vertex orthonormal frames F (V, C, d).  Those above the diagonal are
+    made FRAME_ROWS block rows at a time, zeros dropped, and mirrored; a
+    diagonal block is X[a, a] I, as F_a^T F_a = I.  So the result is exactly
+    symmetric and stores no zero."""
+    V, _, d = frames.shape
+    U = sp.triu(X, k=1, format="csr")
+    rows = np.repeat(np.arange(V), np.diff(U.indptr))
+    slabs = []
+    for lo in range(0, V, FRAME_ROWS):
+        ptr = U.indptr[lo:lo + FRAME_ROWS + 1]
+        part = slice(ptr[0], ptr[-1])
+        gram = np.einsum("ncd,nce->nde", frames[rows[part]], frames[U.indices[part]])
+        slab = sp.bsr_matrix((U.data[part, None, None] * gram, U.indices[part], ptr - ptr[0]),
+                             shape=((len(ptr) - 1) * d, V * d)).tocsr()
+        slab.eliminate_zeros()
+        slabs.append(slab)
+    U = sp.vstack(slabs, format="csr")
+    return (U + U.T + sp.diags(np.repeat(X.diagonal(), d))).tocsr()
+
+
+def constrained_hessian(sphere_map: SphereMap, alpha: float) -> sp.csr_matrix:
+    """Hessian of the discrete alpha-energy with the sphere-constraint correction:
+    kron(A, I_C) + S^T S for the _hessian_parts A and S, in ambient
+    coordinates (row v*C + c is coordinate c at vertex v)."""
+    A, s, _ = _hessian_parts(sphere_map, alpha)
+    return _plus_face_rows(sp.kron(A, sp.eye(sphere_map.n + 1), format="csr"),
+                           sphere_map.mesh, s)
+
+
+def _framed_pencil(sphere_map: SphereMap, alpha: float, parts, frames: np.ndarray,
+                   kind: str) -> SecondVariationPencil:
+    """(A (x) F + (S F)^T (S F), M (x) F) for the _hessian_parts A and S and the
+    P1 mass matrix M, in the per-vertex orthonormal frames F."""
+    A, s, _ = parts
+    mesh = sphere_map.mesh
+    return SecondVariationPencil(_plus_face_rows(_in_frames(A, frames), mesh, s, frames),
+                                 _in_frames(assemble_pencil(mesh).M, frames), frames,
+                                 sphere_map, alpha, kind)
 
 
 def _tangent_frames(sphere_map: SphereMap) -> np.ndarray:
@@ -182,32 +187,34 @@ def _image_tangent_planes(sphere_map: SphereMap):
     degenerate |= n2 < 1e-12
     u2 = np.where(degenerate[:, None], 0.0, e2p / np.where(degenerate, 1.0, n2)[:, None])
     proj = np.einsum("fc,fd->fcd", u1, u1) + np.einsum("fc,fd->fcd", u2, u2)
-    acc = np.zeros((mesh.vertex_count, C, C))
-    weights = mesh.face_areas
-    np.add.at(acc, faces.reshape(-1),
-              np.repeat(weights[:, None, None] * proj, 3, axis=0).reshape(-1, C, C))
-    return acc, degenerate
+    # the transposed face-vertex incidence sums each vertex's faces in order
+    F, V = mesh.face_count, mesh.vertex_count
+    incidence = sp.csr_matrix((np.ones(3 * F), faces.reshape(-1), np.arange(0, 3 * F + 1, 3)))
+    acc = incidence.T @ (mesh.face_areas[:, None, None] * proj).reshape(F, C * C)
+    return acc.reshape(V, C, C), degenerate
+
+
+def _tangent_pencil(sphere_map: SphereMap, alpha: float, parts,
+                    warn_threshold: float) -> SecondVariationPencil:
+    """assemble_second_variation from the map's _hessian_parts."""
+    raw = parts[2]
+    if np.linalg.norm(project_tangent(sphere_map, raw).values) \
+            > warn_threshold * np.linalg.norm(raw):
+        warnings.warn("map is far from critical; Hessian spectrum is only formal",
+                      stacklevel=3)
+    return _framed_pencil(sphere_map, alpha, parts, _tangent_frames(sphere_map), "tangent")
 
 
 def assemble_second_variation(sphere_map: SphereMap, alpha: float,
-                              warn_threshold: float = 0.05,
-                              weighted=None) -> SecondVariationPencil:
+                              warn_threshold: float = 0.05) -> SecondVariationPencil:
     """Second-variation pencil of the alpha-energy on tangent fields.
 
     Warns when the map is visibly non-critical (the Hessian then has no
     index interpretation).  The mass side is the consistent mass matrix of
-    the domain acting diagonally on coordinates, reduced to the frames.
-    ``weighted`` is (K_w, K_w f) as constrained_hessian takes it.
+    the domain acting diagonally on coordinates, in the frames.
     """
-    weighted = _weighted_stiffness(sphere_map, alpha) if weighted is None else weighted
-    raw = weighted[1]
-    tang = raw - np.sum(raw * sphere_map.values, axis=1)[:, None] * sphere_map.values
-    rawn = np.linalg.norm(raw)
-    if rawn > 0 and np.linalg.norm(tang) / rawn > warn_threshold:
-        warnings.warn("map is far from critical; Hessian spectrum is only formal",
-                      stacklevel=2)
-    return _reduced_pencil(sphere_map, alpha, _tangent_frames(sphere_map), "tangent",
-                           constrained_hessian(sphere_map, alpha, weighted))
+    return _tangent_pencil(sphere_map, alpha, _hessian_parts(sphere_map, alpha),
+                           warn_threshold)
 
 
 def normal_second_variation(sphere_map: SphereMap, alpha: float = 1.0,
@@ -225,17 +232,16 @@ def normal_second_variation(sphere_map: SphereMap, alpha: float = 1.0,
     acc, degenerate = _image_tangent_planes(sphere_map)
     if np.any(low | degenerate):
         bad = np.where(low | degenerate)[0]
-        raise DegenerateElementsError(
-            f"{len(bad)} elements are not immersed", elements=bad.tolist()
-        )
+        raise DegenerateElementsError(f"{len(bad)} elements are not immersed",
+                                      elements=bad.tolist())
     vals = sphere_map.values
     proj_full = acc / np.trace(acc, axis1=1, axis2=2)[:, None, None]
     # admissible subspace: orthogonal to span{f, image plane}
     killed = proj_full + vals[:, :, None] * vals[:, None, :]
     _, svals, vt = np.linalg.svd(np.eye(C)[None] - killed)
     frames = vt[:, : C - 3, :].transpose(0, 2, 1)
-    return _reduced_pencil(sphere_map, alpha, frames, "normal",
-                           constrained_hessian(sphere_map, alpha))
+    return _framed_pencil(sphere_map, alpha, _hessian_parts(sphere_map, alpha), frames,
+                          "normal")
 
 
 def pencil_eigenvalues(H: sp.spmatrix, M: sp.spmatrix, k: int,
@@ -300,14 +306,13 @@ def split_spectrum(sphere_map: SphereMap, alpha: float, k: int):
     mesh, n = sphere_map.mesh, sphere_map.n
     m = max(2, int(np.flatnonzero(np.any(sphere_map.values != 0.0, axis=0))[-1]))
     head = sphere_map if m == n else SphereMap(mesh, m, sphere_map.values[:, :m + 1])
-    weighted = K_w, raw = _weighted_stiffness(head, alpha)
-    tangent = assemble_second_variation(head, alpha, weighted=weighted)
+    parts = A, _, _ = _hessian_parts(head, alpha)
+    tangent = _tangent_pencil(head, alpha, parts, 0.05)
     vals, converged = _lowest_eigenvalues(tangent.H, tangent.M, k)
     copies = n - m
     if copies:
-        scalar = (K_w - sp.diags(np.sum(raw * head.values, axis=1))).tocsr()
         scalar_vals, scalar_ok = _lowest_eigenvalues(
-            scalar, assemble_pencil(mesh).M, -(-k // copies))
+            A, assemble_pencil(mesh).M, -(-k // copies))
         vals = np.concatenate([vals, np.repeat(scalar_vals, copies)])
         converged = converged and scalar_ok
     vals = np.sort(vals)[:min(k, n * mesh.vertex_count - 1)]

@@ -298,8 +298,11 @@ class SphereMesh:
         for _ in range(level):
             centres.insert(0, faces[3::4, [1, 2, 0]])
             faces = faces.reshape(-1, 4, 3)[:, :3, 0]
-        return [np.linalg.inv(self.vertices[f].transpose(0, 2, 1))
-                for f in [faces, *centres]]
+        try:
+            return [np.linalg.inv(self.vertices[f].transpose(0, 2, 1))
+                    for f in [faces, *centres]]
+        except np.linalg.LinAlgError:
+            raise PreconditionError("faces do not follow the subdivision layout") from None
 
     def total_area(self):
         return float(self.face_areas.sum())

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 from scipy.spatial import cKDTree
 
 from spherelab import build_icosphere
@@ -41,6 +43,26 @@ def count_eigsh(monkeypatch, module):
     monkeypatch.setattr(module, "eigsh",
                         lambda *a, **kw: calls.append(kw["k"]) or eigsh(*a, **kw))
     return calls
+
+
+# the full-pencil oracle solves a pencil of at most this many rows densely
+DENSE_ORACLE_ROWS = 4000
+
+
+def full_pencil_eigenvalues(pencil, k, seed):
+    """Oracle: the k lowest eigenvalues of a second-variation pencil.
+
+    Dense up to DENSE_ORACLE_ROWS rows.  Above, a shift-invert solve with a
+    shift and start vector of its own asks for k + 6 values: single-vector
+    Lanczos can drop one copy of a multiple eigenvalue at the edge of its
+    window.
+    """
+    if pencil.dim <= DENSE_ORACLE_ROWS:
+        return scipy.linalg.eigh(pencil.H.toarray(), pencil.M.toarray(),
+                                 eigvals_only=True, subset_by_index=(0, k - 1))
+    v0 = np.random.default_rng(seed).standard_normal(pencil.dim)
+    return np.sort(eigsh(pencil.H.tocsc(), k=k + 6, M=pencil.M.tocsc(), sigma=-4.0,
+                         v0=v0, return_eigenvectors=False))[:k]
 
 
 def assert_spectra_close(vals, ref, rtol=1e-10):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import assert_spectra_close, count_eigsh
+from conftest import assert_spectra_close, count_eigsh, full_pencil_eigenvalues
 from spherelab import build_icosphere
 from spherelab import covers as covers_mod
 from spherelab import flow as flow_mod
@@ -361,7 +361,8 @@ def test_spectrum_run_matches_separate_solves(tmp_path):
     assert [(int(r), float(v), c) for r, v, c in rows] == rep.to_rows()
     # and the full reduced pencil, to 1e-10, with the same index and nullity
     pencil = spectrum_mod.assemble_second_variation(equator_map(mesh, 5), 1.0)
-    full = spectrum_mod.morse_index_nullity(pencil, 26, tau)
+    full = spectrum_mod.classify_spectrum(full_pencil_eigenvalues(pencil, 26, seed=3),
+                                          True, 26, tau)
     assert_spectra_close(rep.eigenvalues, full.eigenvalues)
     assert (full.index, full.nullity) == (rep.index, rep.nullity)
 
@@ -423,12 +424,12 @@ def test_flow_run_with_telemetry(tmp_path):
 
 def test_no_cli_run_builds_the_full_pencil(tmp_path, monkeypatch):
     # every index solve on a CLI path is the split one: whatever n is, each
-    # reduced pencil built is that of a map into S^2 (C = 3, size 2V)
+    # pencil built in frames is that of a map into S^2 (C = 3, size 2V)
     shapes, reported = [], []
-    reduced = spectrum_mod._reduced_pencil
-    monkeypatch.setattr(spectrum_mod, "_reduced_pencil",
-                        lambda f, alpha, frames, *a: shapes.append(frames.shape)
-                        or reduced(f, alpha, frames, *a))
+    framed = spectrum_mod._framed_pencil
+    monkeypatch.setattr(spectrum_mod, "_framed_pencil",
+                        lambda f, alpha, parts, frames, *a: shapes.append(frames.shape)
+                        or framed(f, alpha, parts, frames, *a))
     semicontinuity = flow_mod.index_semicontinuity_report
     monkeypatch.setattr(flow_mod, "index_semicontinuity_report",
                         lambda f, alpha: reported.append((f, alpha))

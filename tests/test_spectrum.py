@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
 
 from conftest import (
     assert_csr_equal,
@@ -12,6 +11,7 @@ from conftest import (
     block_scatter_reference,
     count_eigsh,
     count_face_blocks,
+    full_pencil_eigenvalues,
     p1_scatter_reference,
     record_face_blocks,
     smooth_weight,
@@ -188,21 +188,16 @@ def test_calibration_shares_the_equator_solve(monkeypatch):
 
 
 def full_pencil_report(f, alpha, k, tau, seed):
-    """Oracle: a sparse solve of the full reduced pencil with a shift of its own."""
-    pencil = assemble_second_variation(f, alpha)
-    v0 = np.random.default_rng(seed).standard_normal(pencil.dim)
-    return classify_spectrum(
-        np.sort(eigsh(pencil.H.tocsc(), k=k, M=pencil.M.tocsc(), sigma=-4.0, v0=v0,
-                      return_eigenvectors=False)), True, k, tau)
+    """Oracle: the full reduced pencil's k lowest eigenvalues, classified."""
+    return classify_spectrum(full_pencil_eigenvalues(assemble_second_variation(f, alpha),
+                                                     k, seed), True, k, tau)
 
 
 @pytest.mark.parametrize("level, n, alpha",
                          [(level, n, alpha) for level in (3, 4) for n in (3, 4, 5, 6)
                           for alpha in (1.0, 1.1)] + [(5, 3, 1.0)])
 def test_equator_split_matches_full_pencil(request, level, n, alpha):
-    # oracle: a sparse solve of the full reduced pencil, of size nV, with a
-    # shift of its own, at the calibration's k (with fewer values past the
-    # null cluster, the full solve can miss one copy of a multiple eigenvalue)
+    # oracle: the full reduced pencil, of size nV, at the calibration's k
     mesh = request.getfixturevalue(f"mesh{level}") if level < 5 else build_icosphere(5)
     idx, nul = expected_equator_counts(n)
     k = idx + nul + 8
@@ -335,10 +330,7 @@ def test_second_variation_walks_the_faces_once(monkeypatch, mesh3, alpha):
     f = perturbed_equator(mesh3, 4, seed=11)
     pencil = assemble_second_variation(f, alpha)
     assert walks == [f] and len(assemblies) == 1
-    H_ref, M_ref = reduced_pencil_reference(perturbed_equator(mesh3, 4, seed=11), alpha,
-                                            pencil.frame)
-    assert_csr_equal(pencil.H, H_ref)
-    assert_csr_equal(pencil.M, M_ref)
+    assert_pencil_matches_reduction(pencil, perturbed_equator(mesh3, 4, seed=11), alpha)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -410,12 +402,30 @@ def perturbed_equator(mesh, n, seed):
 
 
 def reduced_pencil_reference(f, alpha, frames):
-    """The frame reduction that both second-variation builders wrote out."""
-    B = spectrum_mod._frame_matrix(frames)
+    """The removed frame reduction B^T X B of the ambient Hessian and of
+    kron(M, I_C), with B the block-diagonal matrix of the frames (V, C, d)."""
+    v, C, dim = frames.shape
+    cols = np.arange(v)[:, None, None] * dim + np.arange(dim)
+    B = sp.csr_matrix(
+        (frames.reshape(-1), np.broadcast_to(cols, frames.shape).reshape(-1),
+         np.arange(0, frames.size + 1, dim)),
+        shape=(v * C, v * dim),
+    )
     H = constrained_hessian(f, alpha)
     M = assemble_pencil(f.mesh).M
     M_amb = sp.kron(M, sp.eye(f.n + 1, format="csr"), format="csr")
     return (B.T @ H @ B).tocsr(), (B.T @ M_amb @ B).tocsr()
+
+
+def assert_pencil_matches_reduction(pencil, f, alpha):
+    """Each side equals reduced_pencil_reference to 1e-14 of its largest
+    entry (the blocks sum in another order), is exactly symmetric and
+    stores no zero."""
+    for X, ref in zip((pencil.H, pencil.M),
+                      reduced_pencil_reference(f, alpha, pencil.frame)):
+        assert abs(X - ref).max() <= 1e-14 * abs(ref).max()
+        assert (X != X.T).nnz == 0
+        assert np.all(X.data != 0.0)
 
 
 def hessian_blocks_reference(f, alpha):
@@ -441,8 +451,9 @@ def test_hessian_and_pencils_match_hand_written_builders(request, monkeypatch,
                                                          level, n, alpha):
     # oracles: the (F, 3, 3, C, C) block scatter of the Hessian, symmetrized,
     # with the multipliers of the edge-form raw gradient (kron(K_w, I_C) plus
-    # the rank-one factor sums in another order, hence a tolerance); and the
-    # frame reduction, bit for bit
+    # the rank-one factor sums in another order, hence a tolerance), and at
+    # alpha = 1 kron(K - diag(lambda), I_C) bit for bit; and the removed
+    # frame reduction B^T X B
     mesh = request.getfixturevalue(f"mesh{level}")
     C = n + 1
     f = perturbed_equator(mesh, n, seed=level)
@@ -457,16 +468,18 @@ def test_hessian_and_pencils_match_hand_written_builders(request, monkeypatch,
         lam = np.sum(alpha_energy_raw_gradient(base, alpha) * base.values, axis=1)
         ref = (ref + ref.T) * 0.5 - sp.diags(np.repeat(lam, C))
         assert abs(H - ref).max() <= 1e-13 * abs(ref).max()
-        assert (H != H.T).nnz == 0
+        assert (H != H.T).nnz == 0 and np.all(H.data != 0.0)
+        if alpha == 1.0:
+            K = assemble_pencil(mesh).K
+            A = (K - sp.diags(np.sum((K @ base.values) * base.values, axis=1))).tocsr()
+            assert_csr_equal(H, sp.kron(A, sp.eye(C), format="csr"))
     tangent = assemble_second_variation(f, alpha)
     normal = normal_second_variation(f, alpha)
     assert np.array_equal(tangent.frame, spectrum_mod._tangent_frames(f))
     assert (tangent.kind, normal.kind) == ("tangent", "normal")
     assert normal.frame.shape == (mesh.vertex_count, C, C - 3)
     for pencil in (tangent, normal):
-        H_ref, M_ref = reduced_pencil_reference(f, alpha, pencil.frame)
-        assert_csr_equal(pencil.H, H_ref)
-        assert_csr_equal(pencil.M, M_ref)
+        assert_pencil_matches_reduction(pencil, f, alpha)
 
 
 # -- weight invariance ------------------------------------------------------------------

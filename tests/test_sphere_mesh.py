@@ -6,7 +6,7 @@ from scipy.sparse.linalg import eigsh
 
 from conftest import assert_csr_equal, assert_located_like_kd_tree, p1_scatter_reference
 from spherelab import AreaConvention, assemble_pencil, build_icosphere, sphere_mesh, to_area_one
-from spherelab.energy import normalize_rows
+from spherelab.energy import SphereMap, normalize_rows, sample_map
 from spherelab.errors import MeshAssemblyError, PreconditionError, ResourceLimitError
 from spherelab.sphere_mesh import (
     SphereMesh,
@@ -113,6 +113,18 @@ def test_subdivision_layout(level):
     mids = corners + np.roll(corners, -1, axis=1)
     mids /= np.linalg.norm(mids, axis=2)[:, :, None]
     assert np.array_equal(fine.vertices[children[:, 3]], mids)
+
+
+def test_locate_names_a_broken_subdivision_layout():
+    # the face count of a level-2 icosphere with its faces in another order:
+    # the coarser faces read off the layout are not faces, and the hierarchy
+    # names the layout instead of inverting a singular corner matrix
+    mesh = build_icosphere(2)
+    faces = mesh.faces[np.random.default_rng(0).permutation(mesh.face_count)]
+    shuffled = SphereMesh(mesh.vertices, faces, 2)
+    f = SphereMap(shuffled, 2, shuffled.vertices)
+    with pytest.raises(PreconditionError, match="subdivision layout"):
+        sample_map(f, mesh.vertices[:5])
 
 
 def test_level_guard():
