@@ -18,12 +18,14 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import MeshAssemblyError, PreconditionError, ResourceLimitError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 FOUR_PI = 4.0 * math.pi
 # P1 consistent mass matrix of a face of unit area
@@ -99,17 +101,41 @@ def _edges(a, b, c):
 _OFF_DIAGONAL = ((0, 1), (1, 2), (0, 2))
 
 
+def _edge_keys(faces, v):
+    """(F, 3) int64 keys min(i, j) * v + max(i, j) of each face's edges 01, 12, 20.
+
+    On v vertices the key sorts in the lexicographic order of (i, j)."""
+    nxt = faces[:, [1, 2, 0]]
+    key = np.minimum(faces, nxt).astype(np.int64, copy=False)
+    key *= v
+    key += np.maximum(faces, nxt, out=nxt)
+    return key
+
+
+def _edge_count(faces, v):
+    """(number of distinct edges, whether every edge lies on exactly 2 faces).
+
+    Sorts the 3F edge keys once; the edges are the runs of equal keys, and no
+    (E, 2) edge table is made."""
+    keys = _edge_keys(faces, v).reshape(-1)
+    keys.sort()
+    starts = np.ones(len(keys), dtype=bool)  # a run of equal keys starts here
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    e = int(np.count_nonzero(starts))
+    # if no run starts at an odd position, every run has even length, and
+    # 2E keys in E such runs make every run of length 2
+    closed = 2 * e == len(keys) and not starts[1::2].any()
+    return e, closed
+
+
 def _edge_table(faces, v, return_inverse=False):
     """Unique edges (i < j) of faces on v vertices, sorted, as a read-only array.
 
     Returns (edges, [inverse,] counts) as np.unique does: edges[inverse] lists
     each face's edges 01, 12, 20 in face order, counts the faces on each edge.
-    The int64 dedup key i*v + j sorts in the lexicographic order of (i, j).
     """
-    nxt = np.roll(faces, -1, axis=1)
-    key = np.minimum(faces, nxt).astype(np.int64) * v + np.maximum(faces, nxt)
-    uniq, *rest = np.unique(key.reshape(-1), return_inverse=return_inverse,
-                            return_counts=True)
+    key = _edge_keys(faces, v).reshape(-1)
+    uniq, *rest = np.unique(key, return_inverse=return_inverse, return_counts=True)
     edges = np.stack(np.divmod(uniq, v), axis=1)
     edges.flags.writeable = False
     return (edges, *rest)
@@ -390,6 +416,8 @@ class DissectionFactor:
     """
 
     def __init__(self, matrix, order):
+        from scipy.sparse.linalg import splu  # imported on use: it slows every start-up
+
         self.order = order
         self.lu = splu(matrix.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -449,11 +477,10 @@ def validate_mesh(mesh: SphereMesh) -> None:
         raise PreconditionError("vertices are not on the unit sphere")
     v = mesh.vertex_count
     f = mesh.face_count
-    edges, counts = _edge_table(mesh.faces, v)
-    e = len(edges)
+    e, closed = _edge_count(mesh.faces, v)
     if v - e + f != 2:
         raise PreconditionError(f"Euler characteristic {v - e + f} != 2")
-    if not np.all(counts == 2):
+    if not closed:
         raise PreconditionError("mesh is not closed: an edge is not shared by 2 faces")
     mesh._geometry()  # raises MeshAssemblyError on degenerate faces
 
@@ -465,6 +492,8 @@ def assemble_faces(mesh: SphereMesh, blocks: np.ndarray) -> sp.csr_matrix:
     off-diagonal entry sums the two faces on its edge, and a + b == b + a in
     floating point, so symmetric blocks give an exactly symmetric matrix.
     """
+    import scipy.sparse as sp  # imported on use: it slows every start-up
+
     rows = np.repeat(mesh.faces, 3, axis=1).reshape(-1)
     cols = np.tile(mesh.faces, (1, 3)).reshape(-1)
     v = mesh.vertex_count

@@ -528,6 +528,29 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert proc.stdout.strip() == "[]"
 
 
+def test_mesh_energy_and_flow_layers_load_numpy_alone():
+    # scipy loads at the first FEM assembly or factor, not with the package:
+    # the public API along criterion 8 builds no sparse matrix
+    import spherelab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spherelab.__file__)))
+    script = (
+        "import sys, spherelab, spherelab.energy as energy, spherelab.flow as flow\n"
+        "mesh = spherelab.build_icosphere(3)\n"
+        "f = energy.dilated_equator_map(mesh, 4, 5.0, axis='z')\n"
+        "energy.dirichlet_energy(f)\n"
+        "energy.alpha_energy_gradient(f, 1.05)\n"
+        "flow.detect_concentration(f, 1.0, 0.2)\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "spherelab.assemble_pencil(mesh)\n"
+        "print(loaded, 'scipy.sparse' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] True"
+
+
 def test_flow_run_leaves_out_scipy_spatial(tmp_path):
     # recentering resamples the map through the subdivision hierarchy, so a
     # flow run builds no kd-tree and never loads scipy.spatial

@@ -10,6 +10,7 @@ from spherelab.energy import SphereMap, normalize_rows, sample_map
 from spherelab.errors import MeshAssemblyError, PreconditionError, ResourceLimitError
 from spherelab.sphere_mesh import (
     SphereMesh,
+    _edge_count,
     _edge_table,
     assemble_faces,
     mesh_json_doc,
@@ -62,6 +63,8 @@ def test_edges_match_two_dimensional_unique(level):
     assert not edges.flags.writeable
     fresh = SphereMesh(vertices=mesh.vertices, faces=mesh.faces, subdivision_level=level)
     assert np.array_equal(fresh.edges(), reference)  # built lazily without validation
+    # validate_mesh counts the same edges without building the table
+    assert _edge_count(mesh.faces, mesh.vertex_count) == (len(reference), True)
 
 
 def test_validate_rejects_euler_characteristic(mesh2):
@@ -82,6 +85,22 @@ def test_validate_rejects_edge_on_three_faces(mesh2):
     assert v - e + f == 2
     with pytest.raises(PreconditionError, match="not closed"):
         validate_mesh(fin)
+
+
+def test_validate_rejects_edge_on_one_face_where_euler_holds():
+    # faces 0 and 10 of the icosahedron share no edge: a copy of face 0 in
+    # place of face 10 keeps V, E and F, but puts three edges on 3 faces and
+    # three on 1
+    mesh = build_icosphere(0)
+    faces = mesh.faces.copy()
+    assert not set(faces[0]) & set(faces[10])
+    faces[10] = faces[0]
+    doubled = SphereMesh(vertices=mesh.vertices, faces=faces, subdivision_level=0)
+    counts = _edge_table(faces, mesh.vertex_count)[1]
+    assert np.bincount(counts).tolist() == [0, 3, 24, 3]
+    assert _edge_count(faces, mesh.vertex_count) == (30, False)
+    with pytest.raises(PreconditionError, match="not closed"):
+        validate_mesh(doubled)
 
 
 def test_location_hierarchy_cached(monkeypatch):
