@@ -5,9 +5,9 @@ Each run writes report.json (every numeric claim tagged with a stable
 anchor string) plus CSV side files into the output directory.  A config
 may hold only the fields its kind reads, plus seed and level, which
 --seed and --level set before the one validation; flow and covers need
-level <= 7.  Exit status: 0 all checks pass, 2 a required numeric check
-failed, 3 the configuration is invalid, 4 an internal error (traceback
-on stderr).  Reports are byte-identical across reruns with
+level <= 7 and n <= 39.  Exit status: 0 all checks pass, 2 a required
+numeric check failed, 3 the configuration is invalid, 4 an internal error
+(traceback on stderr).  Reports are byte-identical across reruns with
 the same config and seeds except for the timestamp field.  spherelab
 reads no environment variable of its own.
 """
@@ -59,7 +59,10 @@ SPECTRUM_MAX_K = 200
 # Hessian grew with both, about 4x in memory and 6x in time per level
 SPECTRUM_MAX_COST = 20 * 4**4 * (SPECTRUM_MAX_N + 1) ** 2
 # a morse run's desk model and predicted counts need n >= 4, and its census of
-# G_3(R^(n+1)) needs n + 1 within topology's size guard
+# G_3(R^(n+1)) needs n + 1 within topology's size guard.  flow and covers take n
+# up to the same bound, the paper's census range: a flow runs on the map's three
+# live columns, but its start map and each record's map hold V x (n + 1)
+# values, and a cover's energy walks all n + 1 columns
 MORSE_MAX_N = topology_mod.MAX_N - 1
 # flow and covers factor V x V P1 matrices in nested-dissection order: at level 7,
 # 20.5 M nonzeros, 3.2 s for order and factor and 0.5 GB for a whole one-stage
@@ -84,7 +87,8 @@ CONFIG_FIELDS = {
                "N_min": (INT, "[2, inf)", True),
                "N_max": (INT, f"(-inf, {topology_mod.MAX_N}]", True)},
     "flow": {**_EVERY_KIND, "level": (INT, FACTORED_LEVEL, True),
-             "n": (INT, "[2, inf)", True), "alpha_schedule": ((list,), None, True),
+             "n": (INT, f"[2, {MORSE_MAX_N}]", True),
+             "alpha_schedule": ((list,), None, True),
              "start": ((str,), None, False), "max_iterations": (INT, "[1, inf)", False),
              "grad_tol": (NUMBER, POSITIVE, False), "preconditioned": (BOOL, None, False),
              "export_mesh": (BOOL, None, False),
@@ -95,7 +99,7 @@ CONFIG_FIELDS = {
                  "k": (INT, f"[1, {SPECTRUM_MAX_K}]", False),
                  "tau": (NUMBER, POSITIVE, False), "export_mesh": (BOOL, None, False)},
     "covers": {**_EVERY_KIND, "level": (INT, FACTORED_LEVEL, True),
-               "n": (INT, "[3, inf)", True), "degree": (INT, "[1, 6]", True),
+               "n": (INT, f"[3, {MORSE_MAX_N}]", True), "degree": (INT, "[1, 6]", True),
                "export_mesh": (BOOL, None, False)},
     "pinch": {**_EVERY_KIND, "delta": (NUMBER, "(0, 1]", True),
               "samples": (INT, f"[1, {PINCH_MAX_SAMPLES}]", True),

@@ -40,13 +40,15 @@ class SphereMap:
     The map is immutable: ``values`` is a read-only view of the array it
     was built from (not a copy, so the caller must not write to that
     array afterwards), and element_energy_integrals keeps its result on
-    the map.
+    the map.  A map made by padded keeps the map it was padded from, which
+    head_map returns.
     """
 
     mesh: SphereMesh
     n: int
     values: np.ndarray  # (V, n+1), unit rows
     _integrals: np.ndarray = field(default=None, init=False, repr=False)
+    _head: SphereMap = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).view()
@@ -124,6 +126,41 @@ def perturbed_constant_map(mesh: SphereMesh, n: int, rng, eps=0.1) -> SphereMap:
     base = np.eye(n + 1)[0]
     vals = base[None, :] + eps * rng.standard_normal((mesh.vertex_count, n + 1))
     return SphereMap(mesh, n, normalize_rows(vals))
+
+
+# -- live columns -------------------------------------------------------------
+
+def head_map(sphere_map: SphereMap) -> SphereMap:
+    """The same map into S^m, on the columns 0 .. m of its values.
+
+    m is the index of the last column that is not identically zero, or 2
+    if that index is smaller.  The energy, its gradient, the (K + M)
+    solve, the renormalization and the recentering all keep a zero column
+    zero, so a flow or a spectrum of the map can run on its head and be
+    padded back.  A map that uses every column is its own head; a map made
+    by padded returns the map it was padded from, with what that map keeps.
+    """
+    if sphere_map._head is not None:
+        return sphere_map._head
+    values = sphere_map.values
+    m = max(2, int(np.flatnonzero(np.any(values != 0.0, axis=0))[-1]))
+    if m == sphere_map.n:
+        return sphere_map
+    return SphereMap(sphere_map.mesh, m, values[:, :m + 1])
+
+
+def padded(head: SphereMap, n: int) -> SphereMap:
+    """The map into S^n whose columns after head.n are zero; head_map of it
+    is head.  A map is its own padding to its n."""
+    if n == head.n:
+        return head
+    if n < head.n:
+        raise PreconditionError(f"cannot pad a map into S^{head.n} to S^{n}")
+    values = np.zeros((head.mesh.vertex_count, n + 1))
+    values[:, :head.n + 1] = head.values
+    out = SphereMap(head.mesh, n, values)
+    object.__setattr__(out, "_head", head)
+    return out
 
 
 def project_tangent(sphere_map: SphereMap, field_values: np.ndarray) -> TangentField:

@@ -5,7 +5,10 @@ preconditioning is on, the projected solution of (K + M) d = grad per
 coordinate.  Steps use Armijo backtracking followed by pointwise
 renormalization onto the target sphere, so the accepted energy sequence
 never increases.  Per-iteration norms are logged so the two
-pseudogradient inequalities can be audited after the fact.
+pseudogradient inequalities can be audited after the fact.  A flow runs on
+the map's live columns (energy.head_map): every step keeps a zero column
+zero, so the cost does not depend on n, and each record's map is padded
+back to the start map's n.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from .energy import (
     center_of_mass,
     dirichlet_energy,
     element_energy_integrals,
+    head_map,
     normalize_rows,
+    padded,
     project_tangent,
     recenter,
 )
@@ -113,10 +118,12 @@ def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
     it lowers the gradient norm.  Raises StagnationError (carrying the last
     record) if the line search cannot decrease the energy at the smallest
     allowed step, or if a step of equal energy does not lower the gradient.
+    The descent runs on the head of map0; the record's map is padded back
+    to map0.n, and its numbers are those of the head.
     """
     # a map keeps its element_energy_integrals: the Armijo test computes
     # them for the accepted trial, and its gradient and record reuse them
-    f = map0
+    f = head_map(map0)
     energy_val = alpha_energy(f, config.alpha)
     grad = alpha_energy_gradient(f, config.alpha).values
     grad_norm = float(np.linalg.norm(grad))
@@ -132,7 +139,7 @@ def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
         eps2 = max((df * df / dfx for _, df, dfx in log if dfx > 0),
                    default=float("nan"))
         return CriticalRecord(
-            map=f,
+            map=padded(f, map0.n),
             alpha=config.alpha,
             energy=dirichlet_energy(f),
             alpha_energy=energy_val,
@@ -197,6 +204,9 @@ def continue_in_alpha(record: CriticalRecord, schedule,
     Every converged stage is recentered so the center-of-mass condition
     holds; the harmonic residual is attached to each record.  On a stage
     failure the result carries the records so far and the failing index.
+    The head of the record's map is taken once, and every stage descends
+    from a head, which is its own; each record's map is padded back to the
+    record's n.
     """
     schedule = list(schedule)
     if not schedule:
@@ -204,7 +214,8 @@ def continue_in_alpha(record: CriticalRecord, schedule,
     if not record.converged:
         raise PreconditionError("continuation requires a converged record")
     base = config if config is not None else FlowConfig(alpha=schedule[0])
-    current = record.map
+    n = record.map.n
+    current = head_map(record.map)
     records = []
     for stage, alpha in enumerate(schedule):
         cfg = replace(base, alpha=alpha)
@@ -214,16 +225,13 @@ def continue_in_alpha(record: CriticalRecord, schedule,
             rec = exc.record
         if not rec.converged:
             return ContinuationResult(records=records, failed_stage=stage)
-        recentered = recenter(rec.map, alpha)
-        rec.map = recentered
-        rec.center_of_mass_norm = float(
-            np.linalg.norm(center_of_mass(recentered, alpha))
-        )
-        rec.energy = dirichlet_energy(recentered)
-        rec.alpha_energy = alpha_energy(recentered, alpha)
-        rec.harmonic_residual = harmonic_residual(recentered)
+        current = recenter(rec.map, alpha)
+        rec.map = padded(current, n)
+        rec.center_of_mass_norm = float(np.linalg.norm(center_of_mass(current, alpha)))
+        rec.energy = dirichlet_energy(current)
+        rec.alpha_energy = alpha_energy(current, alpha)
+        rec.harmonic_residual = harmonic_residual(current)
         records.append(rec)
-        current = recentered
     return ContinuationResult(records=records)
 
 

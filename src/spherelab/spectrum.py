@@ -23,7 +23,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigs, eigsh
 
-from .energy import SphereMap, element_density_area_one, equator_map, project_tangent
+from .energy import (SphereMap, element_density_area_one, equator_map, head_map,
+                     project_tangent)
 from .errors import DegenerateElementsError, PreconditionError
 from .sphere_mesh import (FOUR_PI, MASS_LOCAL, SphereMesh, assemble_faces,
                           assemble_pencil)
@@ -297,15 +298,16 @@ def split_spectrum(sphere_map: SphereMap, alpha: float, k: int):
     The pencil splits exactly (Simons 1968).  Let m >= 2 index the last
     column of the values that is not identically zero.  S has nonzeros
     only in columns 0 .. m and lambda is the same for every coordinate, so
-    the Hessian is that of the head map into S^m (a pencil of size mV) and
-    n - m copies of the scalar pencil (K_w - diag(lambda), M), of which the
-    k lowest need only ceil(k / (n - m)) scalar eigenvalues.  A map that
-    uses every column is solved as its full pencil.  The read-only list is
-    as long as a solve of the full pencil, of size nV, returns: min(k, nV - 1).
+    the Hessian is that of the head map into S^m (energy.head_map, a pencil
+    of size mV) and n - m copies of the scalar pencil (K_w - diag(lambda),
+    M), of which the k lowest need only ceil(k / (n - m)) scalar
+    eigenvalues.  A map that uses every column is solved as its full
+    pencil.  The read-only list is as long as a solve of the full pencil,
+    of size nV, returns: min(k, nV - 1).
     """
     mesh, n = sphere_map.mesh, sphere_map.n
-    m = max(2, int(np.flatnonzero(np.any(sphere_map.values != 0.0, axis=0))[-1]))
-    head = sphere_map if m == n else SphereMap(mesh, m, sphere_map.values[:, :m + 1])
+    head = head_map(sphere_map)
+    m = head.n
     parts = A, _, _ = _hessian_parts(head, alpha)
     tangent = _tangent_pencil(head, alpha, parts, 0.05)
     vals, converged = _lowest_eigenvalues(tangent.H, tangent.M, k)

@@ -6,6 +6,8 @@ from scipy.sparse.linalg import eigsh
 from scipy.spatial import cKDTree
 
 from spherelab import build_icosphere
+from spherelab.energy import equator_map
+from spherelab.spectrum import assemble_second_variation
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +65,30 @@ def full_pencil_eigenvalues(pencil, k, seed):
     v0 = np.random.default_rng(seed).standard_normal(pencil.dim)
     return np.sort(eigsh(pencil.H.tocsc(), k=k + 6, M=pencil.M.tocsc(), sigma=-4.0,
                          v0=v0, return_eigenvectors=False))[:k]
+
+
+@pytest.fixture(scope="session")
+def dense_equator_spectrum():
+    """(mesh, n, alpha) -> every eigenvalue of the equator's full
+    second-variation pencil in S^n, at most DENSE_ORACLE_ROWS rows, solved
+    densely once per session for each (level, n, alpha)."""
+    spectra = {}
+
+    def spectrum(mesh, n, alpha):
+        key = (mesh.subdivision_level, n, alpha)
+        if key not in spectra:
+            pencil = assemble_second_variation(equator_map(mesh, n), alpha)
+            assert pencil.dim <= DENSE_ORACLE_ROWS
+            # Fortran order and overwrite spare LAPACK two dense copies
+            vals = scipy.linalg.eigh(pencil.H.toarray(order="F"),
+                                     pencil.M.toarray(order="F"), eigvals_only=True,
+                                     overwrite_a=True, overwrite_b=True,
+                                     check_finite=False)
+            vals.setflags(write=False)
+            spectra[key] = vals
+        return spectra[key]
+
+    return spectrum
 
 
 def assert_spectra_close(vals, ref, rtol=1e-10):

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from conftest import assert_spectra_close, count_eigsh, full_pencil_eigenvalues
+from conftest import assert_spectra_close, count_eigsh
 from spherelab import build_icosphere
 from spherelab import covers as covers_mod
 from spherelab import flow as flow_mod
+from spherelab import sphere_mesh as sphere_mesh_mod
 from spherelab import spectrum as spectrum_mod
 from spherelab.cli import (
     CENSUS_MAX_PARTITIONS,
@@ -28,7 +30,6 @@ from spherelab.cli import (
     main,
     validate_config,
 )
-from spherelab.energy import equator_map
 from spherelab.errors import NumericError
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -151,6 +152,11 @@ def test_validate_rejects_bools(tmp_path, capsys, cfg, field):
     ({"kind": "flow", "level": FACTORED_MAX_LEVEL + 1, "n": 4, "alpha_schedule": [1.2]},
      ["level"]),
     ({"kind": "covers", "level": FACTORED_MAX_LEVEL + 1, "n": 4, "degree": 2}, ["level"]),
+    # a V x (n+1) start map at n = 1e8 would take 131 TB at level 7
+    ({"kind": "flow", "level": 7, "n": 100_000_000, "alpha_schedule": [1.2]}, ["n"]),
+    ({"kind": "flow", "level": 3, "n": MORSE_MAX_N + 1, "alpha_schedule": [1.2]}, ["n"]),
+    ({"kind": "covers", "level": 7, "n": 100_000_000, "degree": 2}, ["n"]),
+    ({"kind": "covers", "level": 3, "n": MORSE_MAX_N + 1, "degree": 2}, ["n"]),
     # a key no runner reads is refused by name, census n included
     ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
       "grad_tolerance": 1e-3}, ["grad_tolerance"]),
@@ -341,7 +347,7 @@ def test_spectrum_run_with_own_k_solves_twice(tmp_path, monkeypatch):
     assert read_report(out)["metrics"]["nullity"]["value"] == 12
 
 
-def test_spectrum_run_matches_separate_solves(tmp_path):
+def test_spectrum_run_matches_separate_solves(tmp_path, dense_equator_spectrum):
     path = write_config(tmp_path, "spectrum.json",
                         {"kind": "spectrum", "level": 3, "n": 5})
     out = str(tmp_path / "out")
@@ -360,8 +366,7 @@ def test_spectrum_run_matches_separate_solves(tmp_path):
         rows = list(csv.reader(fh))[1:]
     assert [(int(r), float(v), c) for r, v, c in rows] == rep.to_rows()
     # and the full reduced pencil, to 1e-10, with the same index and nullity
-    pencil = spectrum_mod.assemble_second_variation(equator_map(mesh, 5), 1.0)
-    full = spectrum_mod.classify_spectrum(full_pencil_eigenvalues(pencil, 26, seed=3),
+    full = spectrum_mod.classify_spectrum(dense_equator_spectrum(mesh, 5, 1.0)[:26],
                                           True, 26, tau)
     assert_spectra_close(rep.eigenvalues, full.eigenvalues)
     assert (full.index, full.nullity) == (rep.index, rep.nullity)
@@ -454,6 +459,22 @@ def test_no_cli_run_builds_the_full_pencil(tmp_path, monkeypatch):
         spectrum_mod.calibrate_tau(f.mesh, f.n))
     metric = read_report(flow_out)["metrics"]["index_semicontinuity"]["value"]
     assert metric["index"] == full.index
+
+
+def test_no_cli_flow_solves_more_than_the_live_columns(tmp_path, monkeypatch):
+    # a flow runs on its start map's three live columns whatever n is: every
+    # (K + M) and mass solve has at most 3 right-hand sides
+    widths = []
+    solve = sphere_mesh_mod.DissectionFactor.solve
+    monkeypatch.setattr(sphere_mesh_mod.DissectionFactor, "solve",
+                        lambda self, rhs: widths.append(np.shape(rhs)[1:] or (1,))
+                        or solve(self, rhs))
+    path = write_config(tmp_path, "flow.json",
+                        {"kind": "flow", "level": 3, "n": 6, "alpha_schedule": [1.2, 1.1]})
+    out = str(tmp_path / "flow")
+    assert main(["flow", "--config", path, "--out", out]) == EXIT_OK
+    assert widths and max(widths) <= (3,)
+    assert read_report(out)["metrics"]["stages_completed"]["value"] == 2
 
 
 def test_kind_subcommand_mismatch(tmp_path, capsys):

@@ -36,10 +36,12 @@ json_docs = st.recursive(
 # valid configs at or next to each guard, so that one moved field crosses it
 BASES = {
     "census": [{"m": 3, "N_min": 5, "N_max": 9}, {"m": 5, "N_min": 7, "N_max": 40}],
-    "flow": [{"level": FACTORED_MAX_LEVEL, "n": 4, "alpha_schedule": [1.2, 1.1]}],
+    "flow": [{"level": FACTORED_MAX_LEVEL, "n": 4, "alpha_schedule": [1.2, 1.1]},
+             {"level": FACTORED_MAX_LEVEL, "n": MORSE_MAX_N, "alpha_schedule": [1.2]}],
     "spectrum": [{"level": 4, "n": SPECTRUM_MAX_N}, {"level": 5, "n": 7},
                  {"level": 6, "n": 3}],
-    "covers": [{"level": FACTORED_MAX_LEVEL, "n": 4, "degree": 2}],
+    "covers": [{"level": FACTORED_MAX_LEVEL, "n": 4, "degree": 2},
+               {"level": FACTORED_MAX_LEVEL, "n": MORSE_MAX_N, "degree": 6}],
     "pinch": [{"delta": 1, "samples": PINCH_MAX_SAMPLES, "n": PINCH_MAX_N}],
     "morse": [{"n": MORSE_MAX_N}, {"complex_path": "complex.json"}],
 }
@@ -116,6 +118,7 @@ def assert_contract(cfg):
         assert 20 * 4 ** cfg["level"] * (cfg["n"] + 1) ** 2 <= SPECTRUM_MAX_COST
     elif kind in ("flow", "covers"):
         assert 0 <= cfg["level"] <= FACTORED_MAX_LEVEL
+        assert {"flow": 2, "covers": 3}[kind] <= cfg["n"] <= MORSE_MAX_N
     elif kind == "pinch":
         assert 4 <= cfg["n"] <= PINCH_MAX_N and 1 <= cfg["samples"] <= PINCH_MAX_SAMPLES
     elif kind == "morse":

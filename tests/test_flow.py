@@ -14,6 +14,8 @@ from spherelab.energy import (
     dirichlet_energy,
     element_energy_integrals,
     equator_map,
+    head_map,
+    padded,
     perturbed_constant_map,
     random_map,
 )
@@ -185,16 +187,58 @@ def test_descend_runs_the_energy_kernel_once_per_map(mesh3, monkeypatch):
     # no map was evaluated twice under another identity either
     assert len({m.values.tobytes() for m in maps.values()}) == len(maps)
     monkeypatch.undo()
-    # the kept values carry the bits of a fresh evaluation
-    fresh = rec.map.copy()
+    # the kept values carry the bits of a fresh evaluation of the head, the
+    # map the flow ran on
+    assert rec.map.n == 4
+    fresh = head_map(rec.map.copy())
+    assert fresh.n == 2
     assert rec.energy == dirichlet_energy(fresh)
     assert rec.center_of_mass_norm == float(np.linalg.norm(center_of_mass(fresh, alpha)))
     assert rec.grad_norm == float(np.linalg.norm(alpha_energy_gradient(fresh, alpha).values))
     last = result.records[-1]
-    fresh = last.map.copy()
+    fresh = head_map(last.map.copy())
     assert last.energy == dirichlet_energy(fresh)
     assert last.alpha_energy == alpha_energy(fresh, 1.05)
     assert last.center_of_mass_norm == float(np.linalg.norm(center_of_mass(fresh, 1.05)))
+
+
+def test_flow_on_live_columns_is_exact(mesh3):
+    # the S^2 map included into S^6 flows as the S^2 map itself: the same
+    # stages, iterations and energies, and every record's map lies in S^6
+    # with its four trailing columns exactly zero
+    config = FlowConfig(alpha=1.2, grad_tol=1e-2, max_iterations=200)
+    f2 = dilated_equator_map(mesh3, 2, 0.3, axis=np.array([0.36, 0.48, 0.8]))
+    # built from its values, not by padded: the flow finds the head itself
+    zeros = np.zeros((mesh3.vertex_count, 4))
+    f6 = energy.SphereMap(mesh3, 6, np.hstack([f2.values, zeros]))
+    runs = []
+    for f0 in (f2, f6):
+        rec = descend(f0, config)
+        runs.append([rec] + continue_in_alpha(rec, [1.1, 1.05], config).records)
+    assert [len(run) for run in runs] == [3, 3]
+    for want, got in zip(*runs):
+        assert (got.alpha, got.iterations, got.converged) == (want.alpha, want.iterations,
+                                                              want.converged)
+        assert got.energy == want.energy and got.alpha_energy == want.alpha_energy
+        assert got.energy_log == want.energy_log and got.step_log == want.step_log
+        assert want.map.n == 2 and got.map.n == 6
+        assert np.array_equal(got.map.values[:, :3], want.map.values)
+        assert not np.any(got.map.values[:, 3:])
+
+
+def test_head_map_and_padded(mesh2):
+    f = perturbed_constant_map(mesh2, 3, np.random.default_rng(5))
+    p = padded(f, 6)
+    assert p.n == 6 and head_map(p) is f and padded(f, 3) is f
+    assert np.array_equal(p.values[:, :4], f.values) and not np.any(p.values[:, 4:])
+    # a map built with zero columns gets the head its values say, at least S^2
+    head = head_map(p.copy())
+    assert head.n == 3 and np.array_equal(head.values, f.values)
+    assert head_map(f) is f  # every column live
+    assert head_map(equator_map(mesh2, 5)).n == 2
+    assert head_map(constant_map(mesh2, 5)).n == 2
+    with pytest.raises(PreconditionError):
+        padded(f, 2)
 
 
 def test_flow_config_guards():

@@ -6,6 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from conftest import (
+    DENSE_ORACLE_ROWS,
     assert_csr_equal,
     assert_spectra_close,
     block_scatter_reference,
@@ -196,14 +197,18 @@ def full_pencil_report(f, alpha, k, tau, seed):
 @pytest.mark.parametrize("level, n, alpha",
                          [(level, n, alpha) for level in (3, 4) for n in (3, 4, 5, 6)
                           for alpha in (1.0, 1.1)] + [(5, 3, 1.0)])
-def test_equator_split_matches_full_pencil(request, level, n, alpha):
+def test_equator_split_matches_full_pencil(request, dense_equator_spectrum,
+                                          level, n, alpha):
     # oracle: the full reduced pencil, of size nV, at the calibration's k
     mesh = request.getfixturevalue(f"mesh{level}") if level < 5 else build_icosphere(5)
     idx, nul = expected_equator_counts(n)
     k = idx + nul + 8
     tau = calibrate_tau(mesh, n)
     vals, converged = equator_spectrum(mesh, n, alpha, k)
-    full = full_pencil_report(equator_map(mesh, n), alpha, k, tau, seed=level)
+    if n * mesh.vertex_count <= DENSE_ORACLE_ROWS:
+        full = classify_spectrum(dense_equator_spectrum(mesh, n, alpha)[:k], True, k, tau)
+    else:
+        full = full_pencil_report(equator_map(mesh, n), alpha, k, tau, seed=level)
     assert converged
     assert_spectra_close(vals, full.eigenvalues)
     split = classify_spectrum(vals, converged, k, tau)
@@ -334,18 +339,15 @@ def test_second_variation_walks_the_faces_once(monkeypatch, mesh3, alpha):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_equator_pencil_splits_into_scalar_copies(mesh3, n):
+def test_equator_pencil_splits_into_scalar_copies(mesh3, dense_equator_spectrum, n):
     # Simons: at alpha = 1 the constant normal directions e_4..e_{n+1} do not
     # couple to the R^3 part, so the scalar pencil (K - diag(lambda), M), with
     # lambda the multiplier sum(raw . f) per vertex, recurs n - 2 times in the
     # dense spectrum of the full reduced pencil
     f = equator_map(mesh3, n)
-    pencil = assemble_second_variation(f, 1.0)
-    # every eigenvalue in (-3, 12], which holds the ten lowest scalar ones;
-    # Fortran order and overwrite spare LAPACK two dense copies (~80 MB each)
-    full = scipy.linalg.eigh(pencil.H.toarray(order="F"), pencil.M.toarray(order="F"),
-                             eigvals_only=True, subset_by_value=(-3.0, 12.0),
-                             overwrite_a=True, overwrite_b=True, check_finite=False)
+    # every eigenvalue in (-3, 12], which holds the ten lowest scalar ones
+    spectrum = dense_equator_spectrum(mesh3, n, 1.0)
+    full = spectrum[(spectrum > -3.0) & (spectrum <= 12.0)]
     lam = np.sum(alpha_energy_raw_gradient(f, 1.0) * f.values, axis=1)
     fem = assemble_pencil(mesh3)
     scalar = scipy.linalg.eigh((fem.K - sp.diags(lam)).toarray(), fem.M.toarray(),
