@@ -60,9 +60,9 @@ SPECTRUM_MAX_K = 200
 SPECTRUM_MAX_COST = 20 * 4**4 * (SPECTRUM_MAX_N + 1) ** 2
 # a morse run's desk model and predicted counts need n >= 4, and its census of
 # G_3(R^(n+1)) needs n + 1 within topology's size guard.  flow and covers take n
-# up to the same bound, the paper's census range: a flow runs on the map's three
-# live columns, but its start map and each record's map hold V x (n + 1)
-# values, and a cover's energy walks all n + 1 columns
+# up to the same bound, the paper's census range: a flow and a cover run on the
+# map's three live columns, but a flow's start map, each record's map and the
+# padded cover hold V x (n + 1) values
 MORSE_MAX_N = topology_mod.MAX_N - 1
 # flow and covers factor V x V P1 matrices in nested-dissection order: at level 7,
 # 20.5 M nonzeros, 3.2 s for order and factor and 0.5 GB for a whole one-stage
@@ -307,7 +307,8 @@ def run_covers(cfg, out_dir, report):
     mesh = build_icosphere(level)
     g = covers_mod.RationalMap.power(degree)
     h = covers_mod.EquatorTargetMap(n)
-    f = covers_mod.compose_cover(h, g, mesh)
+    # the padded cover is dropped: its live columns are all that is read
+    f = energy_mod.head_map(covers_mod.compose_cover(h, g, mesh))
     # a double cover's normal index needs k = 16; lambda1 reads the same batch
     res = covers_mod.induced_metric_lambda1(f, k=16 if degree == 2 else 8)
     # after the eigensolve, so the map's face integrals are not alive at its peak

@@ -1,12 +1,14 @@
 """Rational self-maps of the Riemann sphere and branched-cover spectra.
 
-Rational maps are stored by their zero and pole divisors plus a scale.
-The point at infinity is the complex value inf+0j; arithmetic on the
-extended plane goes through the chordal metric where absolute differences
-would blow up.  Compositions with analytic target maps are sampled on the
-mesh through stereographic charts, and pulled-back metrics enter spectral
-computations through a per-element conformal factor with a floor at the
-branch elements.
+Rational maps are stored by their zero and pole divisors plus a scale,
+and evaluated by one polyval pass over an array of points (evaluate is
+its one-point case).  The point at infinity is the complex value inf+0j;
+arithmetic on the extended plane goes through the chordal metric where
+absolute differences would blow up.  Compositions with analytic target
+maps are sampled on the mesh through stereographic charts and kept on
+their live columns (energy.head_map).  Pulled-back metrics enter spectral
+computations through a per-element conformal factor, read off the
+energy's face walk, with a floor at the branch elements.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .energy import SphereMap, normalize_rows
+from .energy import SphereMap, _face_blocks, head_map, normalize_rows, padded
 from .errors import (
     DegenerateElementsError,
     InvariantViolationError,
@@ -195,56 +197,31 @@ class RationalMap:
 
 
 def evaluate(g: RationalMap, z) -> complex:
-    """Value of g at an extended-complex point, with degree counting at inf."""
-    z = complex(z)
-    if is_inf(z):
-        zeros_at_inf = sum(1 for p in g.zeros if is_inf(p))
-        poles_at_inf = sum(1 for q in g.poles if is_inf(q))
-        if poles_at_inf > 0:
-            return INF
-        if zeros_at_inf > 0:
-            return 0.0
-        return g.scale  # equal finite degrees: limit is the leading ratio
-    num = complex(np.polynomial.polynomial.polyval(z, g._num))
-    den = complex(np.polynomial.polynomial.polyval(z, g._den))
-    if den == 0 and num == 0:
-        raise InvariantViolationError(f"0/0 at z={z}: lost common factor")
-    if den == 0:
-        return INF
-    return num / den
-
-
-def _horner(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """polyval over an array, each value rounded as the scalar polyval rounds it.
-
-    The complex product is spelled out in real parts: numpy's vectorised
-    complex multiply may fuse multiply-adds, its scalar one does not.
-    """
-    re = np.full(z.shape, coef[-1].real)
-    im = np.full(z.shape, coef[-1].imag)
-    for c in coef[-2::-1]:
-        re, im = c.real + (re * z.real - im * z.imag), c.imag + (re * z.imag + im * z.real)
-    out = np.empty(z.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
+    """Value of g at an extended-complex point: evaluate_many at one point."""
+    return complex(evaluate_many(g, complex(z))[0])
 
 
 def evaluate_many(g: RationalMap, zs: np.ndarray) -> np.ndarray:
-    """evaluate() over an array: one Horner pass over the finite points."""
+    """Values of g at extended-complex points, with degree counting at inf.
+
+    Numerator and denominator are one polyval pass over the finite points.
+    At inf, a pole there gives inf, a zero there 0, and equal finite
+    degrees the ratio of the leading coefficients, the scale.
+    """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    out = np.empty(zs.shape, dtype=complex)
     infinite = np.isinf(zs.real) | np.isinf(zs.imag)
-    if np.any(infinite):
-        out[infinite] = evaluate(g, INF)
     z = zs[~infinite]
-    num = _horner(g._num, z)
-    den = _horner(g._den, z)
+    num = np.polynomial.polynomial.polyval(z, g._num)
+    den = np.polynomial.polynomial.polyval(z, g._den)
     pole = den == 0
     lost = pole & (num == 0)
     if np.any(lost):
         raise InvariantViolationError(
             f"0/0 at z={z[np.argmax(lost)]}: lost common factor")
+    out = np.empty(zs.shape, dtype=complex)
     out[~infinite] = np.where(pole, INF, num / np.where(pole, 1.0, den))
+    out[infinite] = (INF if any(map(is_inf, g.poles))
+                     else 0.0 if any(map(is_inf, g.zeros)) else g.scale)
     return out
 
 
@@ -343,23 +320,20 @@ def branch_alignment_rotation(g: RationalMap, mesh: SphereMesh) -> np.ndarray:
     return _rotation_taking(target, mesh.vertices[nearest])
 
 
-def compose_cover(h, g: RationalMap, mesh: SphereMesh, align: bool = True) -> SphereMap:
+def compose_cover(h, g: RationalMap, mesh: SphereMesh) -> SphereMap:
     """Sample the branched cover h(g(.)) at the mesh vertices.
 
-    When ``align`` is set the domain is rotated first so the leading branch
-    point of g coincides with a mesh vertex, concentrating the degenerate
-    conformal factor where it can be floored and reported.
+    The domain is rotated first so the leading branch point of g coincides
+    with a mesh vertex, concentrating the degenerate conformal factor where
+    it can be floored and reported.  The cover is kept on its live columns
+    (energy.head_map) and padded back to h's target, as a flow's records are.
     """
-    pts = mesh.vertices
-    if align:
-        rot = branch_alignment_rotation(g, mesh)
-        pts = pts @ rot  # evaluate at rot^T v, i.e. rotate the chart not the mesh
-    z = stereographic(pts)
-    w = evaluate_many(g, z)
-    moved = inverse_stereographic(w)
-    vals = h(moved)
-    return SphereMap(mesh, h.n if hasattr(h, "n") else vals.shape[1] - 1,
-                     normalize_rows(vals))
+    rot = branch_alignment_rotation(g, mesh)
+    z = stereographic(mesh.vertices @ rot)  # evaluate at rot^T v: rotate the chart
+    vals = h(inverse_stereographic(evaluate_many(g, z)))
+    f = SphereMap(mesh, vals.shape[1] - 1, normalize_rows(vals))
+    # a copy, so the padded map does not keep the full array alive
+    return padded(head_map(f).copy(), f.n)
 
 
 def normalize_double_cover(g: RationalMap, samples: int = 20):
@@ -423,15 +397,20 @@ class PullbackSpectrumResult:
 
 
 def _conformal_factors(f: SphereMap, eps_reg: float):
-    """Per-element area ratio of the image to the domain, floored."""
+    """Per-element area ratio of the image to the domain, floored.
+
+    The image metric is read off the energy's face walk over the map's
+    live columns (energy.head_map): the edges from corner a are -d0 and
+    d2, so g11 = |d0|^2, g22 = |d2|^2 and g12 = -d0 . d2.
+    """
     mesh = f.mesh
-    p = f.values[mesh.faces]  # (F, 3, C)
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    g11 = np.einsum("fc,fc->f", e1, e1)
-    g22 = np.einsum("fc,fc->f", e2, e2)
-    g12 = np.einsum("fc,fc->f", e1, e2)
-    image_area = 0.5 * np.sqrt(np.clip(g11 * g22 - g12**2, 0.0, None))
+    gram = np.empty(mesh.face_count)
+    for faces, d, _ in _face_blocks(head_map(f)):
+        g11 = np.einsum("cb,cb->b", d[:, 0], d[:, 0])
+        g22 = np.einsum("cb,cb->b", d[:, 2], d[:, 2])
+        g12 = -np.einsum("cb,cb->b", d[:, 0], d[:, 2])
+        gram[faces] = g11 * g22 - g12**2
+    image_area = 0.5 * np.sqrt(np.clip(gram, 0.0, None))
     rho = image_area / mesh.face_flat_areas
     floor = eps_reg * float(np.mean(rho))
     floored = rho < floor

@@ -32,6 +32,9 @@ from .sphere_mesh import (FOUR_PI, MASS_LOCAL, SphereMesh, assemble_faces,
 _EIG_SEED = 20240
 # block rows per slab of _in_frames
 FRAME_ROWS = 1 << 9
+# a map whose tangent gradient exceeds this fraction of its raw gradient is
+# far from critical: its Hessian spectrum is only formal
+FAR_FROM_CRITICAL = 0.05
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,8 @@ def _tangent_pencil(sphere_map: SphereMap, alpha: float, parts,
 
 
 def assemble_second_variation(sphere_map: SphereMap, alpha: float,
-                              warn_threshold: float = 0.05) -> SecondVariationPencil:
+                              warn_threshold: float = FAR_FROM_CRITICAL
+                              ) -> SecondVariationPencil:
     """Second-variation pencil of the alpha-energy on tangent fields.
 
     Warns when the map is visibly non-critical (the Hessian then has no
@@ -309,7 +313,7 @@ def split_spectrum(sphere_map: SphereMap, alpha: float, k: int):
     head = head_map(sphere_map)
     m = head.n
     parts = A, _, _ = _hessian_parts(head, alpha)
-    tangent = _tangent_pencil(head, alpha, parts, 0.05)
+    tangent = _tangent_pencil(head, alpha, parts, FAR_FROM_CRITICAL)
     vals, converged = _lowest_eigenvalues(tangent.H, tangent.M, k)
     copies = n - m
     if copies:

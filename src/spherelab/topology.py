@@ -263,44 +263,25 @@ def split_by_action(complex_: MorseComplexZ2, n: int = None):
     minimum counts when ``n`` is given.  Raises ClosureViolationError if
     the boundary maps the A block into the B block.
     """
-    a_positions = {}
-    b_positions = {}
-    for degree in complex_.degrees():
-        gens = complex_.generators[degree]
-        a_positions[degree] = [i for i, g in enumerate(gens) if g.label == "A"]
-        b_positions[degree] = [i for i, g in enumerate(gens) if g.label == "B"]
-    a_bound = {}
-    b_bound = {}
-    for degree in complex_.degrees():
-        mat = complex_.boundary(degree)
-        if not mat.size:
-            continue
-        rows_b = b_positions.get(degree - 1, [])
-        cols_a = a_positions[degree]
-        if rows_b and cols_a and np.any(mat[np.ix_(rows_b, cols_a)]):
+    degrees, gens = complex_.degrees(), complex_.generators
+    mats = {d: complex_.boundary(d) for d in degrees}
+    positions = {label: {d: [i for i, g in enumerate(gens[d]) if g.label == label]
+                         for d in degrees}
+                 for label in ("A", "B")}
+    for degree in degrees:
+        rows_b, cols_a = positions["B"].get(degree - 1, []), positions["A"][degree]
+        if rows_b and cols_a and np.any(mats[degree][np.ix_(rows_b, cols_a)]):
             raise ClosureViolationError(
                 f"boundary maps an A-generator of degree {degree} into the "
                 f"B block (inconsistent with a trivial module action)"
             )
-        rows_a = a_positions.get(degree - 1, [])
-        if cols_a:
-            a_bound[degree] = mat[np.ix_(rows_a, cols_a)].copy()
-        cols_b = b_positions[degree]
-        if cols_b:
-            b_bound[degree] = mat[np.ix_(rows_b, cols_b)].copy()
-    a_complex = MorseComplexZ2(
-        generators={
-            d: [complex_.generators[d][i] for i in a_positions[d]]
-            for d in complex_.degrees() if a_positions[d]
-        },
-        boundaries=a_bound,
-    )
-    b_complex = MorseComplexZ2(
-        generators={
-            d: [complex_.generators[d][i] for i in b_positions[d]]
-            for d in complex_.degrees() if b_positions[d]
-        },
-        boundaries=b_bound,
+    a_complex, b_complex = (
+        MorseComplexZ2(
+            generators={d: [gens[d][i] for i in pos[d]] for d in degrees if pos[d]},
+            boundaries={d: mats[d][np.ix_(pos.get(d - 1, []), pos[d])].copy()
+                        for d in degrees if pos[d] and mats[d].size},
+        )
+        for pos in (positions["A"], positions["B"])
     )
     verify_complex(a_complex)
     report = None

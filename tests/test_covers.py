@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,23 +83,31 @@ def evaluation_points(mesh):
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_evaluate_many_matches_scalar_loop_on_power_maps(mesh4, degree):
+    # oracle: scale * z**d in Python complex arithmetic, point by point
     g = RationalMap.power(degree)
     z = evaluation_points(mesh4)
-    loop = np.array([evaluate(g, v) for v in z], dtype=complex)
-    np.testing.assert_array_equal(evaluate_many(g, z), loop)  # bit for bit
+    got = evaluate_many(g, z)
+    finite = ~np.isinf(z)
+    loop = np.array([g.scale * v ** degree for v in z[finite].tolist()])
+    np.testing.assert_allclose(got[finite], loop, rtol=1e-14, atol=0)
+    assert np.all(np.isinf(got[~finite]))  # the north pole and inf itself
+    assert [evaluate(g, v) for v in z] == got.tolist()
 
 
 def test_evaluate_many_matches_scalar_loop_with_finite_poles(mesh4):
+    # oracle: scale * prod(z - zeros) / prod(z - poles) in Python complex
+    # arithmetic, point by point
     g = RationalMap(zeros=(0.5, 1j), poles=(2.0, -1.0), scale=1.5 - 0.5j)
     z = evaluation_points(mesh4)
-    loop = np.array([evaluate(g, v) for v in z], dtype=complex)
     got = evaluate_many(g, z)
-    assert np.all(np.isinf(loop[-2:]))  # the two finite poles
-    np.testing.assert_array_equal(np.isinf(got), np.isinf(loop))
-    finite = ~np.isinf(loop)
-    # the array quotient multiplies by a reciprocal, CPython's divides: one ulp
-    np.testing.assert_allclose(got[finite], loop[finite], rtol=4.5e-16, atol=0)
-    assert got[-3] == loop[-3] == 1.5 - 0.5j  # at inf, equal degrees: the scale
+    pole = np.isin(z, g.poles)  # the two appended poles and the vertex at -1
+    assert pole[-2:].all() and np.all(np.isinf(got[pole]))
+    finite = ~np.isinf(z) & ~pole
+    loop = np.array([g.scale * math.prod(v - p for p in g.zeros)
+                     / math.prod(v - q for q in g.poles) for v in z[finite].tolist()])
+    np.testing.assert_allclose(got[finite], loop, rtol=1e-14, atol=0)
+    assert got[-3] == evaluate(g, INF) == 1.5 - 0.5j  # at inf, equal degrees: the scale
+    assert [evaluate(g, v) for v in z] == got.tolist()
 
 
 def test_evaluate_many_zero_over_zero_raises():
@@ -316,3 +325,22 @@ def test_rational_map_json_roundtrip():
     doc = g.to_json_dict()
     back = RationalMap.from_json_dict(doc)
     assert back.zeros == g.zeros and back.poles == g.poles and back.scale == g.scale
+
+
+def test_conformal_factors_do_not_depend_on_n():
+    # the cover lies in R^3 x 0: its factors are those of its live columns,
+    # and no per-face array over all n + 1 columns is built
+    mesh = build_icosphere(5)
+    g = RationalMap.power(2)
+    rho4, floored4 = covers_mod._conformal_factors(
+        compose_cover(EquatorTargetMap(4), g, mesh), 1e-8)
+    f39 = compose_cover(EquatorTargetMap(39), g, mesh)
+    tracemalloc.start()
+    try:
+        rho39, floored39 = covers_mod._conformal_factors(f39, 1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(rho39, rho4)
+    assert floored39 == floored4
+    assert peak < mesh.face_count * 3 * (39 + 1) * 8  # one (F, 3, n + 1) float64 array
