@@ -64,10 +64,10 @@ SPECTRUM_MAX_COST = 20 * 4**4 * (SPECTRUM_MAX_N + 1) ** 2
 # map's three live columns, but a flow's start map, each record's map and the
 # padded cover hold V x (n + 1) values
 MORSE_MAX_N = topology_mod.MAX_N - 1
-# flow and covers factor V x V P1 matrices in nested-dissection order: at level 7,
-# 20.5 M nonzeros, 3.2 s for order and factor and 0.5 GB for a whole one-stage
-# flow (37.8 M, 7.4 s and 0.65 GB in SuperLU's COLAMD order); at level 8 about
-# 90 M nonzeros
+# flow and covers each factor one V x V P1 matrix in nested-dissection order: at
+# level 7, 20.5 M nonzeros and 3.2 s for order and factor (37.8 M and 7.4 s in
+# SuperLU's COLAMD order), and a one-stage distorted-equator flow peaks at 0.55 GB;
+# at level 8 about 90 M nonzeros
 FACTORED_MAX_LEVEL = 7
 
 

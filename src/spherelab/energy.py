@@ -444,29 +444,40 @@ def precompose_with_dilations(sphere_map: SphereMap, params) -> SphereMap:
 
 # -- recentering ---------------------------------------------------------------
 
+def conformal_field_jacobian(sphere_map: SphereMap, alpha: float) -> np.ndarray:
+    """d center_of_mass / d dilation parameters at zero for the smooth map:
+    int [(3 psi - 2 g psi') y y^T - psi I] dA, g = |df|^2, psi = psi_alpha(g).
+
+    The dilation along e_j moves y by the conformal field e_j - (e_j . y) y
+    (Hersch 1970) and scales g and dA by its divergence -2 y_j, which adds
+    -2 int y y_j (g psi' - psi) dA; a resampled map's differs by rounding
+    and the discretization."""
+    g, da = element_density_area_one(sphere_map)
+    psi = psi_alpha(g, alpha)
+    y = sphere_map.mesh.face_centroids
+    w = (3.0 * psi - 2.0 * alpha * g * g * (1.0 + g) ** (alpha - 2.0)) * da
+    return (y.T * w) @ y - np.sum(psi * da) * np.eye(3)
+
+
 def fit_centering_dilation(sphere_map: SphereMap, alpha: float,
                            tol: float = 1e-8, max_iter: int = 50):
-    """Newton solve for dilation parameters that zero the center of mass.
+    """Broyden solve for dilation parameters that zero the center of mass.
 
-    Returns (recentered_map, params).  Raises ConvergenceError with the
-    final residual if Newton does not reach |center_of_mass| <= tol.
+    The Jacobian starts from conformal_field_jacobian, and every trial
+    resample, accepted or not, updates it by Broyden's rank-one rule.
+    Returns (recentered_map, params), the map being the accepted resample.
+    Raises ConvergenceError with the final residual if the solve does not
+    reach |center_of_mass| <= tol.
     """
     if dirichlet_energy(sphere_map) < 1e-12:
         raise PreconditionError("cannot recenter a constant map")
     com = center_of_mass(sphere_map, alpha)
-    if np.linalg.norm(com) <= tol:
-        return sphere_map, np.zeros(3)
-
-    def resample(params):
-        moved = precompose_with_dilations(sphere_map, params)
-        return moved, center_of_mass(moved, alpha)
-
-    params = np.zeros(3)
     res = float(np.linalg.norm(com))
-    h = 1e-6
+    if res <= tol:
+        return sphere_map, np.zeros(3)
+    jac = conformal_field_jacobian(sphere_map, alpha)
+    params = np.zeros(3)
     for _ in range(max_iter):
-        jac = np.stack([resample(params + dp)[1] - resample(params - dp)[1]
-                        for dp in h * np.eye(3)], axis=1) / (2.0 * h)
         try:
             step = np.linalg.solve(jac, com)
         except np.linalg.LinAlgError as exc:
@@ -475,7 +486,10 @@ def fit_centering_dilation(sphere_map: SphereMap, alpha: float,
         scale = 1.0
         for _ in range(30):
             trial = params - scale * step
-            moved, com_trial = resample(trial)
+            moved = precompose_with_dilations(sphere_map, trial)
+            com_trial = center_of_mass(moved, alpha)
+            s = trial - params
+            jac += np.outer(com_trial - com - jac @ s, s / (s @ s))
             if np.linalg.norm(com_trial) < res:
                 params, com, recentered = trial, com_trial, moved
                 res = float(np.linalg.norm(com))

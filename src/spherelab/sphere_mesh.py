@@ -35,6 +35,11 @@ MASS_LOCAL = (np.ones((3, 3)) + np.eye(3)) / 12.0
 GEOMETRY_BLOCK = 1 << 16
 # largest part the nested dissection leaves undivided
 DISSECTION_LEAF = 64
+# the eigenvalues of diag(M)^-1 M lie in [1/2, 2] for the P1 mass matrix M of
+# any triangle mesh (Wathen 1987), and k Chebyshev steps on that interval cut
+# the error by 2 * 3^-k at least: 1.5e-18 at 38
+MASS_SPECTRUM = (0.5, 2.0)
+MASS_CHEBYSHEV_STEPS = 38
 
 
 class AreaConvention(enum.Enum):
@@ -345,9 +350,23 @@ class SphereMesh:
         return DissectionFactor(matrix, self.dissection_order)
 
     def solve_mass(self, rhs):
-        """Solve M x = rhs columnwise (M is the consistent mass matrix)."""
-        lu = self._cached("mass_lu", lambda: self.factor(assemble_pencil(self).M))
-        return lu.solve(rhs)
+        """Solve M x = rhs columnwise (M is the consistent mass matrix) by
+        MASS_CHEBYSHEV_STEPS steps of Chebyshev semi-iteration on
+        diag(M)^-1 M over MASS_SPECTRUM (Saad, Alg. 12.1).  No factor and no
+        inner product: a (V, m) block gives its column solves bit for bit."""
+        M = assemble_pencil(self).M
+        r = np.array(rhs, dtype=float, order="C")
+        scale = (1.0 / M.diagonal()).reshape((-1,) + (1,) * (r.ndim - 1))
+        lo, hi = MASS_SPECTRUM
+        theta, delta = (hi + lo) / 2.0, (hi - lo) / 2.0
+        rho = delta / theta
+        x = d = scale * r / theta
+        for _ in range(MASS_CHEBYSHEV_STEPS - 1):
+            r -= M @ d
+            rho, last = 1.0 / (2.0 * theta / delta - rho), rho
+            d = rho * last * d + (2.0 * rho / delta) * scale * r
+            x = x + d
+        return x
 
     def solve_stiff_plus_mass(self, rhs):
         """Solve (K + M) x = rhs columnwise; factorization is cached."""

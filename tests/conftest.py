@@ -6,7 +6,8 @@ from scipy.sparse.linalg import eigsh
 from scipy.spatial import cKDTree
 
 from spherelab import build_icosphere
-from spherelab.energy import equator_map
+from spherelab.energy import center_of_mass, equator_map, precompose_with_dilations
+from spherelab.errors import ConvergenceError
 from spherelab.spectrum import assemble_second_variation
 
 
@@ -194,3 +195,41 @@ def record_face_blocks(monkeypatch, module):
     monkeypatch.setattr(module, "assemble_faces",
                         lambda mesh, blocks: calls.append(blocks) or assemble(mesh, blocks))
     return calls
+
+
+def fd_centering_jacobian(sphere_map, alpha, params, h=1e-6):
+    """Central-difference Jacobian of the center of mass of the resampled map
+    in the three dilation parameters: six resamples."""
+    return np.stack([center_of_mass(precompose_with_dilations(sphere_map, params + dp), alpha)
+                     - center_of_mass(precompose_with_dilations(sphere_map, params - dp), alpha)
+                     for dp in h * np.eye(3)], axis=1) / (2.0 * h)
+
+
+def newton_centering_dilation(sphere_map, alpha, tol=1e-8, max_iter=50):
+    """The Newton recentering that energy.fit_centering_dilation replaced,
+    kept as its reference: a central-difference Jacobian at every step
+    (fd_centering_jacobian) and up to 30 halvings of the step.  Returns
+    (recentered_map, params)."""
+    com = center_of_mass(sphere_map, alpha)
+    if np.linalg.norm(com) <= tol:
+        return sphere_map, np.zeros(3)
+    params = np.zeros(3)
+    res = float(np.linalg.norm(com))
+    for _ in range(max_iter):
+        step = np.linalg.solve(fd_centering_jacobian(sphere_map, alpha, params), com)
+        scale = 1.0
+        for _ in range(30):
+            trial = params - scale * step
+            moved = precompose_with_dilations(sphere_map, trial)
+            com_trial = center_of_mass(moved, alpha)
+            if np.linalg.norm(com_trial) < res:
+                params, com, recentered = trial, com_trial, moved
+                res = float(np.linalg.norm(com))
+                break
+            scale *= 0.5
+        else:
+            raise ConvergenceError("recentering stalled", residual=res)
+        if res <= tol:
+            return recentered, params
+    raise ConvergenceError("recentering did not reach tolerance", residual=res)
+

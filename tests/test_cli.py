@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import assert_spectra_close, count_eigsh
 from spherelab import build_icosphere
@@ -30,6 +31,7 @@ from spherelab.cli import (
     main,
     validate_config,
 )
+from spherelab.energy import project_tangent
 from spherelab.errors import NumericError
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -465,16 +467,51 @@ def test_no_cli_flow_solves_more_than_the_live_columns(tmp_path, monkeypatch):
     # a flow runs on its start map's three live columns whatever n is: every
     # (K + M) and mass solve has at most 3 right-hand sides
     widths = []
-    solve = sphere_mesh_mod.DissectionFactor.solve
-    monkeypatch.setattr(sphere_mesh_mod.DissectionFactor, "solve",
-                        lambda self, rhs: widths.append(np.shape(rhs)[1:] or (1,))
-                        or solve(self, rhs))
+    for owner, name in ((sphere_mesh_mod.DissectionFactor, "solve"),
+                        (sphere_mesh_mod.SphereMesh, "solve_mass")):
+        solve = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda self, rhs, solve=solve:
+                            widths.append(np.shape(rhs)[1:] or (1,)) or solve(self, rhs))
     path = write_config(tmp_path, "flow.json",
                         {"kind": "flow", "level": 3, "n": 6, "alpha_schedule": [1.2, 1.1]})
     out = str(tmp_path / "flow")
     assert main(["flow", "--config", path, "--out", out]) == EXIT_OK
     assert widths and max(widths) <= (3,)
     assert read_report(out)["metrics"]["stages_completed"]["value"] == 2
+
+
+def test_cli_flow_factors_only_stiff_plus_mass(tmp_path, monkeypatch):
+    # the mass solve is an iteration: the one matrix a flow factors is K + M
+    factored, residuals = [], []
+    factor = sphere_mesh_mod.SphereMesh.factor
+    monkeypatch.setattr(sphere_mesh_mod.SphereMesh, "factor",
+                        lambda mesh, matrix: factored.append((mesh, matrix))
+                        or factor(mesh, matrix))
+    init = sphere_mesh_mod.DissectionFactor.__init__
+    built = []
+    monkeypatch.setattr(sphere_mesh_mod.DissectionFactor, "__init__",
+                        lambda self, *a: built.append(self) or init(self, *a))
+    harmonic_residual = flow_mod.harmonic_residual
+    monkeypatch.setattr(flow_mod, "harmonic_residual",
+                        lambda f: residuals.append((f, harmonic_residual(f)))
+                        or residuals[-1][1])
+    path = write_config(tmp_path, "flow.json",
+                        {"kind": "flow", "level": 3, "n": 4, "seed": 1,
+                         "alpha_schedule": [1.2, 1.1, 1.05]})
+    assert main(["flow", "--config", path, "--out", str(tmp_path / "flow")]) == EXIT_OK
+    assert len(built) == 1 and len(factored) == 1
+    ((mesh, matrix),) = factored
+    pencil = sphere_mesh_mod.assemble_pencil(mesh)
+    assert (matrix != pencil.K + pencil.M).nnz == 0
+    assert "mass_lu" not in mesh._cache and mesh._cache["km_lu"] is built[0]
+    # oracle: the tension field's inverse-mass norm through a dense solve
+    assert len(residuals) == 3
+    M = pencil.M.toarray()
+    for f, value in residuals:
+        r = project_tangent(f, pencil.K @ f.values).values
+        ref = math.sqrt(np.sum(r * scipy.linalg.solve(M, r, assume_a="pos")))
+        assert abs(value - ref) <= 1e-12 * ref
 
 
 def test_kind_subcommand_mismatch(tmp_path, capsys):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import assert_located_like_kd_tree, count_face_blocks
+from conftest import (assert_located_like_kd_tree, count_face_blocks, fd_centering_jacobian,
+                      newton_centering_dilation)
 from spherelab import build_icosphere
 from spherelab import energy
 from spherelab.energy import (
@@ -19,6 +20,7 @@ from spherelab.energy import (
     axisymmetric_alpha_energy,
     axisymmetric_divergence_minorant,
     center_of_mass,
+    conformal_field_jacobian,
     constant_map,
     dilate_points,
     dilated_equator_map,
@@ -35,7 +37,7 @@ from spherelab.energy import (
     recenter,
     sample_map,
 )
-from spherelab.errors import InvariantViolationError, PreconditionError
+from spherelab.errors import ConvergenceError, InvariantViolationError, PreconditionError
 from spherelab.sphere_mesh import SphereMesh, validate_mesh
 
 FOUR_PI = 4.0 * math.pi
@@ -386,17 +388,58 @@ def test_recenter_recovers_dilation(mesh4):
 
 
 def test_recenter_returns_the_accepted_resample(mesh3, monkeypatch):
-    # one Newton step resamples 7 times: 6 for the central-difference
-    # Jacobian and 1 for the accepted trial, which is the map returned
-    calls = []
+    # the solve stops on an accepted trial, so the map returned is the last
+    # resample, the one at the returned parameters
+    resampled = []
     sample = energy.sample_map
     monkeypatch.setattr(energy, "sample_map",
-                        lambda *a: calls.append(1) or sample(*a))
+                        lambda *a: resampled.append(sample(*a)) or resampled[-1])
     f = dilated_equator_map(mesh3, 4, 1e-4, axis="z")
     recentered, params = fit_centering_dilation(f, 1.05)
-    assert len(calls) == 7
+    assert resampled and recentered.values.base is resampled[-1]
     assert np.array_equal(recentered.values, precompose_with_dilations(f, params).values)
     assert np.linalg.norm(center_of_mass(recentered, 1.05)) <= 1e-8
+
+
+AXES = {"z": "z", "x": "x", "123": np.array([1.0, 2.0, 3.0])}
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.05, 1.2])
+@pytest.mark.parametrize("axis", list(AXES))
+@pytest.mark.parametrize("t", [1e-4, 0.3, 0.45, 0.8])
+@pytest.mark.parametrize("level", [3, 4])
+def test_recenter_matches_newton_oracle(level, t, axis, alpha, request, monkeypatch):
+    # oracle: Newton on a central-difference Jacobian at every step, which
+    # resamples 6 times per Jacobian; the Broyden solve resamples once per trial
+    f = dilated_equator_map(request.getfixturevalue(f"mesh{level}"), 4, t, axis=AXES[axis])
+    resamples = []
+    sample = energy.sample_map
+    monkeypatch.setattr(energy, "sample_map", lambda *a: resamples.append(1) or sample(*a))
+    _, ref_params = newton_centering_dilation(f, alpha)
+    oracle_count = len(resamples)
+    resamples.clear()
+    recentered, params = fit_centering_dilation(f, alpha)
+    assert len(resamples) <= oracle_count
+    assert np.max(np.abs(params - ref_params)) <= 1e-9
+    assert np.linalg.norm(center_of_mass(recentered, alpha)) <= 1e-8
+    # the seed is the smooth map's Jacobian: it misses the resampled map's
+    # by the discretization alone (at most 1.5 % here), where the conformal
+    # fields' term alone misses it by 7-22 %
+    jac = fd_centering_jacobian(f, alpha, np.zeros(3))
+    seed = conformal_field_jacobian(f, alpha)
+    assert np.linalg.norm(seed - jac) <= 0.02 * np.linalg.norm(jac)
+
+
+def test_recenter_stall_raises_with_residual(mesh3):
+    f = dilated_equator_map(mesh3, 4, 0.8, axis="z")
+    start = float(np.linalg.norm(center_of_mass(f, 1.05)))
+    with pytest.raises(ConvergenceError, match="did not reach tolerance") as err:
+        fit_centering_dilation(f, 1.05, max_iter=1)
+    assert err.value.residual is not None and 1e-8 < err.value.residual < start
+    # a tolerance below rounding ends in a step that cannot lower the residual
+    with pytest.raises(ConvergenceError, match="stalled") as err:
+        fit_centering_dilation(f, 1.05, tol=0.0)
+    assert err.value.residual is not None and err.value.residual < 1e-8
 
 
 def test_recenter_already_centered(mesh3):

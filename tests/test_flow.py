@@ -181,7 +181,7 @@ def test_descend_runs_the_energy_kernel_once_per_map(mesh3, monkeypatch):
     rec = descend(f0, config)
     result = continue_in_alpha(rec, [1.1, 1.05], config)
     assert result.succeeded
-    assert calls["resamples"] >= 7  # recentering took a Newton step
+    assert calls["resamples"] >= 1  # recentering resampled the map
     assert len(maps) > rec.iterations + calls["resamples"]
     assert calls["blocks"] == 5 * len(maps)
     # no map was evaluated twice under another identity either
