@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .energy import SphereMap, _face_blocks, head_map, normalize_rows, padded
@@ -435,8 +436,10 @@ def pullback_laplace_eigenvalues(f: SphereMap, k: int = 8,
                                       elements=list(range(mesh.face_count)))
     pencil = assemble_pencil(mesh)
     M_rho = assemble_faces(mesh, (rho * mesh.face_areas)[:, None, None] * MASS_LOCAL)
-    rng = np.random.default_rng(1234)
     v = mesh.vertex_count
+    if k >= v - 1:  # ARPACK returns at most V - 1: solve a pencil this small densely
+        return scipy.linalg.eigh(pencil.K.toarray(), M_rho.toarray(), eigvals_only=True), floored
+    rng = np.random.default_rng(1234)
     v0 = rng.standard_normal(v)
     # shift-invert at sigma = -0.1 applies (K + 0.1 M_rho)^-1
     shifted = mesh.factor(pencil.K + 0.1 * M_rho)

@@ -290,7 +290,7 @@ def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray
     s_a = D_ab - D_ca, s_b = D_bc - D_ab, s_c = D_ca - D_bc for the
     weighted differences D_e = w_f c_e d_e.  The weights read the map's
     element_energy_integrals; a map that has none yet gets them from this
-    walk, block by block, before the block is scattered.
+    walk, block by block, before SphereMesh.scatter_corners adds the block in.
     """
     mesh = sphere_map.mesh
     areas = mesh.face_areas
@@ -304,16 +304,10 @@ def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray
             q[faces] = _block_integrals(d, c)
         w = alpha * (1.0 + _density(q[faces], areas[faces])) ** (alpha - 1.0)
         d *= w * c
-        # s[:, f, i] for corner i of face f, so that each column's row is
-        # face-major, in the order of mesh.faces.reshape(-1)
-        s = np.empty((d.shape[0], d.shape[2], 3))
+        s = np.empty((d.shape[0], d.shape[2], 3))  # s[:, f, i] for corner i of face f
         for e in range(3):  # s_a = D_ab - D_ca, s_b = D_bc - D_ab, s_c = D_ca - D_bc
             np.subtract(d[:, e], d[:, e - 1], out=s[:, :, e])
-        idx = mesh.faces[faces].reshape(-1)
-        # np.add.at sums in index order, so the result does not depend on
-        # FACE_BLOCK: it is one scatter over all faces, face by face
-        for row, contributions in zip(out, s.reshape(len(out), -1)):
-            np.add.at(row, idx, contributions)
+        mesh.scatter_corners(out, faces, s)
     if fill:
         _keep_integrals(sphere_map, q)
     return np.ascontiguousarray(out.T)

@@ -93,15 +93,15 @@ def _hessian_parts(sphere_map: SphereMap, alpha: float):
     mesh, values = sphere_map.mesh, sphere_map.values
     g, _ = element_density_area_one(sphere_map)
     w = alpha * (1.0 + g) ** (alpha - 1.0)
-    K_w = assemble_faces(mesh, w[:, None, None] * mesh.face_stiffness)
+    k = mesh.face_stiffness
+    K_w = assemble_faces(mesh, w[:, None, None] * k)
     raw = K_w @ values
     A = (K_w - sp.diags(np.sum(raw * values, axis=1))).tocsr()
     s = None
     if alpha > 1.0:
         c = alpha * (alpha - 1.0) * (1.0 + g) ** (alpha - 2.0) \
             * (2.0 * FOUR_PI / mesh.face_areas)
-        s = np.sqrt(c)[:, None, None] * np.einsum("fij,fjc->fic", mesh.face_stiffness,
-                                                  values[mesh.faces])
+        s = np.sqrt(c)[:, None, None] * np.einsum("fij,fjc->fic", k, values[mesh.faces])
     return A, s, raw
 
 
@@ -175,10 +175,10 @@ def _tangent_frames(sphere_map: SphereMap) -> np.ndarray:
 
 
 def _image_tangent_planes(sphere_map: SphereMap):
-    """Per-vertex area-weighted projector onto the image tangent plane."""
+    """Per-vertex sums, by SphereMesh.scatter_corners, of each face's area
+    times the projector onto its image plane: ((V, C, C), degenerate faces)."""
     mesh = sphere_map.mesh
-    faces = mesh.faces
-    vals = sphere_map.values[faces]
+    vals = sphere_map.values[mesh.faces]
     C = sphere_map.n + 1
     e1 = vals[:, 1] - vals[:, 0]
     e2 = vals[:, 2] - vals[:, 0]
@@ -190,12 +190,10 @@ def _image_tangent_planes(sphere_map: SphereMap):
     n2 = np.linalg.norm(e2p, axis=1)
     degenerate |= n2 < 1e-12
     u2 = np.where(degenerate[:, None], 0.0, e2p / np.where(degenerate, 1.0, n2)[:, None])
-    proj = np.einsum("fc,fd->fcd", u1, u1) + np.einsum("fc,fd->fcd", u2, u2)
-    # the transposed face-vertex incidence sums each vertex's faces in order
-    F, V = mesh.face_count, mesh.vertex_count
-    incidence = sp.csr_matrix((np.ones(3 * F), faces.reshape(-1), np.arange(0, 3 * F + 1, 3)))
-    acc = incidence.T @ (mesh.face_areas[:, None, None] * proj).reshape(F, C * C)
-    return acc.reshape(V, C, C), degenerate
+    proj = u1.T[:, None] * u1.T + u2.T[:, None] * u2.T  # (C, C, F)
+    acc = np.zeros((C * C, mesh.vertex_count))
+    mesh.scatter_corners(acc, slice(None), (mesh.face_areas * proj).reshape(C * C, -1, 1))
+    return acc.T.reshape(-1, C, C), degenerate
 
 
 def _tangent_pencil(sphere_map: SphereMap, alpha: float, parts,
@@ -390,11 +388,12 @@ def weighted_scalar_pencil(mesh: SphereMesh, potential: float,
         raise PreconditionError("weight must be positive per vertex")
     faces = mesh.faces
     elem_w = w[faces].mean(axis=1)
-    K_w = assemble_faces(mesh, elem_w[:, None, None] * mesh.face_stiffness)
+    k = mesh.face_stiffness
+    K_w = assemble_faces(mesh, elem_w[:, None, None] * k)
     M_w = assemble_faces(mesh, (elem_w * mesh.face_areas)[:, None, None] * MASS_LOCAL)
     # advection block: G[i, j] = sum_T (grad lam_j . grad mu^2)_T * A_T / 3, where
     # grad lam_j . grad lam_i = k_ji / (flat area) on the flat triangle
-    grad_dots = np.einsum("fji,fi->fj", mesh.face_stiffness, w[faces]) \
+    grad_dots = np.einsum("fji,fi->fj", k, w[faces]) \
         / mesh.face_flat_areas[:, None]
     g_row = (mesh.face_areas / 3.0)[:, None] * grad_dots     # the same for every i
     G = assemble_faces(mesh, np.repeat(g_row[:, None, :], 3, axis=1))

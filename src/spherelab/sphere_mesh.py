@@ -221,6 +221,15 @@ class SphereMesh:
             faces = slice(start, start + block)
             yield faces, np.take(columns, self.faces[faces].T, axis=1)
 
+    def scatter_corners(self, out, faces, values):
+        """Add values[d, b, i] into out[d, faces[start + b, i]] in place, face
+        by face as np.add.at does, so consecutive slices of faces give the bits
+        of one scatter over all faces.  out is (D, V) and values (D, B, 3), or
+        (D, B, 1) for one value per face of the slice."""
+        idx = self.faces[faces].reshape(-1)
+        for row, corner_values in zip(out, np.broadcast_to(values, (len(out), len(idx) // 3, 3))):
+            np.add.at(row, idx, corner_values.reshape(-1))
+
     def _corner_blocks(self):
         """corner_blocks of the vertex coordinates, GEOMETRY_BLOCK faces at a
         time, as (faces, (a, b, c)) with each corner a (3, B) array."""
@@ -261,20 +270,6 @@ class SphereMesh:
             )
         return area, flat_area, cotangents, math.sqrt(max_sq)
 
-    def _build_stiffness(self):
-        """(F, 3, 3) blocks k_ij = e_i . e_j / (4 flat area): the cotangent
-        rows off the diagonal, the diagonal blockwise."""
-        _, flat_area, cotangents, _ = self._geometry()
-        k_local = np.empty((self.face_count, 3, 3))
-        for row, (i, j) in zip(cotangents, _OFF_DIAGONAL):
-            np.negative(row, out=k_local[:, i, j])
-            k_local[:, j, i] = k_local[:, i, j]
-        for faces, corners in self._corner_blocks():
-            den = 4.0 * flat_area[faces]
-            for i, x in enumerate(_edges(*corners)):
-                k_local[faces, i, i] = _dot(x, x) / den
-        return k_local
-
     def _build_centroids(self):
         centroids = np.empty((self.face_count, 3))
         for faces, (a, b, c) in self._corner_blocks():
@@ -293,13 +288,22 @@ class SphereMesh:
 
     @property
     def face_cotangents(self):
-        """(3, F) rows -k_01, -k_12, -k_02: the weights of edges ab, bc, ca."""
+        """(3, F) rows -k_01, -k_12, -k_02, the weights of edges ab, bc, ca: the
+        mesh's only stored P1 stiffness (Pinkall-Polthier 1993)."""
         return self._geometry()[2]
 
     @property
     def face_stiffness(self):
-        """Local 3x3 stiffness blocks (cotangent weights) per face; built on first use."""
-        return self._cached("stiffness", self._build_stiffness)
+        """(F, 3, 3) P1 stiffness blocks expanded from face_cotangents on each
+        read: the negated rows off the diagonal, and on it minus the sum of the
+        row's off-diagonals, k_00 = c0 + c2, k_11 = c0 + c1, k_22 = c1 + c2."""
+        c = self.face_cotangents
+        k = np.empty((self.face_count, 3, 3))
+        for row, (i, j) in zip(c, _OFF_DIAGONAL):
+            k[:, i, j] = k[:, j, i] = -row
+        for i, (r, s) in enumerate(((0, 2), (0, 1), (1, 2))):
+            np.add(c[r], c[s], out=k[:, i, i])
+        return k
 
     @property
     def face_centroids(self):

@@ -346,11 +346,10 @@ def complex_to_json(complex_: MorseComplexZ2) -> str:
 
 def complex_from_json(doc: str) -> MorseComplexZ2:
     data = json.loads(doc)
-    generators = [
-        Generator(id=g["id"], degree=g["degree"], label=g.get("label", "A"))
-        for g in data["generators"]
-    ]
-    counts = {
-        (b["from"], b["to"]): b["count_mod2"] for b in data.get("boundaries", [])
-    }
+    try:
+        generators = [Generator(id=g["id"], degree=g["degree"], label=g.get("label", "A"))
+                      for g in data["generators"]]
+        counts = {(b["from"], b["to"]): b["count_mod2"] for b in data.get("boundaries", [])}
+    except KeyError as exc:
+        raise PreconditionError(f"complex document lacks the key {exc.args[0]!r}") from None
     return build_complex(generators, counts)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import assert_spectra_close, count_eigsh
-from spherelab import build_icosphere
+from conftest import assert_spectra_close, count_eigsh, p1_scatter_reference
+from spherelab import assemble_pencil, build_icosphere
 from spherelab import covers as covers_mod
 from spherelab import flow as flow_mod
 from spherelab import sphere_mesh as sphere_mesh_mod
@@ -329,6 +329,51 @@ def test_covers_run(tmp_path):
     assert report["metrics"]["normal_index"]["value"] >= 4
 
 
+def test_covers_on_a_pencil_smaller_than_k_solves_densely(tmp_path, monkeypatch):
+    # level 0 has 12 vertices, fewer than the k = 16 of a double cover: the
+    # pullback pencil is solved densely, and the run ends with a report (its
+    # coarse-mesh checks may fail)
+    solves = []
+    solve = covers_mod.pullback_laplace_eigenvalues
+
+    def recorded(f, **kwargs):
+        solves.append((f, solve(f, **kwargs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(covers_mod, "pullback_laplace_eigenvalues", recorded)
+    path = write_config(tmp_path, "covers.json",
+                        {"kind": "covers", "level": 0, "n": 4, "degree": 2})
+    out = str(tmp_path / "out")
+    assert main(["covers", "--config", path, "--out", out]) in (EXIT_OK, EXIT_NUMERIC)
+    ((f, (vals, _)),) = solves
+    mesh = f.mesh
+    rho, _ = covers_mod._conformal_factors(f, 1e-8)
+    m_local = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    M_rho = p1_scatter_reference(mesh, (rho * mesh.face_areas)[:, None, None] * m_local,
+                                 symmetrize=True)
+    dense = scipy.linalg.eigh(assemble_pencil(mesh).K.toarray(), M_rho.toarray(),
+                              eigvals_only=True)
+    assert np.array_equal(vals, dense) and len(vals) == mesh.vertex_count
+    assert read_report(out)["metrics"]["lambda1"]["value"] == dense[np.abs(dense) > 1e-8][0]
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({}, "generators"),
+    ({"generators": [{"id": "a", "degree": 1}, {"id": "b", "degree": 0}],
+      "boundaries": [{"from": "a", "count_mod2": 1}]}, "to"),
+])
+def test_morse_complex_missing_key_exits_2(tmp_path, capsys, doc, key):
+    # a complex document without a required key is a complex-content error,
+    # as a missing file is: exit 2 with the key named, no traceback
+    complex_path = write_config(tmp_path, "complex.json", doc)
+    path = write_config(tmp_path, "morse.json",
+                        {"kind": "morse", "complex_path": complex_path, "n": 4})
+    assert main(["morse", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert f"PreconditionError: complex document lacks the key {key!r}" in err
+    assert "Traceback" not in err
+
+
 def test_spectrum_run_solves_once(tmp_path, monkeypatch):
     calls = count_eigsh(monkeypatch, spectrum_mod)
     path = write_config(tmp_path, "spectrum.json",
@@ -557,6 +602,9 @@ def test_seed_and_level_overrides(tmp_path):
 
 
 def test_console_entry_point(tmp_path):
+    import spherelab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spherelab.__file__)))
     path = write_config(tmp_path, "census.json",
                         {"kind": "census", "m": 2, "N_min": 4, "N_max": 6})
     out = str(tmp_path / "out")
@@ -564,6 +612,7 @@ def test_console_entry_point(tmp_path):
         [sys.executable, "-m", "spherelab.cli", "census", "--config", path,
          "--out", out],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == EXIT_OK
     assert "report.json" in proc.stdout

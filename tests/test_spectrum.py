@@ -545,6 +545,20 @@ def test_weighted_pencil_matches_hand_written_scatters(request, monkeypatch, lev
     assert np.max(np.abs(g_blocks - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
 
 
+@pytest.mark.filterwarnings("ignore:map is far from critical")
+def test_mesh_caches_no_stiffness_blocks():
+    # the cotangent rows are the mesh's only stored stiffness: K, the second
+    # variation and the weighted pencil each expand face_stiffness and drop it
+    mesh = build_icosphere(3)
+    assemble_pencil(mesh)
+    assemble_second_variation(random_map(mesh, 4, np.random.default_rng(3)), 1.1)
+    weighted_scalar_pencil(mesh, 2.0, smooth_weight(mesh))
+    assert "stiffness" not in mesh._cache
+    for value in mesh._cache.values():
+        for part in value if isinstance(value, tuple) else (value,):
+            assert np.shape(part) != (mesh.face_count, 3, 3)
+
+
 @pytest.mark.parametrize("level", [2, 3, 4])
 def test_pullback_mass_matches_hand_written_scatter(request, monkeypatch, level):
     # oracle: the symmetrized repeat/tile scatter of the removed

@@ -289,7 +289,20 @@ def test_face_geometry_matches_reference_formulas(level):
     flat_area = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
     k_local = np.einsum("fic,fjc->fij", e, e) / (4.0 * flat_area)[:, None, None]
     assert np.array_equal(mesh.face_flat_areas, flat_area)
-    assert np.array_equal(mesh.face_stiffness, k_local)
+    assert_stiffness_expands_cotangents(mesh, k_local)
+
+
+def assert_stiffness_expands_cotangents(mesh, k_ref):
+    """face_stiffness equals the geometric blocks k_ref off the diagonal bit
+    for bit; each diagonal entry is minus the sum of its row's off-diagonals
+    bit for bit, and lies within 4 eps (relative) of k_ref's |e_i|^2 / (4A)."""
+    k = mesh.face_stiffness
+    off = ~np.eye(3, dtype=bool)
+    assert np.array_equal(k[:, off], k_ref[:, off])
+    for i, (j, l) in enumerate(((1, 2), (0, 2), (0, 1))):
+        assert np.array_equal(k[:, i, i], -(k[:, i, j] + k[:, i, l]))
+    diag, geometric = np.einsum("fii->fi", k), np.einsum("fii->fi", k_ref)
+    assert np.all(np.abs(diag - geometric) <= 4 * np.finfo(float).eps * geometric)
 
 
 def geometry_reference(mesh):
@@ -338,7 +351,7 @@ def test_blocked_geometry_matches_reference_bit_for_bit(level, block, monkeypatc
     area, flat_area, k_local, centroids, longest = geometry_reference(mesh)
     assert np.array_equal(mesh.face_areas, area)
     assert np.array_equal(mesh.face_flat_areas, flat_area)
-    assert np.array_equal(mesh.face_stiffness, k_local)
+    assert_stiffness_expands_cotangents(mesh, k_local)
     assert np.array_equal(mesh.face_cotangents, -k_local[:, (0, 1, 0), (1, 2, 2)].T)
     assert np.array_equal(mesh.face_centroids, centroids)
     assert mesh.max_edge_length() == longest
