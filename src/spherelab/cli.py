@@ -383,10 +383,8 @@ def run_morse(cfg, out_dir, report):
         report.metric("split", {str(k): v for k, v in sorted(split_report.items())},
                       "morse.per_degree_counts")
     if n is not None:
-        census = topology_mod.schubert_cell_counts(3, n + 1)
-        window_ok = all(
-            betti.get(k, 0) == census[k - n + 2] for k in range(n - 2, 2 * n - 4)
-        )
+        window_ok = all(betti.get(k, 0) == count
+                        for k, count in topology_mod.predicted_minimum_counts(n).items())
         report.check("betti_window_matches_census", window_ok,
                      "morse.low_degree_homology")
     with open(os.path.join(out_dir, "complex.json"), "w") as fh:

@@ -24,10 +24,6 @@ from .sphere_mesh import FOUR_PI, SphereMesh
 # series through t^5 is about 3e-13 there for alpha in [1, 5]
 PSI_SERIES_T = 1e-3
 
-# faces per block of the energy and gradient kernel: a block's few (C, 3, B)
-# temporaries stay in cache, and no per-face (C, 3, F) array is ever held
-FACE_BLOCK = 1 << 12
-
 _AXES = {"x": np.array([1.0, 0.0, 0.0]),
          "y": np.array([0.0, 1.0, 0.0]),
          "z": np.array([0.0, 0.0, 1.0])}
@@ -196,7 +192,9 @@ def dilated_equator_map(mesh: SphereMesh, n: int, t: float, axis="z",
 # -- densities and energies ---------------------------------------------------
 
 def _face_blocks(sphere_map: SphereMap):
-    """Walk the faces FACE_BLOCK at a time in the cotangent edge form.
+    """SphereMesh.corner_blocks of the map's values in the cotangent edge form:
+    the face walk of the energy, the gradient, the conformal factors of a
+    cover and the image tangent planes of the spectrum.
 
     Yields (faces, d, c) per block of B faces: the block's slice; the edge
     differences d[:, e] = f_e - f_(e+1), that is f_a - f_b, f_b - f_c and
@@ -207,7 +205,7 @@ def _face_blocks(sphere_map: SphereMap):
     """
     mesh = sphere_map.mesh
     columns = np.ascontiguousarray(sphere_map.values.T)  # (C, V)
-    for faces, corners in mesh.corner_blocks(columns, FACE_BLOCK):
+    for faces, corners in mesh.corner_blocks(columns):
         d = np.empty_like(corners)
         for e in range(3):
             np.subtract(corners[:, e], corners[:, (e + 1) % 3], out=d[:, e])
@@ -227,22 +225,18 @@ def _block_integrals(d, c):
 def element_energy_integrals(sphere_map: SphereMap) -> np.ndarray:
     """Per-element values of the integral of |df|^2 over the element.
 
-    The kernel runs on the first call for a map; the read-only result is
-    kept on the map, and every energy, gradient, center of mass and
-    density of that map reads it.
+    The only producer of a map's integrals: the kernel runs on the first
+    call for a map; the read-only result is kept on the map, and every
+    energy, gradient, center of mass and density of that map reads it.
     """
     q = sphere_map._integrals
     if q is None:
         q = np.empty(sphere_map.mesh.face_count)
         for faces, d, c in _face_blocks(sphere_map):
             q[faces] = _block_integrals(d, c)
-        _keep_integrals(sphere_map, q)
+        q.flags.writeable = False
+        object.__setattr__(sphere_map, "_integrals", q)
     return q
-
-
-def _keep_integrals(sphere_map: SphereMap, q: np.ndarray) -> None:
-    q.flags.writeable = False
-    object.__setattr__(sphere_map, "_integrals", q)
 
 
 def _density(q, areas):
@@ -289,27 +283,21 @@ def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray
     w_f = alpha (1 + |df|^2)^(alpha-1); in the edge form that is
     s_a = D_ab - D_ca, s_b = D_bc - D_ab, s_c = D_ca - D_bc for the
     weighted differences D_e = w_f c_e d_e.  The weights read the map's
-    element_energy_integrals; a map that has none yet gets them from this
-    walk, block by block, before SphereMesh.scatter_corners adds the block in.
+    element_energy_integrals, which a fresh map walks the faces for first;
+    this walk then only weights each block and SphereMesh.scatter_corners
+    adds it in.
     """
     mesh = sphere_map.mesh
     areas = mesh.face_areas
-    q = sphere_map._integrals
-    fill = q is None
-    if fill:
-        q = np.empty(mesh.face_count)
+    q = element_energy_integrals(sphere_map)
     out = np.zeros((sphere_map.values.shape[1], mesh.vertex_count))
     for faces, d, c in _face_blocks(sphere_map):
-        if fill:
-            q[faces] = _block_integrals(d, c)
         w = alpha * (1.0 + _density(q[faces], areas[faces])) ** (alpha - 1.0)
         d *= w * c
         s = np.empty((d.shape[0], d.shape[2], 3))  # s[:, f, i] for corner i of face f
         for e in range(3):  # s_a = D_ab - D_ca, s_b = D_bc - D_ab, s_c = D_ca - D_bc
             np.subtract(d[:, e], d[:, e - 1], out=s[:, :, e])
         mesh.scatter_corners(out, faces, s)
-    if fill:
-        _keep_integrals(sphere_map, q)
     return np.ascontiguousarray(out.T)
 
 

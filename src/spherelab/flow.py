@@ -13,7 +13,6 @@ back to the start map's n.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -312,9 +311,7 @@ def index_semicontinuity_report(sphere_map: SphereMap, alpha: float,
         tau = calibrate_tau(sphere_map.mesh, n, alpha=1.0)
     if k is None:
         k = (n - 2) * 4 + 6 + 10
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = classify_spectrum(*split_spectrum(sphere_map, alpha, k), k, tau)
+    report = classify_spectrum(*split_spectrum(sphere_map, alpha, k), k, tau)
     detections = detect_concentration(sphere_map, epsilon_su, radius)
     bound = len(detections) * (n - 2)
     return {

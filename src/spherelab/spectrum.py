@@ -5,7 +5,8 @@ the tangent space of the unit-sphere constraint.  Every pencil is built from
 two parts made once per map: the scalar Hessian A = K_w - diag(lambda), the
 weighted stiffness less the constraint's multiplier, and for alpha > 1 the
 face rows S.  In per-vertex orthonormal tangent or normal frames F it is
-(A (x) F + (S F)^T (S F), M (x) F); the ambient Hessian is kron(A, I) + S^T S.
+(A (x) F + (S F)^T (S F), M (x) F), built by _framed_pencil; the ambient
+Hessian is its H in identity frames, kron(A, I) + S^T S.
 Pencils are solved by shift-invert Lanczos with a deterministic start vector.
 Every index solve is split_spectrum: the coordinates a map leaves zero split
 off as copies of the scalar pencil (A, M).  Only normal_second_variation and
@@ -23,8 +24,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigs, eigsh
 
-from .energy import (SphereMap, element_density_area_one, equator_map, head_map,
-                     project_tangent)
+from .energy import (SphereMap, _face_blocks, element_density_area_one, equator_map,
+                     head_map, project_tangent)
 from .errors import DegenerateElementsError, PreconditionError
 from .sphere_mesh import (FOUR_PI, MASS_LOCAL, SphereMesh, assemble_faces,
                           assemble_pencil)
@@ -105,21 +106,6 @@ def _hessian_parts(sphere_map: SphereMap, alpha: float):
     return A, s, raw
 
 
-def _plus_face_rows(H: sp.csr_matrix, mesh: SphereMesh, s: np.ndarray,
-                    frames: np.ndarray = None) -> sp.csr_matrix:
-    """H + R^T R, row f of R holding s_f at face f's corners in the frames
-    (V, C, d) if given, else in ambient coordinates; H when s is None."""
-    if s is None:
-        return H
-    if frames is not None:
-        s = np.einsum("fic,ficd->fid", s, frames[mesh.faces])
-    d = s.shape[2]
-    R = sp.csr_matrix((s.reshape(-1), (mesh.faces[:, :, None] * d + np.arange(d)).reshape(-1),
-                       np.arange(0, s.size + 1, 3 * d)),
-                      shape=(mesh.face_count, mesh.vertex_count * d))
-    return (H + R.T @ R).tocsr()
-
-
 def _in_frames(X: sp.csr_matrix, frames: np.ndarray) -> sp.csr_matrix:
     """X (x) F: the blocks X[a, b] F_a^T F_b of a symmetric V x V matrix X in
     per-vertex orthonormal frames F (V, C, d).  Those above the diagonal are
@@ -142,69 +128,80 @@ def _in_frames(X: sp.csr_matrix, frames: np.ndarray) -> sp.csr_matrix:
     return (U + U.T + sp.diags(np.repeat(X.diagonal(), d))).tocsr()
 
 
-def constrained_hessian(sphere_map: SphereMap, alpha: float) -> sp.csr_matrix:
-    """Hessian of the discrete alpha-energy with the sphere-constraint correction:
-    kron(A, I_C) + S^T S for the _hessian_parts A and S, in ambient
-    coordinates (row v*C + c is coordinate c at vertex v)."""
-    A, s, _ = _hessian_parts(sphere_map, alpha)
-    return _plus_face_rows(sp.kron(A, sp.eye(sphere_map.n + 1), format="csr"),
-                           sphere_map.mesh, s)
-
-
 def _framed_pencil(sphere_map: SphereMap, alpha: float, parts, frames: np.ndarray,
-                   kind: str) -> SecondVariationPencil:
+                   kind: str, warn_threshold: float = None) -> SecondVariationPencil:
     """(A (x) F + (S F)^T (S F), M (x) F) for the _hessian_parts A and S and the
-    P1 mass matrix M, in the per-vertex orthonormal frames F."""
-    A, s, _ = parts
+    P1 mass matrix M, in the per-vertex orthonormal frames F (V, C, d).  Given
+    warn_threshold, warns when the map's tangent gradient exceeds that fraction
+    of its raw gradient: the Hessian of a visibly non-critical map is formal."""
+    A, s, raw = parts
+    if warn_threshold is not None and np.linalg.norm(project_tangent(sphere_map, raw).values) \
+            > warn_threshold * np.linalg.norm(raw):
+        warnings.warn("map is far from critical; Hessian spectrum is only formal",
+                      stacklevel=3)
     mesh = sphere_map.mesh
-    return SecondVariationPencil(_plus_face_rows(_in_frames(A, frames), mesh, s, frames),
-                                 _in_frames(assemble_pencil(mesh).M, frames), frames,
+    H = _in_frames(A, frames)
+    if s is not None:
+        s = np.einsum("fic,ficd->fid", s, frames[mesh.faces])
+        d = s.shape[2]
+        R = sp.csr_matrix((s.reshape(-1), (mesh.faces[:, :, None] * d + np.arange(d)).reshape(-1),
+                           np.arange(0, s.size + 1, 3 * d)),
+                          shape=(mesh.face_count, mesh.vertex_count * d))
+        H = (H + R.T @ R).tocsr()
+    return SecondVariationPencil(H, _in_frames(assemble_pencil(mesh).M, frames), frames,
                                  sphere_map, alpha, kind)
+
+
+def constrained_hessian(sphere_map: SphereMap, alpha: float) -> sp.csr_matrix:
+    """Hessian of the discrete alpha-energy with the sphere-constraint correction
+    in ambient coordinates (row v*C + c is coordinate c at vertex v): the
+    _framed_pencil Hessian in identity frames, kron(A, I_C) + S^T S for the
+    _hessian_parts A and S."""
+    V, C = sphere_map.values.shape
+    return _framed_pencil(sphere_map, alpha, _hessian_parts(sphere_map, alpha),
+                          np.broadcast_to(np.eye(C), (V, C, C)), "ambient").H
+
+
+def _leading_frames(X: np.ndarray, d: int):
+    """(frames, singular values): the d leading right singular vectors of each
+    (C, C) matrix of X (V, C, C), as the columns of per-vertex orthonormal
+    frames (V, C, d), and their (V, d) singular values."""
+    _, svals, vt = np.linalg.svd(X)
+    return vt[:, :d].transpose(0, 2, 1), svals[:, :d]
 
 
 def _tangent_frames(sphere_map: SphereMap) -> np.ndarray:
     """Orthonormal bases of the per-vertex tangent spaces, shape (V, C, C-1)."""
     vals = sphere_map.values
-    v, C = vals.shape
-    proj = np.eye(C)[None, :, :] - vals[:, :, None] * vals[:, None, :]
-    _, svals, vt = np.linalg.svd(proj)
-    frames = vt[:, : C - 1, :].transpose(0, 2, 1)
-    if np.min(svals[:, : C - 1]) < 0.5:
+    C = vals.shape[1]
+    frames, svals = _leading_frames(np.eye(C) - vals[:, :, None] * vals[:, None, :], C - 1)
+    if np.min(svals) < 0.5:
         raise PreconditionError("tangent projector unexpectedly degenerate")
     return frames
 
 
 def _image_tangent_planes(sphere_map: SphereMap):
-    """Per-vertex sums, by SphereMesh.scatter_corners, of each face's area
-    times the projector onto its image plane: ((V, C, C), degenerate faces)."""
+    """Per-vertex sums of each face's area times the projector onto its image
+    plane: ((V, C, C), degenerate faces).  The image edges from corner a,
+    -d0 and d2, come from the energy's face walk (energy._face_blocks); each
+    block is orthonormalized and added in by SphereMesh.scatter_corners."""
     mesh = sphere_map.mesh
-    vals = sphere_map.values[mesh.faces]
     C = sphere_map.n + 1
-    e1 = vals[:, 1] - vals[:, 0]
-    e2 = vals[:, 2] - vals[:, 0]
-    # orthonormalize the element image frame
-    n1 = np.linalg.norm(e1, axis=1)
-    degenerate = n1 < 1e-12
-    u1 = np.where(degenerate[:, None], 0.0, e1 / np.where(degenerate, 1.0, n1)[:, None])
-    e2p = e2 - np.einsum("fc,fc->f", e2, u1)[:, None] * u1
-    n2 = np.linalg.norm(e2p, axis=1)
-    degenerate |= n2 < 1e-12
-    u2 = np.where(degenerate[:, None], 0.0, e2p / np.where(degenerate, 1.0, n2)[:, None])
-    proj = u1.T[:, None] * u1.T + u2.T[:, None] * u2.T  # (C, C, F)
     acc = np.zeros((C * C, mesh.vertex_count))
-    mesh.scatter_corners(acc, slice(None), (mesh.face_areas * proj).reshape(C * C, -1, 1))
+    degenerate = np.empty(mesh.face_count, dtype=bool)
+    for faces, d, _ in _face_blocks(sphere_map):
+        e1, e2 = -d[:, 0], d[:, 2]
+        n1 = np.linalg.norm(e1, axis=0)
+        bad = n1 < 1e-12
+        u1 = np.where(bad, 0.0, e1 / np.where(bad, 1.0, n1))
+        e2p = e2 - np.einsum("cb,cb->b", e2, u1) * u1
+        n2 = np.linalg.norm(e2p, axis=0)
+        bad |= n2 < 1e-12
+        u2 = np.where(bad, 0.0, e2p / np.where(bad, 1.0, n2))
+        degenerate[faces] = bad
+        proj = u1[:, None] * u1 + u2[:, None] * u2  # (C, C, B)
+        mesh.scatter_corners(acc, faces, (mesh.face_areas[faces] * proj).reshape(C * C, -1, 1))
     return acc.T.reshape(-1, C, C), degenerate
-
-
-def _tangent_pencil(sphere_map: SphereMap, alpha: float, parts,
-                    warn_threshold: float) -> SecondVariationPencil:
-    """assemble_second_variation from the map's _hessian_parts."""
-    raw = parts[2]
-    if np.linalg.norm(project_tangent(sphere_map, raw).values) \
-            > warn_threshold * np.linalg.norm(raw):
-        warnings.warn("map is far from critical; Hessian spectrum is only formal",
-                      stacklevel=3)
-    return _framed_pencil(sphere_map, alpha, parts, _tangent_frames(sphere_map), "tangent")
 
 
 def assemble_second_variation(sphere_map: SphereMap, alpha: float,
@@ -216,8 +213,8 @@ def assemble_second_variation(sphere_map: SphereMap, alpha: float,
     index interpretation).  The mass side is the consistent mass matrix of
     the domain acting diagonally on coordinates, in the frames.
     """
-    return _tangent_pencil(sphere_map, alpha, _hessian_parts(sphere_map, alpha),
-                           warn_threshold)
+    return _framed_pencil(sphere_map, alpha, _hessian_parts(sphere_map, alpha),
+                          _tangent_frames(sphere_map), "tangent", warn_threshold)
 
 
 def normal_second_variation(sphere_map: SphereMap, alpha: float = 1.0,
@@ -241,8 +238,7 @@ def normal_second_variation(sphere_map: SphereMap, alpha: float = 1.0,
     proj_full = acc / np.trace(acc, axis1=1, axis2=2)[:, None, None]
     # admissible subspace: orthogonal to span{f, image plane}
     killed = proj_full + vals[:, :, None] * vals[:, None, :]
-    _, svals, vt = np.linalg.svd(np.eye(C)[None] - killed)
-    frames = vt[:, : C - 3, :].transpose(0, 2, 1)
+    frames, _ = _leading_frames(np.eye(C) - killed, C - 3)
     return _framed_pencil(sphere_map, alpha, _hessian_parts(sphere_map, alpha), frames,
                           "normal")
 
@@ -311,7 +307,8 @@ def split_spectrum(sphere_map: SphereMap, alpha: float, k: int):
     head = head_map(sphere_map)
     m = head.n
     parts = A, _, _ = _hessian_parts(head, alpha)
-    tangent = _tangent_pencil(head, alpha, parts, FAR_FROM_CRITICAL)
+    tangent = _framed_pencil(head, alpha, parts, _tangent_frames(head), "tangent",
+                             FAR_FROM_CRITICAL)
     vals, converged = _lowest_eigenvalues(tangent.H, tangent.M, k)
     copies = n - m
     if copies:

@@ -30,9 +30,10 @@ if TYPE_CHECKING:
 FOUR_PI = 4.0 * math.pi
 # P1 consistent mass matrix of a face of unit area
 MASS_LOCAL = (np.ones((3, 3)) + np.eye(3)) / 12.0
-# faces per block of the geometry pass: a block's (3, 3, B) corner array and
-# its (3, B) temporaries stay small, and the pass makes no (F, 3, 3) array
-GEOMETRY_BLOCK = 1 << 16
+# faces per block of every face walk (corner_blocks): a block's (C, 3, B)
+# corner array and its (C, B) temporaries stay in cache, and no walk makes a
+# per-face (C, 3, F) array
+FACE_BLOCK = 1 << 12
 # largest part the nested dissection leaves undivided
 DISSECTION_LEAF = 64
 # the eigenvalues of diag(M)^-1 M lie in [1/2, 2] for the P1 mass matrix M of
@@ -209,16 +210,17 @@ class SphereMesh:
     def _geometry(self):
         return self._cached("geom", self._build_geometry)
 
-    def corner_blocks(self, columns, block):
-        """Walk the faces block at a time, gathering per-vertex columns.
+    def corner_blocks(self, columns):
+        """The one face walk: the faces FACE_BLOCK at a time, gathering
+        per-vertex columns.
 
         columns is a (C, V) array.  Yields (faces, corners) per block of B
         faces: the block's slice and the (C, 3, B) array with
         corners[c, i, b] = columns[c, faces[start + b, i]], so that each
         (c, i) row holds B contiguous values.
         """
-        for start in range(0, self.face_count, block):
-            faces = slice(start, start + block)
+        for start in range(0, self.face_count, FACE_BLOCK):
+            faces = slice(start, start + FACE_BLOCK)
             yield faces, np.take(columns, self.faces[faces].T, axis=1)
 
     def scatter_corners(self, out, faces, values):
@@ -231,10 +233,10 @@ class SphereMesh:
             np.add.at(row, idx, corner_values.reshape(-1))
 
     def _corner_blocks(self):
-        """corner_blocks of the vertex coordinates, GEOMETRY_BLOCK faces at a
-        time, as (faces, (a, b, c)) with each corner a (3, B) array."""
+        """corner_blocks of the vertex coordinates, as (faces, (a, b, c)) with
+        each corner a (3, B) array."""
         columns = np.ascontiguousarray(self.vertices.T)  # (3, V)
-        for faces, corners in self.corner_blocks(columns, GEOMETRY_BLOCK):
+        for faces, corners in self.corner_blocks(columns):
             yield faces, corners.swapaxes(0, 1)
 
     def _build_geometry(self):

@@ -299,21 +299,17 @@ def split_by_action(complex_: MorseComplexZ2, n: int = None):
 
 
 def desk_model(n: int, with_b_generators: bool = False) -> MorseComplexZ2:
-    """Model complex with p_3(k) generators in degree n - 2 + k and zero maps.
+    """Model complex with p_3(k) generators in degree n - 2 + k and zero maps,
+    for each degree of the window of predicted_minimum_counts.
 
     Mirrors the low-degree critical-point structure over the round metric:
     all differentials vanish, so Betti numbers equal generator counts.
     With ``with_b_generators`` a few nontrivially-acted generators are
     appended above the window (degree 2n - 4 and up).
     """
-    if n < 4:
-        raise PreconditionError("need n >= 4")
-    census = schubert_cell_counts(3, n + 1)
-    generators = []
-    for k in range(0, n - 2):
-        for j in range(census[k]):
-            generators.append(Generator(id=f"a{n-2+k}_{j}", degree=n - 2 + k,
-                                        label="A"))
+    generators = [Generator(id=f"a{degree}_{j}", degree=degree, label="A")
+                  for degree, count in predicted_minimum_counts(n).items()
+                  for j in range(count)]
     if with_b_generators:
         for j in range(2):
             generators.append(Generator(id=f"b{2*n-4}_{j}", degree=2 * n - 4,
@@ -345,11 +341,31 @@ def complex_to_json(complex_: MorseComplexZ2) -> str:
 
 
 def complex_from_json(doc: str) -> MorseComplexZ2:
+    """The complex of a document {"generators": [{"id", "degree", "label"?}],
+    "boundaries"?: [{"from", "to", "count_mod2"}]}.  A document of another
+    shape raises PreconditionError naming the key at fault."""
     data = json.loads(doc)
-    try:
-        generators = [Generator(id=g["id"], degree=g["degree"], label=g.get("label", "A"))
-                      for g in data["generators"]]
-        counts = {(b["from"], b["to"]): b["count_mod2"] for b in data.get("boundaries", [])}
-    except KeyError as exc:
-        raise PreconditionError(f"complex document lacks the key {exc.args[0]!r}") from None
+    if not isinstance(data, dict):
+        raise PreconditionError("complex document is not an object with the key 'generators'")
+    generators = [Generator(id=_entry(g, "id", str), degree=_entry(g, "degree", int),
+                            label=g.get("label", "A"))
+                  for g in _entry(data, "generators", list)]
+    counts = {(_entry(b, "from", str), _entry(b, "to", str)): _entry(b, "count_mod2", int)
+              for b in _entry(data, "boundaries", list, default=[])}
     return build_complex(generators, counts)
+
+
+def _entry(obj, key, kind, default=None):
+    """obj[key], of the JSON type kind (a list of objects for list), or default
+    if the key is absent and a default is given.  A missing or ill-typed
+    entry raises PreconditionError naming its key."""
+    if key not in obj:
+        if default is None:
+            raise PreconditionError(f"complex document lacks the key {key!r}")
+        return default
+    value = obj[key]
+    if not isinstance(value, kind) or kind is list and not all(isinstance(x, dict) for x in value):
+        raise PreconditionError(f"complex document: {key!r} must be "
+                                + {str: "a string", int: "an integer",
+                                   list: "a list of objects"}[kind])
+    return value

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -361,16 +362,22 @@ def test_covers_on_a_pencil_smaller_than_k_solves_densely(tmp_path, monkeypatch)
     ({}, "generators"),
     ({"generators": [{"id": "a", "degree": 1}, {"id": "b", "degree": 0}],
       "boundaries": [{"from": "a", "count_mod2": 1}]}, "to"),
+    ([], "generators"),
+    ({"generators": [3]}, "generators"),
+    ({"generators": {"id": "a"}}, "generators"),
+    ({"generators": [{"id": "a", "degree": "x"}]}, "degree"),
+    ({"generators": [{"id": "a", "degree": 1}], "boundaries": 3}, "boundaries"),
 ])
-def test_morse_complex_missing_key_exits_2(tmp_path, capsys, doc, key):
-    # a complex document without a required key is a complex-content error,
-    # as a missing file is: exit 2 with the key named, no traceback
+def test_morse_complex_of_the_wrong_shape_exits_2(tmp_path, capsys, doc, key):
+    # a complex document without a required key, or of another shape, is a
+    # complex-content error, as a missing file is: exit 2 with the key at
+    # fault named, no traceback
     complex_path = write_config(tmp_path, "complex.json", doc)
     path = write_config(tmp_path, "morse.json",
                         {"kind": "morse", "complex_path": complex_path, "n": 4})
     assert main(["morse", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert f"PreconditionError: complex document lacks the key {key!r}" in err
+    assert re.search(rf"PreconditionError: complex document\b.*{re.escape(repr(key))}", err)
     assert "Traceback" not in err
 
 

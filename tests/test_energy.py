@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from conftest import (assert_located_like_kd_tree, count_face_blocks, fd_centering_jacobian,
                       newton_centering_dilation)
 from spherelab import build_icosphere
-from spherelab import energy
+from spherelab import energy, sphere_mesh
 from spherelab.energy import (
     SphereMap,
     alpha_energy,
@@ -168,7 +168,7 @@ def test_raw_gradient_scatter_matches_add_at(level, alpha, monkeypatch):
     expected = np.zeros_like(f.values)
     np.add.at(expected, mesh.faces.reshape(-1), contributions.reshape(-1, 5))
     assert np.array_equal(alpha_energy_raw_gradient(f, alpha), expected)
-    monkeypatch.setattr(energy, "FACE_BLOCK", 100)
+    monkeypatch.setattr(sphere_mesh, "FACE_BLOCK", 100)
     # a fresh map: f keeps the integrals its first evaluation computed
     fresh = SphereMap(mesh, 4, f.values)
     assert np.array_equal(alpha_energy_raw_gradient(fresh, alpha), expected)
@@ -176,9 +176,9 @@ def test_raw_gradient_scatter_matches_add_at(level, alpha, monkeypatch):
 
 @pytest.mark.parametrize("alpha", [1.0, 1.1])
 def test_map_keeps_read_only_integrals(alpha):
-    # a fresh map's gradient computes q itself; after alpha_energy computed
-    # it, the gradient only reads the kept q: the bits agree, over five
-    # 4096-face blocks at level 5
+    # a fresh map's gradient gets q from element_energy_integrals, as
+    # alpha_energy does; either way the map keeps one read-only q, and the
+    # bits agree, over five 4096-face blocks at level 5
     mesh = build_icosphere(5)
     vals = normalize_rows(np.random.default_rng(5).standard_normal((mesh.vertex_count, 5)))
     fresh = SphereMap(mesh, 4, vals)
@@ -213,20 +213,25 @@ def test_alpha_energy_is_the_correctly_rounded_sum_of_its_face_terms(mesh3, alph
 
 @pytest.mark.parametrize("alpha", [1.0, 1.1])
 def test_fresh_gradient_walks_the_faces_once(monkeypatch, alpha):
-    # a fresh map's gradient keeps the integrals of its own walk: the bits of
-    # a separate element_energy_integrals walk, over five 4096-face blocks
+    # element_energy_integrals is the one producer of q: a fresh map's
+    # gradient makes its walk and then one scatter walk, over five 4096-face
+    # blocks, and has the bits of a map whose q was computed first
     walks = count_face_blocks(monkeypatch, energy)
+    producer, produced = energy.element_energy_integrals, []
+    monkeypatch.setattr(energy, "element_energy_integrals",
+                        lambda f: produced.append(f) or producer(f))
     mesh = build_icosphere(5)
     vals = normalize_rows(np.random.default_rng(6).standard_normal((mesh.vertex_count, 5)))
     f = SphereMap(mesh, 4, vals)
     grad = alpha_energy_gradient(f, alpha).values
-    assert walks == [f]
+    assert walks == [f, f] and produced == [f]
     q = element_energy_integrals(f)
-    assert len(walks) == 1 and not q.flags.writeable
+    assert len(walks) == 2 and not q.flags.writeable
     other = SphereMap(mesh, 4, vals)
     assert np.array_equal(q, element_energy_integrals(other))
-    assert np.array_equal(alpha_energy_gradient(other, alpha).values, grad)
     assert len(walks) == 3
+    assert np.array_equal(alpha_energy_gradient(other, alpha).values, grad)
+    assert len(walks) == 4 and produced == [f, other]
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])
@@ -254,7 +259,7 @@ def test_edge_form_matches_three_index_form(level, alpha, monkeypatch):
     assert np.linalg.norm(raw - old) <= 1e-12 * np.linalg.norm(old)
     # blocks below the face count: the same q, and the same scatter order,
     # on a fresh map, since f keeps the integrals computed above
-    monkeypatch.setattr(energy, "FACE_BLOCK", mesh.face_count // 3 + 1)
+    monkeypatch.setattr(sphere_mesh, "FACE_BLOCK", mesh.face_count // 3 + 1)
     fresh = SphereMap(mesh, 4, f.values)
     assert np.array_equal(element_energy_integrals(fresh), q)
     assert np.array_equal(alpha_energy_raw_gradient(fresh, alpha), raw)

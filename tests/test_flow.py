@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from spherelab import build_icosphere, energy, flow
+from spherelab import build_icosphere, energy, flow, sphere_mesh
 from spherelab.energy import (
     alpha_energy,
     alpha_energy_gradient,
@@ -155,7 +155,7 @@ def test_descend_runs_the_energy_kernel_once_per_map(mesh3, monkeypatch):
     # a map keeps its integrals q: the start map, every Armijo trial and
     # every recentering resample runs the kernel once, and the gradients,
     # records, centers of mass and the next stage read the kept q
-    monkeypatch.setattr(energy, "FACE_BLOCK", 300)  # five blocks at level 3
+    monkeypatch.setattr(sphere_mesh, "FACE_BLOCK", 300)  # five blocks at level 3
     maps = {}  # id -> map; holding every map keeps the ids distinct
     calls = {"blocks": 0, "resamples": 0}
 
@@ -447,6 +447,15 @@ def test_detection_radius_guard(mesh2):
 
 
 @pytest.mark.filterwarnings("ignore:map is far from critical")
+def test_index_semicontinuity_report_passes_warnings_on(mesh2):
+    # the report filters no warning, so an API caller sees the spectrum's
+    # far-from-critical warning on a random map (a CLI run filters it in
+    # cli.run)
+    f = random_map(mesh2, 4, np.random.default_rng(0))
+    with pytest.warns(UserWarning, match="far from critical"):
+        index_semicontinuity_report(f, alpha=1.1)
+
+
 def test_index_semicontinuity_report(mesh3):
     f = dilated_equator_map(mesh3, 4, 1.5, axis="z")
     report = index_semicontinuity_report(f, alpha=1.05, radius=0.4)

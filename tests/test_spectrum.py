@@ -17,7 +17,7 @@ from conftest import (
     record_face_blocks,
     smooth_weight,
 )
-from spherelab import build_icosphere
+from spherelab import build_icosphere, sphere_mesh
 from spherelab import covers as covers_mod
 from spherelab import energy as energy_mod
 from spherelab import spectrum as spectrum_mod
@@ -394,6 +394,23 @@ def test_normal_pencil_rejects_degenerate_maps(mesh2):
     with pytest.raises(DegenerateElementsError) as err:
         normal_second_variation(constant_map(mesh2, 4))
     assert len(err.value.elements) > 0
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("n", [4, 8])
+def test_image_tangent_planes_keep_their_bits_in_any_block(request, monkeypatch, level, n):
+    # the planes walk the energy's face blocks and scatter face by face in
+    # index order: one block and 97-face blocks, which straddle the
+    # subdivision's face groups, give the same bits
+    mesh = request.getfixturevalue(f"mesh{level}")
+    f = perturbed_equator(mesh, n, seed=level)
+    planes = []
+    for block in (mesh.face_count, 97):
+        monkeypatch.setattr(sphere_mesh, "FACE_BLOCK", block)
+        planes.append(spectrum_mod._image_tangent_planes(f))
+    (acc, degenerate), (acc97, degenerate97) = planes
+    assert acc.shape == (mesh.vertex_count, n + 1, n + 1) and not degenerate.any()
+    assert np.array_equal(acc, acc97) and np.array_equal(degenerate, degenerate97)
 
 
 def perturbed_equator(mesh, n, seed):

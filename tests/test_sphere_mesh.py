@@ -346,7 +346,7 @@ def test_blocked_geometry_matches_reference_bit_for_bit(level, block, monkeypatc
     # 97 faces per block: blocks straddle the subdivision's face groups, and
     # level 0's 20 faces are one short block
     if block is not None:
-        monkeypatch.setattr(sphere_mesh, "GEOMETRY_BLOCK", block)
+        monkeypatch.setattr(sphere_mesh, "FACE_BLOCK", block)
     mesh = build_icosphere(level)
     area, flat_area, k_local, centroids, longest = geometry_reference(mesh)
     assert np.array_equal(mesh.face_areas, area)
@@ -363,7 +363,7 @@ def test_degenerate_faces_in_two_blocks_report_global_argmin(mesh2, nan_face,
     # faces 150 and 250 lie in the second and third 97-face blocks; the
     # diagnostic names np.argmin over all faces: the first zero area, or the
     # first NaN, which np.argmin prefers to any number
-    monkeypatch.setattr(sphere_mesh, "GEOMETRY_BLOCK", 97)
+    monkeypatch.setattr(sphere_mesh, "FACE_BLOCK", 97)
     verts = np.vstack([mesh2.vertices, np.full(3, np.nan)])
     faces = mesh2.faces.copy()
     faces[150, 1] = faces[150, 0]
