@@ -90,8 +90,7 @@ CONFIG_FIELDS = {
              "n": (INT, f"[2, {MORSE_MAX_N}]", True),
              "alpha_schedule": ((list,), None, True),
              "start": ((str,), None, False), "max_iterations": (INT, "[1, inf)", False),
-             "grad_tol": (NUMBER, POSITIVE, False), "preconditioned": (BOOL, None, False),
-             "export_mesh": (BOOL, None, False),
+             "grad_tol": (NUMBER, POSITIVE, False), "export_mesh": (BOOL, None, False),
              "semicontinuity_experiment": (BOOL, None, False)},
     "spectrum": {**_EVERY_KIND, "level": (INT, LEVEL, True),
                  "n": (INT, f"[3, {SPECTRUM_MAX_N}]", True),
@@ -214,13 +213,14 @@ class Report:
     def metric(self, name, value, anchor):
         self.doc["metrics"][name] = {"value": value, "anchor": anchor}
 
-    def check(self, name, passed, anchor, value=None, bound=None, required=True):
+    def check(self, name, passed, anchor, value=None, bound=None):
+        # the report schema keeps "required"; every check is required
         self.doc["checks"].append(dict(name=name, passed=bool(passed), anchor=anchor,
-                                       value=value, bound=bound, required=required))
+                                       value=value, bound=bound, required=True))
 
     @property
     def all_passed(self):
-        return all(c["passed"] for c in self.doc["checks"] if c["required"])
+        return all(c["passed"] for c in self.doc["checks"])
 
     def write(self, out_dir):
         path = os.path.join(out_dir, "report.json")
@@ -275,9 +275,9 @@ def run_spectrum(cfg, out_dir, report):
     mesh = build_icosphere(level)
     tau = cfg.get("tau")
     if tau is None:
-        tau = spectrum_mod.calibrate_tau(mesh, n, alpha=1.0)
+        tau = spectrum_mod.calibrate_tau(mesh, n)
     idx_exp, nul_exp = spectrum_mod.expected_equator_counts(n)
-    k = cfg.get("k", idx_exp + nul_exp + 8)
+    k = cfg.get("k", idx_exp + nul_exp + spectrum_mod.EXTRA_K)
     # with the default k and alpha = 1 this is the calibration's own solve
     vals, converged = spectrum_mod.equator_spectrum(mesh, n, alpha, k)
     rep = spectrum_mod.classify_spectrum(vals, converged, k, tau)
@@ -407,7 +407,6 @@ def run_flow(cfg, out_dir, report):
         alpha=schedule[0],
         max_iterations=cfg.get("max_iterations", 4000),
         grad_tol=cfg.get("grad_tol", 1e-3),
-        preconditioned=cfg.get("preconditioned", True),
     )
     rec0 = flow_mod.descend(map0, config)
     result = flow_mod.continue_in_alpha(rec0, schedule, config)

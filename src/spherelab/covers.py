@@ -170,9 +170,9 @@ class RationalMap:
         return len(self.zeros)
 
     @classmethod
-    def power(cls, d: int, scale: complex = 1.0) -> "RationalMap":
-        """The map z -> scale * z^d."""
-        return cls(zeros=(0.0,) * d, poles=(INF,) * d, scale=scale)
+    def power(cls, d: int) -> "RationalMap":
+        """The map z -> z^d."""
+        return cls(zeros=(0.0,) * d, poles=(INF,) * d)
 
     def to_json_dict(self):
         def enc(z):
@@ -233,11 +233,12 @@ def hol_space_dimension(d: int) -> dict:
     return {"complex_dim": 2 * d + 1, "real_dim_orbit_family": 4 * d + 2}
 
 
-def branch_points(g: RationalMap, cluster_tol: float = 1e-6):
+def branch_points(g: RationalMap):
     """Ramification points with multiplicities; they always total 2d - 2.
 
-    Finite branch points are the clustered roots of N'D - ND'; whatever
-    multiplicity is missing from that count sits at infinity.
+    Finite branch points are the roots of N'D - ND', clustered within a
+    relative distance of 1e-6; whatever multiplicity is missing from that
+    count sits at infinity.
     """
     P = np.polynomial.polynomial
     wr = P.polysub(P.polymul(P.polyder(g._num), g._den),
@@ -263,7 +264,7 @@ def branch_points(g: RationalMap, cluster_tol: float = 1e-6):
         if used[idx]:
             continue
         r = roots[idx]
-        close = ~used & (np.abs(roots - r) <= cluster_tol * (1.0 + np.abs(r)))
+        close = ~used & (np.abs(roots - r) <= 1e-6 * (1.0 + np.abs(r)))
         mult = int(np.count_nonzero(close))
         used |= close
         points.append((complex(np.mean(roots[close])), mult))
@@ -337,12 +338,12 @@ def compose_cover(h, g: RationalMap, mesh: SphereMesh) -> SphereMap:
     return padded(head_map(f).copy(), f.n)
 
 
-def normalize_double_cover(g: RationalMap, samples: int = 20):
+def normalize_double_cover(g: RationalMap):
     """Express a degree-2 map as S^(-1) o (z -> z^2) o T with Moebius S, T.
 
     T sends the two branch points of g to 0 and infinity; S is fitted from
     three samples and the factorization is verified in the chordal metric
-    over ``samples`` points.  Returns (S, T).
+    over 20 points.  Returns (S, T).
     """
     if g.degree != 2:
         raise PreconditionError("normalization applies to degree-2 maps only")
@@ -374,8 +375,8 @@ def normalize_double_cover(g: RationalMap, samples: int = 20):
 
     s_inv = S.inverse()
     worst = 0.0
-    for k in range(samples):
-        z = cmath.exp(2j * math.pi * k / samples) * (1.0 + 0.37 * (k % 5))
+    for k in range(20):
+        z = cmath.exp(2j * math.pi * k / 20) * (1.0 + 0.37 * (k % 5))
         lhs = evaluate(g, z)
         rhs = s_inv(T(z) ** 2)
         worst = max(worst, chordal_distance(lhs, rhs))
@@ -449,8 +450,7 @@ def pullback_laplace_eigenvalues(f: SphereMap, k: int = 8,
     return np.sort(vals), floored
 
 
-def induced_metric_lambda1(f: SphereMap, eps_reg: float = 1e-8,
-                           k: int = 8) -> PullbackSpectrumResult:
+def induced_metric_lambda1(f: SphereMap, k: int = 8) -> PullbackSpectrumResult:
     """First nonzero eigenvalue of the pulled-back Laplace pencil.
 
     Raises DegenerateElementsError when the map is nowhere close to an
@@ -458,7 +458,7 @@ def induced_metric_lambda1(f: SphereMap, eps_reg: float = 1e-8,
     flag, since flooring adds mass on a small set and can only lower the
     Rayleigh quotients this eigenvalue bounds from above.
     """
-    vals, floored = pullback_laplace_eigenvalues(f, k=k, eps_reg=eps_reg)
+    vals, floored = pullback_laplace_eigenvalues(f, k=k)
     nonzero = vals[np.abs(vals) > 1e-8]
     if nonzero.size == 0:
         raise NumericError("no nonzero eigenvalue among the computed batch")
@@ -472,21 +472,21 @@ def induced_metric_lambda1(f: SphereMap, eps_reg: float = 1e-8,
     )
 
 
-def normal_index_count(vals: np.ndarray, n: int, margin: float = 0.1) -> int:
-    """(n - 2) times the number of pulled-back eigenvalues below 2 - margin."""
-    return int(np.count_nonzero(vals < 2.0 - margin)) * (n - 2)
+def normal_index_count(vals: np.ndarray, n: int) -> int:
+    """(n - 2) times the number of pulled-back eigenvalues below 1.9: the
+    eigenvalues below 2, with a margin of 0.1 against discretization."""
+    return int(np.count_nonzero(vals < 1.9)) * (n - 2)
 
 
-def double_cover_normal_index(f: SphereMap, n: int, margin: float = 0.1,
-                              eps_reg: float = 1e-8, k: int = 16) -> int:
+def double_cover_normal_index(f: SphereMap, n: int) -> int:
     """Normal Morse index of a cover of a totally geodesic sphere in S^n.
 
     For the round target the normal second variation is (n - 2) copies of
     the pulled-back Laplacian shifted by -2, so the index is (n - 2) times
-    the number of eigenvalues strictly below 2 (with a classification
-    margin against discretization).
+    the number of eigenvalues strictly below 2, counted by
+    normal_index_count among the 16 lowest.
     """
     if n < 3:
         raise PreconditionError("need target dimension >= 3 for a normal bundle")
-    vals, _ = pullback_laplace_eigenvalues(f, k=k, eps_reg=eps_reg)
-    return normal_index_count(vals, n, margin)
+    vals, _ = pullback_laplace_eigenvalues(f, k=16)
+    return normal_index_count(vals, n)

@@ -86,13 +86,12 @@ def constant_curvature_operator(n: int, c: float = 1.0) -> CurvatureOperator:
     return CurvatureOperator(n, R)
 
 
-def product_spheres_operator(c1: float = 1.0, c2: float = 1.0) -> CurvatureOperator:
-    """Product of two round two-spheres; mixed-plane curvatures vanish."""
+def product_spheres_operator() -> CurvatureOperator:
+    """Product of two unit round two-spheres; mixed-plane curvatures vanish."""
     R = np.zeros((4,) * 4)
-    for block, c in (((0, 1), c1), ((2, 3), c2)):
-        i, j = block
-        R[i, j, i, j] = R[j, i, j, i] = c
-        R[i, j, j, i] = R[j, i, i, j] = -c
+    for i, j in ((0, 1), (2, 3)):
+        R[i, j, i, j] = R[j, i, j, i] = 1.0
+        R[i, j, j, i] = R[j, i, i, j] = -1.0
     return CurvatureOperator(4, R)
 
 
@@ -105,7 +104,7 @@ def project_to_curvature_symmetries(T: np.ndarray) -> np.ndarray:
     return T - bianchi
 
 
-def pinched_operator(n: int, delta: float, rng, noise: float = None) -> CurvatureOperator:
+def pinched_operator(n: int, delta: float, rng) -> CurvatureOperator:
     """Randomly perturbed space form kept inside the (delta, 1] pinching band.
 
     A space form at the band midpoint is perturbed by Bianchi-symmetrized
@@ -116,10 +115,8 @@ def pinched_operator(n: int, delta: float, rng, noise: float = None) -> Curvatur
         raise PreconditionError("delta must lie in (0, 1]")
     mid = 0.5 * (1.0 + delta)
     half = 0.5 * (1.0 - delta)
-    if noise is None:
-        # |K_r - mid| <= 2 max|noise components| is a crude but safe bound
-        noise = 0.2 * half
-    raw = noise * rng.standard_normal((n,) * 4)
+    # |K_r - mid| <= 2 max|noise components| is a crude but safe bound
+    raw = 0.2 * half * rng.standard_normal((n,) * 4)
     R = constant_curvature_operator(n, mid).R + project_to_curvature_symmetries(raw)
     return CurvatureOperator(n, R)
 
@@ -130,24 +127,24 @@ def _bilinear(a, b):
     return complex(np.sum(np.asarray(a) * np.asarray(b)))
 
 
-def is_isotropic(plane: ComplexPlane, tol: float = ISOTROPY_TOL) -> bool:
+def is_isotropic(plane: ComplexPlane) -> bool:
     """All three complex-bilinear products of the spanning pair vanish."""
     return (
-        abs(_bilinear(plane.z, plane.z)) <= tol
-        and abs(_bilinear(plane.z, plane.w)) <= tol
-        and abs(_bilinear(plane.w, plane.w)) <= tol
+        abs(_bilinear(plane.z, plane.z)) <= ISOTROPY_TOL
+        and abs(_bilinear(plane.z, plane.w)) <= ISOTROPY_TOL
+        and abs(_bilinear(plane.w, plane.w)) <= ISOTROPY_TOL
     )
 
 
-def is_half_isotropic(plane: ComplexPlane, tol: float = ISOTROPY_TOL) -> bool:
+def is_half_isotropic(plane: ComplexPlane) -> bool:
     """Only <z,z> and <z,w> are required to vanish."""
     return (
-        abs(_bilinear(plane.z, plane.z)) <= tol
-        and abs(_bilinear(plane.z, plane.w)) <= tol
+        abs(_bilinear(plane.z, plane.z)) <= ISOTROPY_TOL
+        and abs(_bilinear(plane.z, plane.w)) <= ISOTROPY_TOL
     )
 
 
-def associated_real_plane(v, tol: float = ISOTROPY_TOL):
+def associated_real_plane(v):
     """Real and imaginary parts (x, y) of an isotropic vector v = x + iy.
 
     Isotropy forces x and y to be orthogonal and of equal length, so they
@@ -156,7 +153,7 @@ def associated_real_plane(v, tol: float = ISOTROPY_TOL):
     v = np.asarray(v, dtype=complex)
     if np.linalg.norm(v) == 0:
         raise PreconditionError(_ZERO_VECTOR)
-    if abs(_bilinear(v, v)) > tol * max(1.0, float(np.vdot(v, v).real)):
+    if abs(_bilinear(v, v)) > ISOTROPY_TOL * max(1.0, float(np.vdot(v, v).real)):
         raise PreconditionError(_NOT_ISOTROPIC)
     return v.real.copy(), v.imag.copy()
 

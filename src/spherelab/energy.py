@@ -104,12 +104,9 @@ def equator_map(mesh: SphereMesh, n: int) -> SphereMap:
     return SphereMap(mesh, n, vals)
 
 
-def constant_map(mesh: SphereMesh, n: int, point=None) -> SphereMap:
-    if point is None:
-        point = np.eye(n + 1)[0]
-    point = np.asarray(point, dtype=float)
-    point = point / np.linalg.norm(point)
-    vals = np.tile(point, (mesh.vertex_count, 1))
+def constant_map(mesh: SphereMesh, n: int) -> SphereMap:
+    vals = np.zeros((mesh.vertex_count, n + 1))
+    vals[:, 0] = 1.0
     return SphereMap(mesh, n, vals)
 
 
@@ -172,18 +169,13 @@ def random_tangent_field(sphere_map: SphereMap, rng) -> TangentField:
     return project_tangent(sphere_map, rng.standard_normal(sphere_map.values.shape))
 
 
-def dilated_equator_map(mesh: SphereMesh, n: int, t: float, axis="z",
-                        rotation=None) -> SphereMap:
+def dilated_equator_map(mesh: SphereMesh, n: int, t: float, axis="z") -> SphereMap:
     """Equator map precomposed with a conformal dilation of the domain.
 
     The dilation is applied analytically to the vertex positions before
-    sampling, so no interpolation error enters.  An optional domain
-    rotation is applied first.
+    sampling, so no interpolation error enters.
     """
-    pts = mesh.vertices
-    if rotation is not None:
-        pts = pts @ np.asarray(rotation, dtype=float).T
-    pts = dilate_points(pts, t, axis=axis)
+    pts = dilate_points(mesh.vertices, t, axis=axis)
     vals = np.zeros((mesh.vertex_count, n + 1))
     vals[:, :3] = pts
     return SphereMap(mesh, n, normalize_rows(vals))

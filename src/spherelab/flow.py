@@ -1,14 +1,13 @@
 """Projected pseudogradient descent for the alpha-energy.
 
-The descent direction is either the projected gradient or, when
-preconditioning is on, the projected solution of (K + M) d = grad per
-coordinate.  Steps use Armijo backtracking followed by pointwise
-renormalization onto the target sphere, so the accepted energy sequence
-never increases.  Per-iteration norms are logged so the two
-pseudogradient inequalities can be audited after the fact.  A flow runs on
-the map's live columns (energy.head_map): every step keeps a zero column
-zero, so the cost does not depend on n, and each record's map is padded
-back to the start map's n.
+The descent direction is the projected solution of (K + M) d = grad per
+coordinate, or the gradient itself where that is not a descent direction.
+Steps use Armijo backtracking followed by pointwise renormalization onto
+the target sphere, so the accepted energy sequence never increases.
+Per-iteration norms are logged so the two pseudogradient inequalities
+can be audited after the fact.  A flow runs on the map's live columns
+(energy.head_map): every step keeps a zero column zero, so the cost does
+not depend on n, and each record's map is padded back to the start map's n.
 """
 
 from __future__ import annotations
@@ -40,18 +39,11 @@ class FlowConfig:
     max_iterations: int = 2000
     grad_tol: float = 1e-3        # relative to the initial gradient norm
     grad_tol_abs: float = 0.0     # optional absolute floor on the target
-    armijo_c1: float = 1e-4
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    preconditioned: bool = True
 
     def __post_init__(self):
         if self.alpha < 1.0:
             raise PreconditionError("alpha must be >= 1")
-        if not 0.0 < self.armijo_c1 < 0.5:
-            raise PreconditionError("armijo_c1 must lie in (0, 0.5)")
-        if min(self.max_iterations, self.grad_tol, self.step_init,
-               self.step_shrink) <= 0:
+        if min(self.max_iterations, self.grad_tol) <= 0:
             raise PreconditionError("flow parameters must be positive")
 
 
@@ -100,13 +92,6 @@ class ContinuationResult:
         return self.failed_stage is None
 
 
-def _descent_direction(sphere_map: SphereMap, grad: np.ndarray,
-                       preconditioned: bool) -> np.ndarray:
-    if not preconditioned:
-        return grad
-    return project_tangent(sphere_map, sphere_map.mesh.solve_stiff_plus_mass(grad)).values
-
-
 def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
     """Armijo backtracking descent with renormalization onto the sphere.
 
@@ -130,7 +115,7 @@ def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
     log = []
     energy_log = [energy_val]
     step_log = []
-    step = config.step_init
+    step = 1.0
     iterations = 0
 
     def make_record(converged):
@@ -154,20 +139,20 @@ def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
         )
 
     while grad_norm > target and iterations < config.max_iterations:
-        direction = _descent_direction(f, grad, config.preconditioned)
+        direction = project_tangent(f, f.mesh.solve_stiff_plus_mass(grad)).values
         slope = float(np.sum(grad * direction))
         if slope <= 0:
             direction, slope = grad, grad_norm**2
         log.append((float(np.linalg.norm(direction)), grad_norm, slope))
-        step = min(config.step_init, 4.0 * step)
+        step = min(1.0, 4.0 * step)
         accepted = False
-        while step > 1e-14 * config.step_init:
+        while step > 1e-14:
             trial = SphereMap(f.mesh, f.n, normalize_rows(f.values - step * direction))
             trial_energy = alpha_energy(trial, config.alpha)
-            if trial_energy <= energy_val - config.armijo_c1 * step * slope:
+            if trial_energy <= energy_val - 1e-4 * step * slope:
                 accepted = True
                 break
-            step *= config.step_shrink
+            step *= 0.5
         if accepted:
             trial_grad = alpha_energy_gradient(trial, config.alpha).values
             trial_grad_norm = float(np.linalg.norm(trial_grad))
@@ -295,24 +280,22 @@ def detect_concentration(sphere_map: SphereMap, epsilon_su: float,
 
 
 def index_semicontinuity_report(sphere_map: SphereMap, alpha: float,
-                                epsilon_su: float = 1.0, radius: float = 0.2,
-                                tau: float = None, k: int = None) -> dict:
+                                radius: float = 0.2) -> dict:
     """Experiment record relating measured index to detected bubble count.
 
-    Computes the Morse index of the map and the concentration detections,
-    and reports whether index >= detections * (n - 2).  The inequality is
+    Computes the Morse index of the map at the equator's calibrated tau and
+    the concentration detections of energy above 1, and reports whether
+    index >= detections * (n - 2).  The inequality is
     recorded, never asserted: it can fail near degeneration where the
     discretization under-resolves the concentrating region.
     """
     from .spectrum import calibrate_tau, classify_spectrum, split_spectrum
 
     n = sphere_map.n
-    if tau is None:
-        tau = calibrate_tau(sphere_map.mesh, n, alpha=1.0)
-    if k is None:
-        k = (n - 2) * 4 + 6 + 10
+    tau = calibrate_tau(sphere_map.mesh, n)
+    k = (n - 2) * 4 + 6 + 10
     report = classify_spectrum(*split_spectrum(sphere_map, alpha, k), k, tau)
-    detections = detect_concentration(sphere_map, epsilon_su, radius)
+    detections = detect_concentration(sphere_map, 1.0, radius)
     bound = len(detections) * (n - 2)
     return {
         "index": report.index,

@@ -36,6 +36,8 @@ FRAME_ROWS = 1 << 9
 # a map whose tangent gradient exceeds this fraction of its raw gradient is
 # far from critical: its Hessian spectrum is only formal
 FAR_FROM_CRITICAL = 0.05
+# eigenvalues past the equator's index and nullity in calibrate_tau's solve
+EXTRA_K = 8
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,6 @@ class SecondVariationPencil:
     H: sp.csr_matrix
     M: sp.csr_matrix
     frame: np.ndarray  # (V, C, dim) basis of the admissible subspace
-    base: SphereMap
-    alpha: float
     kind: str = "tangent"
 
     @property
@@ -128,8 +128,8 @@ def _in_frames(X: sp.csr_matrix, frames: np.ndarray) -> sp.csr_matrix:
     return (U + U.T + sp.diags(np.repeat(X.diagonal(), d))).tocsr()
 
 
-def _framed_pencil(sphere_map: SphereMap, alpha: float, parts, frames: np.ndarray,
-                   kind: str, warn_threshold: float = None) -> SecondVariationPencil:
+def _framed_pencil(sphere_map: SphereMap, parts, frames: np.ndarray, kind: str,
+                   warn_threshold: float = None) -> SecondVariationPencil:
     """(A (x) F + (S F)^T (S F), M (x) F) for the _hessian_parts A and S and the
     P1 mass matrix M, in the per-vertex orthonormal frames F (V, C, d).  Given
     warn_threshold, warns when the map's tangent gradient exceeds that fraction
@@ -148,8 +148,7 @@ def _framed_pencil(sphere_map: SphereMap, alpha: float, parts, frames: np.ndarra
                            np.arange(0, s.size + 1, 3 * d)),
                           shape=(mesh.face_count, mesh.vertex_count * d))
         H = (H + R.T @ R).tocsr()
-    return SecondVariationPencil(H, _in_frames(assemble_pencil(mesh).M, frames), frames,
-                                 sphere_map, alpha, kind)
+    return SecondVariationPencil(H, _in_frames(assemble_pencil(mesh).M, frames), frames, kind)
 
 
 def constrained_hessian(sphere_map: SphereMap, alpha: float) -> sp.csr_matrix:
@@ -158,7 +157,7 @@ def constrained_hessian(sphere_map: SphereMap, alpha: float) -> sp.csr_matrix:
     _framed_pencil Hessian in identity frames, kron(A, I_C) + S^T S for the
     _hessian_parts A and S."""
     V, C = sphere_map.values.shape
-    return _framed_pencil(sphere_map, alpha, _hessian_parts(sphere_map, alpha),
+    return _framed_pencil(sphere_map, _hessian_parts(sphere_map, alpha),
                           np.broadcast_to(np.eye(C), (V, C, C)), "ambient").H
 
 
@@ -204,31 +203,30 @@ def _image_tangent_planes(sphere_map: SphereMap):
     return acc.T.reshape(-1, C, C), degenerate
 
 
-def assemble_second_variation(sphere_map: SphereMap, alpha: float,
-                              warn_threshold: float = FAR_FROM_CRITICAL
-                              ) -> SecondVariationPencil:
+def assemble_second_variation(sphere_map: SphereMap, alpha: float) -> SecondVariationPencil:
     """Second-variation pencil of the alpha-energy on tangent fields.
 
-    Warns when the map is visibly non-critical (the Hessian then has no
-    index interpretation).  The mass side is the consistent mass matrix of
+    Warns when the map is visibly non-critical, its tangent gradient above
+    FAR_FROM_CRITICAL of its raw gradient (the Hessian then has no index
+    interpretation).  The mass side is the consistent mass matrix of
     the domain acting diagonally on coordinates, in the frames.
     """
-    return _framed_pencil(sphere_map, alpha, _hessian_parts(sphere_map, alpha),
-                          _tangent_frames(sphere_map), "tangent", warn_threshold)
+    return _framed_pencil(sphere_map, _hessian_parts(sphere_map, alpha),
+                          _tangent_frames(sphere_map), "tangent", FAR_FROM_CRITICAL)
 
 
-def normal_second_variation(sphere_map: SphereMap, alpha: float = 1.0,
-                            density_floor: float = 1e-6) -> SecondVariationPencil:
+def normal_second_variation(sphere_map: SphereMap, alpha: float = 1.0) -> SecondVariationPencil:
     """Pencil restricted to fields orthogonal to the map and its image plane.
 
     Requires an immersed map: elements whose image is (numerically) rank
-    deficient are collected into a DegenerateElementsError.
+    deficient, or whose energy density is below 1e-6 of the mean, are
+    collected into a DegenerateElementsError.
     """
     C = sphere_map.n + 1
     if C - 3 <= 0:
         raise PreconditionError("normal bundle is trivial for n < 3")
     g, _ = element_density_area_one(sphere_map)
-    low = g < density_floor * float(np.mean(g))
+    low = g < 1e-6 * float(np.mean(g))
     acc, degenerate = _image_tangent_planes(sphere_map)
     if np.any(low | degenerate):
         bad = np.where(low | degenerate)[0]
@@ -239,20 +237,19 @@ def normal_second_variation(sphere_map: SphereMap, alpha: float = 1.0,
     # admissible subspace: orthogonal to span{f, image plane}
     killed = proj_full + vals[:, :, None] * vals[:, None, :]
     frames, _ = _leading_frames(np.eye(C) - killed, C - 3)
-    return _framed_pencil(sphere_map, alpha, _hessian_parts(sphere_map, alpha), frames,
-                          "normal")
+    return _framed_pencil(sphere_map, _hessian_parts(sphere_map, alpha), frames, "normal")
 
 
-def pencil_eigenvalues(H: sp.spmatrix, M: sp.spmatrix, k: int,
-                       sigma: float = -8.0):
-    """k smallest eigenvalues of H v = lambda M v (M positive definite)."""
+def pencil_eigenvalues(H: sp.spmatrix, M: sp.spmatrix, k: int):
+    """k smallest eigenvalues of H v = lambda M v (M positive definite), by
+    shift-invert about -8."""
     if k < 1:
         raise PreconditionError("need k >= 1 eigenvalues")
     k = min(k, H.shape[0] - 1)
     rng = np.random.default_rng(_EIG_SEED)
     v0 = rng.standard_normal(H.shape[0])
     try:
-        vals = eigsh(H.tocsc(), k=k, M=M.tocsc(), sigma=sigma, which="LM", v0=v0,
+        vals = eigsh(H.tocsc(), k=k, M=M.tocsc(), sigma=-8.0, which="LM", v0=v0,
                      return_eigenvectors=False, maxiter=5000)
         return np.sort(vals), True
     except ArpackNoConvergence as exc:
@@ -307,8 +304,7 @@ def split_spectrum(sphere_map: SphereMap, alpha: float, k: int):
     head = head_map(sphere_map)
     m = head.n
     parts = A, _, _ = _hessian_parts(head, alpha)
-    tangent = _framed_pencil(head, alpha, parts, _tangent_frames(head), "tangent",
-                             FAR_FROM_CRITICAL)
+    tangent = _framed_pencil(head, parts, _tangent_frames(head), "tangent", FAR_FROM_CRITICAL)
     vals, converged = _lowest_eigenvalues(tangent.H, tangent.M, k)
     copies = n - m
     if copies:
@@ -340,16 +336,15 @@ def _lowest_eigenvalues(H: sp.spmatrix, M: sp.spmatrix, k: int):
     return scipy.linalg.eigh(H.toarray(), M.toarray(), eigvals_only=True), True
 
 
-def calibrate_tau(mesh: SphereMesh, n: int, alpha: float = 1.0,
-                  extra: int = 8) -> float:
-    """Nullity threshold from the equator benchmark on this mesh level.
+def calibrate_tau(mesh: SphereMesh, n: int) -> float:
+    """Nullity threshold from the equator benchmark (alpha = 1) on this mesh level.
 
     The analytically null cluster and the first analytically nonzero
     eigenvalue are separated by orders of magnitude at practical levels;
     tau is their geometric mean.
     """
     index, nullity = expected_equator_counts(n)
-    vals, converged = equator_spectrum(mesh, n, alpha, index + nullity + extra)
+    vals, converged = equator_spectrum(mesh, n, 1.0, index + nullity + EXTRA_K)
     if not converged:
         raise PreconditionError("eigensolver did not converge during calibration")
     null_block = np.abs(vals[index:index + nullity])
@@ -398,23 +393,23 @@ def weighted_scalar_pencil(mesh: SphereMesh, potential: float,
 
 
 def scaling_invariance_check(mesh: SphereMesh, potential: float,
-                             vertex_weight: np.ndarray, k: int = 10,
-                             mu_min: float = 1e-8) -> float:
+                             vertex_weight: np.ndarray) -> float:
     """Spectral distance between a scalar pencil and its weighted version.
 
-    Returns the maximum per-eigenvalue discrepancy between the k smallest
-    eigenvalues of the benchmark pencil and of its mu^2-weighted form,
-    each difference normalized by max(|lambda|, 1).  Exact equality holds
-    only in the continuum; the discrepancy must vanish under refinement.
+    The weight must be at least 1e-8 everywhere.  Returns the maximum
+    per-eigenvalue discrepancy between the 10 smallest eigenvalues of the
+    benchmark pencil and of its mu^2-weighted form, each difference
+    normalized by max(|lambda|, 1).  Exact equality holds only in the
+    continuum; the discrepancy must vanish under refinement.
     """
     w = np.asarray(vertex_weight, dtype=float)
-    if np.min(w) < mu_min:
+    if np.min(w) < 1e-8:
         raise PreconditionError("weight must be bounded away from zero")
     # the baseline runs through the identical assembly and solver path with a
     # unit weight, so a unit input weight yields exact equality
     A0, B0 = weighted_scalar_pencil(mesh, potential, np.ones(mesh.vertex_count))
     A1, B1 = weighted_scalar_pencil(mesh, potential, w)
-    k = min(k, mesh.vertex_count - 4)
+    k = min(10, mesh.vertex_count - 4)
     sigma = -potential - 3.0
     rng = np.random.default_rng(_EIG_SEED)
     v0 = rng.standard_normal(mesh.vertex_count)

@@ -356,15 +356,16 @@ def complex_from_json(doc: str) -> MorseComplexZ2:
 
 
 def _entry(obj, key, kind, default=None):
-    """obj[key], of the JSON type kind (a list of objects for list), or default
-    if the key is absent and a default is given.  A missing or ill-typed
-    entry raises PreconditionError naming its key."""
+    """obj[key], of the JSON type kind (a list of objects for list; a boolean
+    is no integer), or default if the key is absent and a default is given.
+    A missing or ill-typed entry raises PreconditionError naming its key."""
     if key not in obj:
         if default is None:
             raise PreconditionError(f"complex document lacks the key {key!r}")
         return default
     value = obj[key]
-    if not isinstance(value, kind) or kind is list and not all(isinstance(x, dict) for x in value):
+    if not isinstance(value, kind) or isinstance(value, bool) \
+            or kind is list and not all(isinstance(x, dict) for x in value):
         raise PreconditionError(f"complex document: {key!r} must be "
                                 + {str: "a string", int: "an integer",
                                    list: "a list of objects"}[kind])

@@ -149,8 +149,6 @@ def test_validate_rejects_bools(tmp_path, capsys, cfg, field):
       "grad_tol": 0.0}, ["grad_tol"]),
     ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
       "grad_tol": "1e-3"}, ["grad_tol"]),
-    ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
-      "preconditioned": 1}, ["preconditioned"]),
     # flow and covers factor a V x V P1 matrix: level 8 exhausts memory
     ({"kind": "flow", "level": FACTORED_MAX_LEVEL + 1, "n": 4, "alpha_schedule": [1.2]},
      ["level"]),
@@ -163,6 +161,8 @@ def test_validate_rejects_bools(tmp_path, capsys, cfg, field):
     # a key no runner reads is refused by name, census n included
     ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
       "grad_tolerance": 1e-3}, ["grad_tolerance"]),
+    ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
+      "preconditioned": 1}, ["preconditioned"]),
     ({"kind": "census", "m": 3, "N_min": 5, "N_max": 9, "n": 4}, ["n"]),
     # flags that were read as truthy
     ({"kind": "spectrum", "level": 3, "n": 4, "export_mesh": 1}, ["export_mesh"]),
@@ -367,6 +367,11 @@ def test_covers_on_a_pencil_smaller_than_k_solves_densely(tmp_path, monkeypatch)
     ({"generators": {"id": "a"}}, "generators"),
     ({"generators": [{"id": "a", "degree": "x"}]}, "degree"),
     ({"generators": [{"id": "a", "degree": 1}], "boundaries": 3}, "boundaries"),
+    # JSON true is no integer
+    ({"generators": [{"id": "a", "degree": True}, {"id": "b", "degree": 0}],
+      "boundaries": [{"from": "a", "to": "b", "count_mod2": 1}]}, "degree"),
+    ({"generators": [{"id": "a", "degree": 1}, {"id": "b", "degree": 0}],
+      "boundaries": [{"from": "a", "to": "b", "count_mod2": True}]}, "count_mod2"),
 ])
 def test_morse_complex_of_the_wrong_shape_exits_2(tmp_path, capsys, doc, key):
     # a complex document without a required key, or of another shape, is a
@@ -487,8 +492,8 @@ def test_no_cli_run_builds_the_full_pencil(tmp_path, monkeypatch):
     shapes, reported = [], []
     framed = spectrum_mod._framed_pencil
     monkeypatch.setattr(spectrum_mod, "_framed_pencil",
-                        lambda f, alpha, parts, frames, *a: shapes.append(frames.shape)
-                        or framed(f, alpha, parts, frames, *a))
+                        lambda f, parts, frames, *a: shapes.append(frames.shape)
+                        or framed(f, parts, frames, *a))
     semicontinuity = flow_mod.index_semicontinuity_report
     monkeypatch.setattr(flow_mod, "index_semicontinuity_report",
                         lambda f, alpha: reported.append((f, alpha))

@@ -52,7 +52,7 @@ FIELD_BOUNDS = {
     "k": [1, SPECTRUM_MAX_K], "degree": [1, 6], "samples": [1, PINCH_MAX_SAMPLES],
     "grad_tol": [0], "tau": [0], "alpha": [1], "delta": [0, 1],
 }
-FLAGS = ("preconditioned", "export_mesh", "semicontinuity_experiment")
+FLAGS = ("export_mesh", "semicontinuity_experiment")
 OTHER_VALUES = {
     "alpha_schedule": [[1.2], [1.2, 1.1, 1.05], [], [1.0, True], [0.5], [math.inf], 1.2],
     "start": ["equator", "distorted_equator", "perturbed_constant", "constant", 1],

@@ -244,8 +244,6 @@ def test_head_map_and_padded(mesh2):
 def test_flow_config_guards():
     with pytest.raises(PreconditionError):
         FlowConfig(alpha=0.9)
-    with pytest.raises(PreconditionError):
-        FlowConfig(armijo_c1=0.7)
 
 
 # -- continuation -----------------------------------------------------------------------
