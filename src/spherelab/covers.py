@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import eigsh
 
 from .energy import SphereMap, _face_blocks, head_map, normalize_rows, padded
 from .errors import (
@@ -440,13 +440,10 @@ def pullback_laplace_eigenvalues(f: SphereMap, k: int = 8,
     v = mesh.vertex_count
     if k >= v - 1:  # ARPACK returns at most V - 1: solve a pencil this small densely
         return scipy.linalg.eigh(pencil.K.toarray(), M_rho.toarray(), eigvals_only=True), floored
-    rng = np.random.default_rng(1234)
-    v0 = rng.standard_normal(v)
+    v0 = np.random.default_rng(1234).standard_normal(v)
     # shift-invert at sigma = -0.1 applies (K + 0.1 M_rho)^-1
-    shifted = mesh.factor(pencil.K + 0.1 * M_rho)
     vals = eigsh(pencil.K, k=k, M=M_rho, sigma=-0.1, which="LM", v0=v0,
-                 OPinv=LinearOperator((v, v), matvec=shifted.solve, dtype=float),
-                 return_eigenvectors=False)
+                 OPinv=mesh.factor(pencil.K + 0.1 * M_rho), return_eigenvectors=False)
     return np.sort(vals), floored
 
 

@@ -7,7 +7,7 @@ weighted stiffness less the constraint's multiplier, and for alpha > 1 the
 face rows S.  In per-vertex orthonormal tangent or normal frames F it is
 (A (x) F + (S F)^T (S F), M (x) F), built by _framed_pencil; the ambient
 Hessian is its H in identity frames, kron(A, I) + S^T S.
-Pencils are solved by shift-invert Lanczos with a deterministic start vector.
+Pencils are solved by shift-invert Lanczos on SphereMesh.factor, from a fixed v0.
 Every index solve is split_spectrum: the coordinates a map leaves zero split
 off as copies of the scalar pencil (A, M).  Only normal_second_variation and
 the tests build the full pencil of size nV.
@@ -74,6 +74,7 @@ class SecondVariationPencil:
     H: sp.csr_matrix
     M: sp.csr_matrix
     frame: np.ndarray  # (V, C, dim) basis of the admissible subspace
+    mesh: SphereMesh
     kind: str = "tangent"
 
     @property
@@ -148,7 +149,8 @@ def _framed_pencil(sphere_map: SphereMap, parts, frames: np.ndarray, kind: str,
                            np.arange(0, s.size + 1, 3 * d)),
                           shape=(mesh.face_count, mesh.vertex_count * d))
         H = (H + R.T @ R).tocsr()
-    return SecondVariationPencil(H, _in_frames(assemble_pencil(mesh).M, frames), frames, kind)
+    M = _in_frames(assemble_pencil(mesh).M, frames)
+    return SecondVariationPencil(H, M, frames, mesh, kind)
 
 
 def constrained_hessian(sphere_map: SphereMap, alpha: float) -> sp.csr_matrix:
@@ -240,17 +242,18 @@ def normal_second_variation(sphere_map: SphereMap, alpha: float = 1.0) -> Second
     return _framed_pencil(sphere_map, _hessian_parts(sphere_map, alpha), frames, "normal")
 
 
-def pencil_eigenvalues(H: sp.spmatrix, M: sp.spmatrix, k: int):
-    """k smallest eigenvalues of H v = lambda M v (M positive definite), by
-    shift-invert about -8."""
+def pencil_eigenvalues(H: sp.spmatrix, M: sp.spmatrix, k: int, mesh: SphereMesh):
+    """(eigenvalues, converged): the k of H v = lambda M v (M > 0) nearest -8, sorted,
+    by shift-invert through mesh.factor(H + 8M): not the k lowest where the spectrum
+    reaches below -8, as a far-from-critical map's can.  All N if k >= N - 1."""
     if k < 1:
         raise PreconditionError("need k >= 1 eigenvalues")
-    k = min(k, H.shape[0] - 1)
-    rng = np.random.default_rng(_EIG_SEED)
-    v0 = rng.standard_normal(H.shape[0])
+    if k >= H.shape[0] - 1:  # ARPACK returns at most N - 1 of N: solve a pencil this small densely
+        return scipy.linalg.eigh(H.toarray(), M.toarray(), eigvals_only=True), True
+    v0 = np.random.default_rng(_EIG_SEED).standard_normal(H.shape[0])
     try:
-        vals = eigsh(H.tocsc(), k=k, M=M.tocsc(), sigma=-8.0, which="LM", v0=v0,
-                     return_eigenvectors=False, maxiter=5000)
+        vals = eigsh(H, k=k, M=M, sigma=-8.0, which="LM", v0=v0,
+                     OPinv=mesh.factor(H + 8.0 * M), return_eigenvectors=False, maxiter=5000)
         return np.sort(vals), True
     except ArpackNoConvergence as exc:
         vals = np.sort(exc.eigenvalues) if exc.eigenvalues is not None else np.array([])
@@ -273,7 +276,7 @@ def classify_spectrum(vals: np.ndarray, converged: bool, k: int,
 def morse_index_nullity(pencil: SecondVariationPencil, k: int,
                         tau: float) -> SpectrumReport:
     """Classify the k lowest pencil eigenvalues by the threshold tau."""
-    vals, converged = pencil_eigenvalues(pencil.H, pencil.M, k)
+    vals, converged = pencil_eigenvalues(pencil.H, pencil.M, k, pencil.mesh)
     return classify_spectrum(vals, converged, k, tau)
 
 
@@ -305,11 +308,11 @@ def split_spectrum(sphere_map: SphereMap, alpha: float, k: int):
     m = head.n
     parts = A, _, _ = _hessian_parts(head, alpha)
     tangent = _framed_pencil(head, parts, _tangent_frames(head), "tangent", FAR_FROM_CRITICAL)
-    vals, converged = _lowest_eigenvalues(tangent.H, tangent.M, k)
+    vals, converged = pencil_eigenvalues(tangent.H, tangent.M, k, mesh)
     copies = n - m
     if copies:
-        scalar_vals, scalar_ok = _lowest_eigenvalues(
-            A, assemble_pencil(mesh).M, -(-k // copies))
+        scalar_vals, scalar_ok = pencil_eigenvalues(
+            A, assemble_pencil(mesh).M, -(-k // copies), mesh)
         vals = np.concatenate([vals, np.repeat(scalar_vals, copies)])
         converged = converged and scalar_ok
     vals = np.sort(vals)[:min(k, n * mesh.vertex_count - 1)]
@@ -326,14 +329,6 @@ def equator_spectrum(mesh: SphereMesh, n: int, alpha: float, k: int):
     """
     return mesh._cached(("equator_spectrum", n, round(alpha, 12), k),
                         lambda: split_spectrum(equator_map(mesh, n), alpha, k))
-
-
-def _lowest_eigenvalues(H: sp.spmatrix, M: sp.spmatrix, k: int):
-    """pencil_eigenvalues, or every eigenvalue of a pencil too small for
-    ARPACK to return k (it returns at most N - 1 of N)."""
-    if k < H.shape[0] - 1:
-        return pencil_eigenvalues(H, M, k)
-    return scipy.linalg.eigh(H.toarray(), M.toarray(), eigvals_only=True), True
 
 
 def calibrate_tau(mesh: SphereMesh, n: int) -> float:
@@ -411,15 +406,14 @@ def scaling_invariance_check(mesh: SphereMesh, potential: float,
     A1, B1 = weighted_scalar_pencil(mesh, potential, w)
     k = min(10, mesh.vertex_count - 4)
     sigma = -potential - 3.0
-    rng = np.random.default_rng(_EIG_SEED)
-    v0 = rng.standard_normal(mesh.vertex_count)
+    v0 = np.random.default_rng(_EIG_SEED).standard_normal(mesh.vertex_count)
     # a buffer plus a generous Krylov size so degenerate clusters resolve fully
     k_req = min(k + 3, mesh.vertex_count - 2)
     ncv = min(mesh.vertex_count, max(6 * k_req, 60))
 
     def low_spectrum(A, B):
-        lam = eigs(A.tocsc(), k=k_req, M=B.tocsc(), sigma=sigma, which="LM",
-                   v0=v0, ncv=ncv, return_eigenvectors=False)
+        lam = eigs(A, k=k_req, M=B, sigma=sigma, which="LM", v0=v0, ncv=ncv,
+                   OPinv=mesh.factor(A - sigma * B), return_eigenvectors=False)
         return np.sort(lam.real)[:k]
 
     vals0 = low_spectrum(A0, B0)

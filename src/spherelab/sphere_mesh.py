@@ -351,9 +351,13 @@ class SphereMesh:
                             lambda: _nested_dissection(self.vertices, self.faces))
 
     def factor(self, matrix):
-        """Factor of a symmetric positive definite V x V matrix on this mesh,
-        in the nested-dissection order."""
-        return DissectionFactor(matrix, self.dissection_order)
+        """Factor of an N x N matrix, N = d V, whose row v d + c is unknown c at
+        vertex v: in the dissection order, each vertex's d unknowns together."""
+        d, rest = divmod(matrix.shape[0], self.vertex_count)
+        if rest:
+            raise PreconditionError(f"{matrix.shape[0]} rows do not split into vertex blocks")
+        order = (self.dissection_order[:, None] * d + np.arange(d)).reshape(-1)
+        return DissectionFactor(matrix, order)
 
     def solve_mass(self, rhs):
         """Solve M x = rhs columnwise (M is the consistent mass matrix) by
@@ -434,21 +438,23 @@ def _dissection_step(points, part, ends, side):
 
 
 class DissectionFactor:
-    """LU factor of a symmetric positive definite matrix in a given order.
+    """LU factor of a matrix in a given order: the OPinv of eigsh and eigs.
 
-    The permuted matrix is factored as it stands (no column ordering and no
-    pivoting, both safe for a positive definite matrix).
+    The permuted matrix keeps its column order.  SuperLU pivots in
+    SymmetricMode, off the diagonal only where it is below 0.1 of its
+    column's largest entry: never on K + M at levels 0-7, so those solves are
+    an unpivoted factor's; where needed on an indefinite H + 8M.
     """
 
     def __init__(self, matrix, order):
         from scipy.sparse.linalg import splu  # imported on use: it slows every start-up
 
-        self.order = order
+        self.shape, self.dtype, self.order = matrix.shape, np.dtype(float), order
         self.lu = splu(matrix.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+                       diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
     def solve(self, rhs):
-        """Solve for a vector or for all columns of a (V, m) block in one
+        """Solve for a vector or for all columns of an (N, m) block in one
         SuperLU call, as a C-ordered array.
 
         With a vendor BLAS, blocks of four or more columns go through other
@@ -459,6 +465,8 @@ class DissectionFactor:
         x = np.empty(rhs.shape)
         x[self.order] = self.lu.solve(rhs[self.order])
         return x
+
+    matvec = solve
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 from conftest import (
     DENSE_ORACLE_ROWS,
@@ -115,12 +116,61 @@ def test_hessian_quadratic_form_second_difference(mesh2, rng):
 def test_constant_map_hessian_psd(mesh2):
     n = 4
     pencil = assemble_second_variation(constant_map(mesh2, n), 1.1)
-    vals, ok = pencil_eigenvalues(pencil.H, pencil.M, 12)
+    vals, ok = pencil_eigenvalues(pencil.H, pencil.M, 12, pencil.mesh)
     assert ok
     assert vals[0] >= -1e-10  # global minimum: index 0
     # null directions move the constant inside the target sphere, whose
     # manifold of constants has dimension n
     assert np.count_nonzero(np.abs(vals) <= 1e-8) == n
+
+
+@pytest.mark.filterwarnings("ignore:map is far from critical")
+def test_factor_solves_framed_pencils_to_their_residual(mesh2, mesh3, rng):
+    # H + 8M in frames of d = 2 (tangent, into S^2), d = 3 (normal, in S^5)
+    # and d = 4 (a random map into S^4, indefinite: its spectrum reaches
+    # far below -8, so the factor pivots off the diagonal)
+    cases = [(mesh3, assemble_second_variation(equator_map(mesh3, 2), 1.0), 2),
+             (mesh3, normal_second_variation(equator_map(mesh3, 5)), 3),
+             (mesh2, assemble_second_variation(random_map(mesh2, 4, rng), 1.1), 4)]
+    for mesh, pencil, d in cases:
+        A = pencil.H + 8.0 * pencil.M
+        assert A.shape[0] == d * mesh.vertex_count
+        b = np.random.default_rng(d).standard_normal((A.shape[0], 2))
+        x = mesh.factor(A).solve(b)
+        assert np.all(np.linalg.norm(A @ x - b, axis=0) <= 1e-12 * np.linalg.norm(b, axis=0))
+    # the random map's pencil is indefinite below the shift
+    assert scipy.linalg.eigh(pencil.H.toarray(), pencil.M.toarray(), eigvals_only=True,
+                             subset_by_index=(0, 0))[0] < -8.0
+
+
+@pytest.mark.parametrize("level, n, kind", [(3, 4, "tangent"), (4, 4, "tangent"),
+                                            (3, 5, "normal")])
+def test_pencil_eigenvalues_match_eigsh_own_factor(request, monkeypatch, level, n, kind):
+    # reference: eigsh factoring H + 8M itself (SuperLU's default COLAMD
+    # order with partial pivoting) for the same pencil, shift and start vector
+    mesh = request.getfixturevalue(f"mesh{level}")
+    f = equator_map(mesh, n)
+    # k ends at a gap of the spectrum: single-vector Lanczos may drop a copy
+    # of a multiple eigenvalue at the edge of its window.  The normal pencil's
+    # 4 (n - 2) lowest are its index and nullity, -2 and 0 per direction.
+    idx, nul = expected_equator_counts(n)
+    if kind == "tangent":
+        pencil, k = assemble_second_variation(f, 1.0), idx + nul + 8
+    else:
+        pencil, k = normal_second_variation(f), 4 * (n - 2)
+    inverses = []
+    monkeypatch.setattr(spectrum_mod, "eigsh",
+                        lambda *a, **kw: inverses.append(kw["OPinv"]) or eigsh(*a, **kw))
+    vals, converged = pencil_eigenvalues(pencil.H, pencil.M, k, mesh)
+    assert converged and len(inverses) == 1
+    assert isinstance(inverses[0], sphere_mesh.DissectionFactor)
+    v0 = np.random.default_rng(20240).standard_normal(pencil.dim)
+    ref = np.sort(eigsh(pencil.H.tocsc(), k=k, M=pencil.M.tocsc(), sigma=-8.0, which="LM",
+                        v0=v0, return_eigenvectors=False, maxiter=5000))
+    assert_spectra_close(vals, ref)
+    tau = calibrate_tau(mesh, n)
+    new, old = (classify_spectrum(v, True, k, tau) for v in (vals, ref))
+    assert (new.index, new.nullity) == (old.index, old.nullity)
 
 
 def test_far_from_critical_warns(mesh2, rng):
@@ -221,15 +271,16 @@ def test_equator_split_matches_full_pencil(request, dense_equator_spectrum,
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_equator_split_lists_as_many_values_as_the_full_solve(level, n):
     # at k = 200 a part can be too small for ARPACK, which returns at most
-    # N - 1 of N eigenvalues; the merged list is still as long as the full
-    # solve's, min(k, nV - 1)
+    # N - 1 of N eigenvalues; the merged list is still as long as an ARPACK
+    # solve of the full pencil would be, min(k, nV - 1), and it is the head
+    # of the full pencil's spectrum
     mesh = build_icosphere(level)
     vals, converged = equator_spectrum(mesh, n, 1.0, 200)
     pencil = assemble_second_variation(equator_map(mesh, n), 1.0)
-    full, full_converged = pencil_eigenvalues(pencil.H, pencil.M, 200)
+    full, full_converged = pencil_eigenvalues(pencil.H, pencil.M, 200, pencil.mesh)
     assert converged and full_converged
     assert len(vals) == min(200, n * mesh.vertex_count - 1)
-    assert_spectra_close(vals, full)
+    assert_spectra_close(vals, full[:len(vals)])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -289,7 +340,7 @@ def test_split_of_a_map_using_every_column_is_the_full_solve(mesh2, rng):
     f = random_map(mesh2, 4, rng)
     vals, converged = split_spectrum(f, 1.1, 12)
     pencil = assemble_second_variation(f, 1.1)
-    full, full_converged = pencil_eigenvalues(pencil.H, pencil.M, 12)
+    full, full_converged = pencil_eigenvalues(pencil.H, pencil.M, 12, pencil.mesh)
     assert converged == full_converged
     assert np.array_equal(vals, full)
 
@@ -361,7 +412,7 @@ def test_equator_pencil_splits_into_scalar_copies(mesh3, dense_equator_spectrum,
 def test_normal_pencil_equator(mesh3):
     for n, negatives in ((4, 2), (5, 3)):
         pencil = normal_second_variation(equator_map(mesh3, n))
-        vals, ok = pencil_eigenvalues(pencil.H, pencil.M, 4 * (n - 2) + 4)
+        vals, ok = pencil_eigenvalues(pencil.H, pencil.M, 4 * (n - 2) + 4, pencil.mesh)
         assert ok
         neg = vals[vals < -0.5]
         assert len(neg) == negatives
@@ -378,7 +429,7 @@ def test_normal_pencil_spectrum_refines_to_analytic():
     for level in (2, 3, 4):
         mesh = build_icosphere(level)
         pencil = normal_second_variation(equator_map(mesh, 4))
-        vals, ok = pencil_eigenvalues(pencil.H, pencil.M, 18)
+        vals, ok = pencil_eigenvalues(pencil.H, pencil.M, 18, pencil.mesh)
         assert ok
         expected = np.concatenate([
             np.repeat(targets[0], 2), np.repeat(targets[1], 6),

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import eigsh
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh, splu
 
 from conftest import assert_csr_equal, assert_located_like_kd_tree, p1_scatter_reference
 from spherelab import AreaConvention, assemble_pencil, build_icosphere, sphere_mesh, to_area_one
@@ -455,6 +456,42 @@ def test_dissection_factor_solves_mass_and_stiff_plus_mass(level):
             assert x.shape == b.shape
             assert np.all(np.linalg.norm(A @ x - b, axis=0)
                           <= 1e-12 * np.linalg.norm(b, axis=0))
+
+
+@pytest.mark.parametrize("level", [1, 3])
+def test_factor_lifts_the_dissection_order_to_vertex_blocks(level):
+    # row v d + c is unknown c at vertex v: the factor numbers each vertex's
+    # d rows together, the vertices in the dissection order
+    mesh = build_icosphere(level)
+    pencil = assemble_pencil(mesh)
+    v = mesh.vertex_count
+    for d in (1, 2, 3, 4):
+        order = mesh.factor(sp.kron(pencil.K + pencil.M, np.eye(d), format="csr")).order
+        assert np.array_equal(np.sort(order), np.arange(d * v))
+        blocks = order.reshape(v, d)
+        assert np.array_equal(blocks, blocks[:, :1] + np.arange(d))
+        assert np.array_equal(blocks[:, 0] // d, mesh.dissection_order)
+    with pytest.raises(PreconditionError, match="vertex blocks"):
+        mesh.factor(sp.eye(2 * v + 1, format="csr"))
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_stiff_plus_mass_factor_keeps_the_unpivoted_bits(level):
+    # threshold pivoting takes every diagonal pivot of K + M, so its solves
+    # are those of the factor without pivoting, in the same order
+    mesh = build_icosphere(level)
+    pencil = assemble_pencil(mesh)
+    A = pencil.K + pencil.M
+    factor = mesh.factor(A)
+    order = factor.order
+    unpivoted = splu(A.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    assert np.array_equal(factor.lu.perm_r, np.arange(mesh.vertex_count))
+    rhs = np.random.default_rng(level).standard_normal((mesh.vertex_count, 3))
+    for b in (rhs[:, 0], rhs):
+        ref = np.empty(b.shape)
+        ref[order] = unpivoted.solve(b[order])
+        assert np.array_equal(factor.solve(b), ref)
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
