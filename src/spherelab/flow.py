@@ -37,8 +37,11 @@ from .sphere_mesh import assemble_pencil, geodesic_distance
 class FlowConfig:
     alpha: float = 1.1
     max_iterations: int = 2000
-    grad_tol: float = 1e-3        # relative to the initial gradient norm
-    grad_tol_abs: float = 0.0     # optional absolute floor on the target
+    # a descent stops below max(grad_tol * its start gradient norm,
+    # grad_tol_abs); continue_in_alpha raises grad_tol_abs to the target of
+    # the record it continues
+    grad_tol: float = 1e-3
+    grad_tol_abs: float = 0.0
 
     def __post_init__(self):
         if self.alpha < 1.0:
@@ -63,6 +66,7 @@ class CriticalRecord:
     eps1: float = float("nan")    # max |X| / |dF| over iterations
     eps2: float = float("nan")    # max |dF|^2 / dF(X) over iterations
     harmonic_residual: float = None
+    target: float = 0.0           # the gradient norm the descent stopped below
 
     def to_json_dict(self):
         return {
@@ -95,8 +99,10 @@ class ContinuationResult:
 def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
     """Armijo backtracking descent with renormalization onto the sphere.
 
-    Terminates when the gradient norm falls below
-    max(grad_tol * initial norm, grad_tol_abs) or at max_iterations.
+    Terminates when the gradient norm falls below the target
+    max(grad_tol * initial norm, grad_tol_abs), which the record keeps as
+    its target, or at max_iterations.  A start map already below the target
+    takes no step.
     Near a critical point a step lowers the energy by less than an ulp, so
     an accepted trial may read the same energy; such a step counts only if
     it lowers the gradient norm.  Raises StagnationError (carrying the last
@@ -136,6 +142,7 @@ def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
             converged=converged,
             eps1=eps1,
             eps2=eps2,
+            target=target,
         )
 
     while grad_norm > target and iterations < config.max_iterations:
@@ -185,6 +192,11 @@ def continue_in_alpha(record: CriticalRecord, schedule,
                       config: FlowConfig = None) -> ContinuationResult:
     """Warm-started descent along a decreasing alpha schedule.
 
+    Every stage descends with grad_tol_abs raised to record.target, the
+    gradient norm the record's own descent stopped below, so it stops below
+    max(grad_tol * its own start norm, record.target): a stage whose start
+    already lies below record.target takes no step, rather than pushing a
+    converged map's gradient another factor grad_tol down.
     Every converged stage is recentered so the center-of-mass condition
     holds; the harmonic residual is attached to each record.  On a stage
     failure the result carries the records so far and the failing index.
@@ -202,7 +214,7 @@ def continue_in_alpha(record: CriticalRecord, schedule,
     current = head_map(record.map)
     records = []
     for stage, alpha in enumerate(schedule):
-        cfg = replace(base, alpha=alpha)
+        cfg = replace(base, alpha=alpha, grad_tol_abs=max(base.grad_tol_abs, record.target))
         try:
             rec = descend(current, cfg)
         except StagnationError as exc:

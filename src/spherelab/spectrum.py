@@ -135,12 +135,20 @@ def _framed_pencil(sphere_map: SphereMap, parts, frames: np.ndarray, kind: str,
     P1 mass matrix M, in the per-vertex orthonormal frames F (V, C, d).  Given
     warn_threshold, warns when the map's tangent gradient exceeds that fraction
     of its raw gradient: the Hessian of a visibly non-critical map is formal."""
-    A, s, raw = parts
+    raw = parts[2]
     if warn_threshold is not None and np.linalg.norm(project_tangent(sphere_map, raw).values) \
             > warn_threshold * np.linalg.norm(raw):
         warnings.warn("map is far from critical; Hessian spectrum is only formal",
                       stacklevel=3)
     mesh = sphere_map.mesh
+    H = _framed_hessian(mesh, parts, frames)
+    M = _in_frames(assemble_pencil(mesh).M, frames)
+    return SecondVariationPencil(H, M, frames, mesh, kind)
+
+
+def _framed_hessian(mesh: SphereMesh, parts, frames: np.ndarray) -> sp.csr_matrix:
+    """A (x) F + (S F)^T (S F): the H of _framed_pencil, without its mass side."""
+    A, s, _ = parts
     H = _in_frames(A, frames)
     if s is not None:
         s = np.einsum("fic,ficd->fid", s, frames[mesh.faces])
@@ -149,18 +157,17 @@ def _framed_pencil(sphere_map: SphereMap, parts, frames: np.ndarray, kind: str,
                            np.arange(0, s.size + 1, 3 * d)),
                           shape=(mesh.face_count, mesh.vertex_count * d))
         H = (H + R.T @ R).tocsr()
-    M = _in_frames(assemble_pencil(mesh).M, frames)
-    return SecondVariationPencil(H, M, frames, mesh, kind)
+    return H
 
 
 def constrained_hessian(sphere_map: SphereMap, alpha: float) -> sp.csr_matrix:
     """Hessian of the discrete alpha-energy with the sphere-constraint correction
     in ambient coordinates (row v*C + c is coordinate c at vertex v): the
     _framed_pencil Hessian in identity frames, kron(A, I_C) + S^T S for the
-    _hessian_parts A and S."""
+    _hessian_parts A and S, built without the pencil's mass side."""
     V, C = sphere_map.values.shape
-    return _framed_pencil(sphere_map, _hessian_parts(sphere_map, alpha),
-                          np.broadcast_to(np.eye(C), (V, C, C)), "ambient").H
+    return _framed_hessian(sphere_map.mesh, _hessian_parts(sphere_map, alpha),
+                           np.broadcast_to(np.eye(C), (V, C, C)))
 
 
 def _leading_frames(X: np.ndarray, d: int):

@@ -30,6 +30,7 @@ from spherelab.cli import (
     SPECTRUM_MAX_K,
     SPECTRUM_MAX_N,
     main,
+    run,
     validate_config,
 )
 from spherelab.energy import project_tangent
@@ -431,6 +432,18 @@ def test_spectrum_run_matches_separate_solves(tmp_path, dense_equator_spectrum):
     assert (full.index, full.nullity) == (rep.index, rep.nullity)
 
 
+def test_spectrum_run_away_from_alpha_one_checks_the_index_only(tmp_path):
+    # the nullity 3(n - 2) + 6 and the leading eigenvalue -2 are the equator's
+    # values at alpha = 1; at alpha = 1.1 it reads nullity 9 and leading -3.04
+    out = str(tmp_path / "out")
+    assert run({"kind": "spectrum", "level": 4, "n": 4, "alpha": 1.1, "k": 60}, out) == EXIT_OK
+    report = read_report(out)
+    assert report["metrics"]["index"]["value"] == 2
+    assert "nullity" in report["metrics"]
+    assert [c["name"] for c in report["checks"]] == ["index_equals_n_minus_2",
+                                                     "eigensolver_converged"]
+
+
 def test_double_cover_run_solves_once(tmp_path, monkeypatch):
     calls = count_eigsh(monkeypatch, covers_mod)
     path = write_config(tmp_path, "covers.json",
@@ -484,6 +497,26 @@ def test_flow_run_with_telemetry(tmp_path):
         header = fh.readline().strip().split(",")
     assert header[:6] == ["stage", "iteration", "alpha", "alpha_energy",
                           "grad_norm", "step"]
+
+
+def test_flow_report_counts_the_initial_descent(tmp_path):
+    # telemetry.csv and records.csv list the continuation stages only; the
+    # report gives the initial descent's iterations and the stages' target
+    cfg = {"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2, 1.1, 1.05],
+           "seed": 1, "start": "distorted_equator"}
+    out = str(tmp_path / "out")
+    assert run(cfg, out) == EXIT_OK
+    metrics = read_report(out)["metrics"]
+    assert metrics["initial_descent_iterations"]["anchor"] == "flow.initial_descent_iterations"
+    assert metrics["stage_gradient_target"]["anchor"] == "flow.stage_gradient_target"
+    assert metrics["initial_descent_iterations"]["value"] > 0
+    target = metrics["stage_gradient_target"]["value"]
+    with open(os.path.join(out, "records.csv"), newline="") as fh:
+        records = list(csv.DictReader(fh))
+    with open(os.path.join(out, "telemetry.csv"), newline="") as fh:
+        telemetry = list(csv.DictReader(fh))
+    assert len(records) == 3 and all(float(r["grad_norm"]) <= target for r in records)
+    assert len(telemetry) == sum(int(r["iterations"]) for r in records)
 
 
 def test_no_cli_run_builds_the_full_pencil(tmp_path, monkeypatch):

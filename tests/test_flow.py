@@ -286,8 +286,49 @@ def test_level5_continuation_completes_schedule(seed):
     f0 = dilated_equator_map(build_icosphere(5), 4, 0.4, axis=axis)
     schedule = [1.2, 1.1, 1.05]
     config = FlowConfig(alpha=schedule[0], max_iterations=4000)
-    result = continue_in_alpha(descend(f0, config), schedule, config)
+    rec0 = descend(f0, config)
+    result = continue_in_alpha(rec0, schedule, config)
     assert result.succeeded and len(result.records) == len(schedule)
+    assert all(rec.grad_norm <= rec0.target for rec in result.records)
+
+
+def _start_gradient_norm(sphere_map, alpha):
+    return float(np.linalg.norm(alpha_energy_gradient(head_map(sphere_map), alpha).values))
+
+
+def test_stage_at_the_records_alpha_takes_no_step():
+    # the level-5, seed-1 flow of `spherelab flow`: its stage 0 repeats the
+    # initial descent's alpha from the converged map, which already lies
+    # below the target; a target of grad_tol times the stage's own start
+    # norm took 14 more iterations there
+    rng = np.random.default_rng(1)
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    f0 = dilated_equator_map(build_icosphere(5), 4, 0.4, axis=axis)
+    config = FlowConfig(alpha=1.2, max_iterations=4000)
+    rec0 = descend(f0, config)
+    assert rec0.converged and rec0.iterations > 0
+    assert rec0.target == config.grad_tol * _start_gradient_norm(f0, 1.2)
+    stage = continue_in_alpha(rec0, [1.2], config).records[0]
+    assert stage.iterations == 0 and stage.target == rec0.target
+    assert stage.grad_norm <= rec0.target
+
+
+def test_stage_far_in_alpha_still_descends(mesh3):
+    # moved from alpha 1.2 to 1.01, the converged map starts above the
+    # record's target, and the stage descends to max(grad_tol * its own
+    # start norm, record's target)
+    rng = np.random.default_rng(1)
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    config = FlowConfig(alpha=1.2, max_iterations=4000)
+    rec0 = descend(dilated_equator_map(mesh3, 4, 0.4, axis=axis), config)
+    start = _start_gradient_norm(rec0.map, 1.01)
+    assert start > rec0.target
+    stage = continue_in_alpha(rec0, [1.01], config).records[0]
+    assert stage.converged and stage.iterations >= 1
+    assert stage.target == max(config.grad_tol * start, rec0.target)
+    assert stage.grad_norm <= stage.target
 
 
 def test_continuation_empty_schedule(mesh2):
