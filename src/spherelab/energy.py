@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, InvariantViolationError, NumericError,
                      PreconditionError)
-from .sphere_mesh import FOUR_PI, SphereMesh
+from .sphere_mesh import FOUR_PI, SphereMesh, _row_dots, _row_norms
 
 # below this t, psi_alpha sums its Taylor series: the relative error of the
 # series through t^5 is about 3e-13 there for alpha in [1, 5]
@@ -36,8 +36,8 @@ class SphereMap:
     The map is immutable: ``values`` is a read-only view of the array it
     was built from (not a copy, so the caller must not write to that
     array afterwards), and element_energy_integrals keeps its result on
-    the map.  A map made by padded keeps the map it was padded from, which
-    head_map returns.
+    the map.  head_map keeps the map's head on it: for a map made by
+    padded, the map it was padded from.
     """
 
     mesh: SphereMesh
@@ -75,7 +75,9 @@ class TangentField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.base.values.shape:
             raise PreconditionError("tangent field shape mismatch")
-        dots = np.abs(np.sum(self.values * self.base.values, axis=1))
+        head = head_map(self.base).values
+        dots = np.abs(_row_dots(self.values[:, :head.shape[1]], head,
+                                width=self.values.shape[1]))
         if dots.size and dots.max() > 1e-10:
             raise PreconditionError("field is not pointwise tangent (within 1e-10)")
 
@@ -123,23 +125,34 @@ def perturbed_constant_map(mesh: SphereMesh, n: int, rng, eps=0.1) -> SphereMap:
 
 # -- live columns -------------------------------------------------------------
 
+_OWN_HEAD = object()  # the _head of a map that is its own head
+
+
 def head_map(sphere_map: SphereMap) -> SphereMap:
-    """The same map into S^m, on the columns 0 .. m of its values.
+    """The same map into S^m, on the columns 0 .. m of its values: its live
+    columns.
 
     m is the index of the last column that is not identically zero, or 2
     if that index is smaller.  The energy, its gradient, the (K + M)
     solve, the renormalization and the recentering all keep a zero column
     zero, so a flow or a spectrum of the map can run on its head and be
-    padded back.  A map that uses every column is its own head; a map made
-    by padded returns the map it was padded from, with what that map keeps.
+    padded back, and the energy, its gradient and project_tangent walk only
+    the head's columns.  The columns are scanned from the last one on the
+    first call; the head, a view of the map's values, is kept on the map.
+    A map that uses every column is its own head, and it keeps a marker
+    instead of a reference to itself, so it is freed without the cycle
+    collector.  A map made by padded returns the map it was padded from,
+    with what that map keeps.
     """
-    if sphere_map._head is not None:
-        return sphere_map._head
-    values = sphere_map.values
-    m = max(2, int(np.flatnonzero(np.any(values != 0.0, axis=0))[-1]))
-    if m == sphere_map.n:
-        return sphere_map
-    return SphereMap(sphere_map.mesh, m, values[:, :m + 1])
+    head = sphere_map._head
+    if head is None:
+        values, m = sphere_map.values, sphere_map.n
+        while m > 2 and not values[:, m].any():
+            m -= 1
+        head = _OWN_HEAD if m == sphere_map.n else SphereMap(sphere_map.mesh, m,
+                                                                values[:, :m + 1])
+        object.__setattr__(sphere_map, "_head", head)
+    return sphere_map if head is _OWN_HEAD else head
 
 
 def padded(head: SphereMap, n: int) -> SphereMap:
@@ -157,12 +170,22 @@ def padded(head: SphereMap, n: int) -> SphereMap:
 
 
 def project_tangent(sphere_map: SphereMap, field_values: np.ndarray) -> TangentField:
-    """Remove the component along the map values at every vertex."""
+    """Remove the component along the map values at every vertex.
+
+    Only the live columns (head_map) are projected; the map is zero on the
+    others, and there the field is copied.  The dots are summed in the
+    order of the full rows (sphere_mesh._row_dots), so every value has the
+    bits of the projection over all columns.
+    """
     field_values = np.asarray(field_values, dtype=float)
     if field_values.shape != sphere_map.values.shape:
         raise PreconditionError("field shape does not match the map")
-    dots = np.sum(field_values * sphere_map.values, axis=1)
-    return TangentField(sphere_map, field_values - dots[:, None] * sphere_map.values)
+    head = head_map(sphere_map).values
+    live = head.shape[1]
+    dots = _row_dots(field_values[:, :live], head, width=field_values.shape[1])
+    out = field_values.copy()
+    out[:, :live] -= dots[:, None] * head
+    return TangentField(sphere_map, out)
 
 
 def random_tangent_field(sphere_map: SphereMap, rng) -> TangentField:
@@ -186,7 +209,10 @@ def dilated_equator_map(mesh: SphereMesh, n: int, t: float, axis="z") -> SphereM
 def _face_blocks(sphere_map: SphereMap):
     """SphereMesh.corner_blocks of the map's values in the cotangent edge form:
     the face walk of the energy, the gradient, the conformal factors of a
-    cover and the image tangent planes of the spectrum.
+    cover and the image tangent planes of the spectrum.  It walks every
+    column of the map it is given: the energy, the gradient and the cover
+    pass it head_map of their map, while the tangent planes need all C
+    columns for their C x C projectors.
 
     Yields (faces, d, c) per block of B faces: the block's slice; the edge
     differences d[:, e] = f_e - f_(e+1), that is f_a - f_b, f_b - f_c and
@@ -218,15 +244,22 @@ def element_energy_integrals(sphere_map: SphereMap) -> np.ndarray:
     """Per-element values of the integral of |df|^2 over the element.
 
     The only producer of a map's integrals: the kernel runs on the first
-    call for a map; the read-only result is kept on the map, and every
-    energy, gradient, center of mass and density of that map reads it.
+    call for a map, over the live columns of its head (head_map); the
+    read-only result is kept on the map and on its head, and every energy,
+    gradient, center of mass and density of either reads it.  A dead
+    column adds zeros after the live ones, so the head's sums have the
+    bits of the full map's.
     """
     q = sphere_map._integrals
     if q is None:
-        q = np.empty(sphere_map.mesh.face_count)
-        for faces, d, c in _face_blocks(sphere_map):
-            q[faces] = _block_integrals(d, c)
-        q.flags.writeable = False
+        head = head_map(sphere_map)
+        q = head._integrals
+        if q is None:
+            q = np.empty(sphere_map.mesh.face_count)
+            for faces, d, c in _face_blocks(head):
+                q[faces] = _block_integrals(d, c)
+            q.flags.writeable = False
+            object.__setattr__(head, "_integrals", q)
         object.__setattr__(sphere_map, "_integrals", q)
     return q
 
@@ -277,19 +310,22 @@ def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray
     weighted differences D_e = w_f c_e d_e.  The weights read the map's
     element_energy_integrals, which a fresh map walks the faces for first;
     this walk then only weights each block and SphereMesh.scatter_corners
-    adds it in.
+    adds it in.  Both walk the live columns (head_map): the rows of the
+    dead ones stay exactly zero.
     """
     mesh = sphere_map.mesh
     areas = mesh.face_areas
     q = element_energy_integrals(sphere_map)
     out = np.zeros((sphere_map.values.shape[1], mesh.vertex_count))
-    for faces, d, c in _face_blocks(sphere_map):
+    head = head_map(sphere_map)
+    live = out[:head.n + 1]
+    for faces, d, c in _face_blocks(head):
         w = alpha * (1.0 + _density(q[faces], areas[faces])) ** (alpha - 1.0)
         d *= w * c
         s = np.empty((d.shape[0], d.shape[2], 3))  # s[:, f, i] for corner i of face f
         for e in range(3):  # s_a = D_ab - D_ca, s_b = D_bc - D_ab, s_c = D_ca - D_bc
             np.subtract(d[:, e], d[:, e - 1], out=s[:, :, e])
-        mesh.scatter_corners(out, faces, s)
+        mesh.scatter_corners(live, faces, s)
     return np.ascontiguousarray(out.T)
 
 
@@ -378,7 +414,7 @@ def dilate_points(points, t: float, axis="z"):
     s_new = np.sqrt(np.clip(1.0 - c_new**2, 0.0, None))
     perp = pts[safe] - c[safe, None] * a[None, :]
     out[safe] = c_new[:, None] * a[None, :] + (s_new / s_old)[:, None] * perp
-    out /= np.linalg.norm(out, axis=1)[:, None]
+    out /= _row_norms(out)[:, None]
     return out[0] if single else out
 
 

@@ -15,6 +15,7 @@ unchanged.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -98,6 +99,48 @@ def _norm_sq(x):
     return (x[0] * x[0] + x[1] * x[1]) + x[2] * x[2]
 
 
+# numpy's pairwise sum adds a contiguous run of fewer than 8 entries in order;
+# from 8 entries up to its block of 128 it adds entry j into accumulator j % 8,
+# then (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))) and the last
+# width % 8 entries in order
+_LANES = 8
+_PAIRWISE_BLOCK = 128
+
+
+def _row_dots(x, y, width=None):
+    """np.sum(x * y, axis=1) of row-major (R, C) arrays, bit for bit, summed
+    column by column: numpy's reduction over rows of a few entries is several
+    times slower than its work on whole columns.
+
+    With width > C the sum is that of rows of width entries whose entries
+    after column C are zero, which are not read: those of a map's dead
+    columns (energy.head_map).
+    """
+    cols = x.shape[1]
+    width = cols if width is None else width
+    if width > _PAIRWISE_BLOCK:  # numpy halves such rows first; no config makes one
+        rows = np.zeros((len(x), width))
+        np.multiply(x, y, out=rows[:, :cols])
+        return np.add.reduce(rows, axis=1)
+    laned = width - width % _LANES  # entries summed in lanes: none below 8
+    lanes = [x[:, j] * y[:, j] for j in range(min(_LANES, cols, laned))]
+    for j in range(_LANES, min(cols, laned)):
+        lanes[j % _LANES] += x[:, j] * y[:, j]
+    while len(lanes) > 1:  # a missing lane is a zero one, which adds nothing
+        lanes = [a if b is None else np.add(a, b, out=a)
+                 for a, b in itertools.zip_longest(lanes[::2], lanes[1::2])]
+    total = lanes[0] if lanes else None
+    for j in range(laned, cols):
+        term = x[:, j] * y[:, j]
+        total = term if total is None else np.add(total, term, out=total)
+    return total
+
+
+def _row_norms(x):
+    """np.linalg.norm(x, axis=1) of a row-major (R, C) array, bit for bit."""
+    return np.sqrt(_row_dots(x, x))
+
+
 def _edges(a, b, c):
     """Edges c - b, a - c, b - a of a triangle: edge i is opposite corner i."""
     return c - b, a - c, b - a
@@ -151,22 +194,20 @@ def _subdivide(verts, faces):
     """One loop-subdivision round with midpoints projected to the sphere.
 
     Invariant: face f = (a, b, c) has the children 4f .. 4f+3, (a, m01, m20),
-    (b, m12, m01), (c, m20, m12) and the centre child (m01, m12, m20) last."""
+    (b, m12, m01), (c, m20, m12) and the centre child (m01, m12, m20) last;
+    the midpoints are numbered in the sorted order of their edge keys."""
     uniq, inv, _ = _edge_table(faces, len(verts), return_inverse=True)
     mid = verts[uniq[:, 0]] + verts[uniq[:, 1]]
-    mid /= np.linalg.norm(mid, axis=1)[:, None]
-    m = len(verts) + inv.reshape(-1, 3)  # columns: m01, m12, m20
-    a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
-    new_faces = np.stack(
-        [
-            np.stack([a, m[:, 0], m[:, 2]], axis=1),
-            np.stack([b, m[:, 1], m[:, 0]], axis=1),
-            np.stack([c, m[:, 2], m[:, 1]], axis=1),
-            np.stack([m[:, 0], m[:, 1], m[:, 2]], axis=1),
-        ],
-        axis=1,
-    ).reshape(-1, 3)
-    return np.vstack([verts, mid]), new_faces
+    mid /= _row_norms(mid)[:, None]
+    new_verts = np.vstack([verts, mid])
+    # children[f, i] = (corner i, m_i, m_(i-1)) for the corner children, with
+    # m_0, m_1, m_2 = m01, m12, m20, then the centre child (m01, m12, m20)
+    children = np.empty((len(faces), 4, 3), dtype=np.int64)
+    m = np.add(inv.reshape(-1, 3), len(verts), out=children[:, 3])
+    children[:, :3, 0] = faces
+    children[:, :3, 1] = m
+    children[:, :3, 2] = m[:, [2, 0, 1]]
+    return new_verts, children.reshape(-1, 3)
 
 
 @dataclass(eq=False)
@@ -505,7 +546,7 @@ def build_icosphere(subdivision_level: int) -> SphereMesh:
 
 def validate_mesh(mesh: SphereMesh) -> None:
     """Check unit vertices, topology, closedness and nondegenerate faces."""
-    norms = np.linalg.norm(mesh.vertices, axis=1)
+    norms = _row_norms(mesh.vertices)
     if np.max(np.abs(norms - 1.0)) > 1e-12:
         raise PreconditionError("vertices are not on the unit sphere")
     v = mesh.vertex_count

@@ -245,6 +245,34 @@ def test_lambda1_triple_cover(mesh4):
     assert res.lambda1 <= 2.0 / 3.0 + 0.05
 
 
+def branched_cover_spectrum(d, k):
+    """The lowest k eigenvalues of the round metric pulled back by z^d.
+
+    The metric is that of a d-fold cover of the round sphere branched at 0
+    and infinity.  The cover's angle theta is the base angle over d, so the
+    modes e^(i m theta) have the angular momentum nu = |m| / d, and the
+    Legendre equation with that order gives (nu + j)(nu + j + 1), j >= 0.
+    """
+    vals = sorted((abs(m) / d + j) * (abs(m) / d + j + 1)
+                  for m in range(-2 * d, 2 * d + 1) for j in range(3))
+    return np.array(vals[:k])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_pulled_back_spectrum_converges_to_the_branched_cover_spectrum(d):
+    # P1 eigenvalues converge at O(h^2): a factor 4 per level, 4.00-4.05 here
+    k = 2 * d + 2
+    exact = branched_cover_spectrum(d, k)
+    errors = []
+    for level in (3, 4, 5):
+        f = compose_cover(EquatorTargetMap(4), RationalMap.power(d), build_icosphere(level))
+        vals, _ = pullback_laplace_eigenvalues(f, k=k)
+        assert abs(vals[0]) <= 1e-10
+        errors.append(float(np.max(np.abs(vals[1:] - exact[1:]) / exact[1:])))
+    assert errors[-1] <= 5e-3
+    assert errors[0] / errors[1] > 3.5 and errors[1] / errors[2] > 3.5
+
+
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_yang_yau_bound(mesh4, degree):
     f = compose_cover(EquatorTargetMap(4), RationalMap.power(degree), mesh4)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import FrozenInstanceError
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -29,8 +31,11 @@ from spherelab.energy import (
     element_energy_integrals,
     equator_map,
     fit_centering_dilation,
+    head_map,
     normalize_rows,
+    padded,
     precompose_with_dilations,
+    project_tangent,
     psi_alpha,
     random_map,
     random_tangent_field,
@@ -232,6 +237,96 @@ def test_fresh_gradient_walks_the_faces_once(monkeypatch, alpha):
     assert len(walks) == 3
     assert np.array_equal(alpha_energy_gradient(other, alpha).values, grad)
     assert len(walks) == 4 and produced == [f, other]
+
+
+# -- live columns ------------------------------------------------------------------
+
+
+def full_column_integrals(f):
+    """element_energy_integrals walking every column of f."""
+    q = np.empty(f.mesh.face_count)
+    for faces, d, c in energy._face_blocks(f):
+        q[faces] = energy._block_integrals(d, c)
+    return q
+
+
+def full_column_raw_gradient(f, alpha, q):
+    """alpha_energy_raw_gradient walking every column of f, from its integrals q."""
+    mesh = f.mesh
+    out = np.zeros((f.n + 1, mesh.vertex_count))
+    for faces, d, c in energy._face_blocks(f):
+        g = np.maximum(FOUR_PI * q[faces] / mesh.face_areas[faces], 0.0)
+        d *= alpha * (1.0 + g) ** (alpha - 1.0) * c
+        s = np.empty((d.shape[0], d.shape[2], 3))
+        for e in range(3):
+            np.subtract(d[:, e], d[:, e - 1], out=s[:, :, e])
+        mesh.scatter_corners(out, faces, s)
+    return np.ascontiguousarray(out.T)
+
+
+def full_column_projection(f, field):
+    """project_tangent's values over every column of f."""
+    dots = np.sum(field * f.values, axis=1)
+    return field - dots[:, None] * f.values
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("alpha", [1.0, 1.05])
+def test_live_column_walks_keep_the_full_column_bits(level, alpha, monkeypatch):
+    # maps with dead columns, padded(head, 8) with 9 columns: numpy sums
+    # rows of 8 or more entries in eight lanes, which the zeros after the
+    # live columns take part in
+    mesh = build_icosphere(level)
+    head = random_map(mesh, 4, np.random.default_rng(level))
+    rng = np.random.default_rng(level + 10)
+    for f in (equator_map(mesh, 6), dilated_equator_map(mesh, 4, 0.3), padded(head, 8)):
+        full = SphereMap(mesh, f.n, f.values)  # walked on all its columns below
+        q = full_column_integrals(full)
+        raw_full = full_column_raw_gradient(full, alpha, q)
+        field = rng.standard_normal(f.values.shape)
+        walks = count_face_blocks(monkeypatch, energy)
+        live = head_map(f).n + 1
+        assert live < f.n + 1
+        assert np.array_equal(element_energy_integrals(f), q)
+        raw = alpha_energy_raw_gradient(f, alpha)
+        assert np.array_equal(raw, raw_full)
+        assert [w.n + 1 for w in walks] == [live, live]
+        assert np.all(raw[:, live:] == 0.0) and not np.signbit(raw[:, live:]).any()
+        for values in (raw, field):
+            assert np.array_equal(project_tangent(f, values).values,
+                                  full_column_projection(f, values))
+        monkeypatch.undo()
+
+
+def test_head_map_is_kept_on_the_map(mesh2):
+    f = equator_map(mesh2, 5)
+    head = head_map(f)
+    assert head.n == 2 and np.shares_memory(head.values, f.values)
+    object.__setattr__(f, "values", None)  # a second call must not read them
+    assert head_map(f) is head
+    own = random_map(mesh2, 4, np.random.default_rng(0))
+    assert head_map(own) is own and head_map(own) is own
+    assert all(kept is not own for kept in vars(own).values())
+
+
+def test_a_map_whose_head_was_taken_dies_when_deleted(mesh2):
+    # no reference cycle: the map goes with its last reference, without the
+    # cycle collector
+    rng = np.random.default_rng(1)
+    makers = (lambda: equator_map(mesh2, 5),
+              lambda: random_map(mesh2, 4, rng),
+              lambda: padded(random_map(mesh2, 3, rng), 6))
+    gc.disable()
+    try:
+        for make in makers:
+            f = make()
+            head_map(f)
+            alpha_energy_gradient(f, 1.1)
+            ref = weakref.ref(f)
+            del f
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])

@@ -15,6 +15,8 @@ from spherelab.sphere_mesh import (
     SphereMesh,
     _edge_count,
     _edge_table,
+    _row_dots,
+    _row_norms,
     assemble_faces,
     mesh_json_doc,
     mesh_to_obj,
@@ -135,6 +137,22 @@ def test_subdivision_layout(level):
     mids = corners + np.roll(corners, -1, axis=1)
     mids /= np.linalg.norm(mids, axis=2)[:, :, None]
     assert np.array_equal(fine.vertices[children[:, 3]], mids)
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+def test_subdivision_faces_follow_the_child_formula(level):
+    # the whole layout, not only what locate reads: face (a, b, c) of the
+    # level before has the children 4f .. 4f+3, (a, m01, m20), (b, m12, m01),
+    # (c, m20, m12) and (m01, m12, m20), and the midpoint of the k-th edge
+    # in sorted (i, j) order is vertex V + k
+    coarse, fine = build_icosphere(level - 1), build_icosphere(level)
+    v = coarse.vertex_count
+    ends = np.sort(np.stack([coarse.faces, np.roll(coarse.faces, -1, axis=1)], axis=2), axis=2)
+    _, edge = np.unique(ends[..., 0] * v + ends[..., 1], return_inverse=True)
+    m01, m12, m20 = (v + edge.reshape(-1, 3)).T
+    a, b, c = coarse.faces.T
+    children = np.stack([a, m01, m20, b, m12, m01, c, m20, m12, m01, m12, m20], axis=1)
+    assert np.array_equal(fine.faces, children.reshape(-1, 3))
 
 
 def test_locate_names_a_broken_subdivision_layout():
@@ -541,3 +559,37 @@ def test_block_solve_is_one_call_matching_column_solves(level, method, key):
     ref = np.column_stack([lu.lu.solve(rhs[:, j]) for j in range(5)])
     assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
     assert np.array_equal(solve(rhs[:, 2]), ref[:, 2])
+
+
+# -- the row kernel ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cols", range(1, 41))
+def test_row_kernel_has_the_bits_of_numpy_row_reductions(cols):
+    # numpy adds a row of fewer than 8 entries in order and a longer one in
+    # eight interleaved lanes; the kernel must follow it for every row a
+    # validated config makes (n <= 39).  Entries over 40 binades make every
+    # other order show in the last bits
+    rng = np.random.default_rng(cols)
+    x, y = (rng.standard_normal((4000, cols)) * np.exp2(rng.integers(-20, 20, (4000, cols)))
+            for _ in range(2))
+    assert np.array_equal(_row_dots(x, y), np.sum(x * y, axis=1))
+    assert np.array_equal(_row_norms(x), np.linalg.norm(x, axis=1))
+    # rows whose last columns are zero: the kernel reads the live ones only,
+    # and sums them in the order of the full rows
+    for live in sorted({1, (cols + 1) // 2, cols}):
+        dead = x.copy()
+        dead[:, live:] = 0.0
+        assert np.array_equal(_row_dots(dead[:, :live], y[:, :live], width=cols),
+                              np.sum(dead * y, axis=1))
+        assert np.array_equal(_row_norms(dead), np.linalg.norm(dead, axis=1))
+
+
+def test_row_kernel_past_the_pairwise_block():
+    # numpy halves a row of more than 128 entries before its lanes; the
+    # kernel hands such rows to numpy
+    rng = np.random.default_rng(1)
+    x, y = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
+    rows = np.zeros((50, 130))
+    rows[:, :3] = x * y
+    assert np.array_equal(_row_dots(x, y, width=130), np.sum(rows, axis=1))
