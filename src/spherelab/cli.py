@@ -51,9 +51,8 @@ PINCH_MAX_N = 16                    # the operator is an n^4 array, built severa
 PINCH_MAX_SAMPLES = 1_000_000       # about 10 s at n = 5
 CENSUS_MAX_PARTITIONS = 5_000_000   # sum of C(N, m) over N_min..N_max, each enumerated
 # the spectrum guards were sized on the full equator pencil, whose blocks grow
-# as n^2.  One BLAS thread, full pencil -> split solve: a level-4, n = 16 run
-# 20.7 s and 0.20 GB -> 1.3 s and 0.09 GB; level 4, n = 4, k = 200 6.7 -> 4.8 s;
-# COLAMD -> dissection order: level 5, n = 4 2.0 s and 152 MB -> 1.4 s and 133 MB
+# as n^2.  With one BLAS thread a level-4, n = 16 run takes 0.8 s and 85 MB,
+# level 4, n = 4, k = 200 2.6 s, and level 5, n = 4 1.2 s and 133 MB
 SPECTRUM_MAX_N = 16
 SPECTRUM_MAX_K = 200
 # faces x (n+1)^2 of a level-4, n = SPECTRUM_MAX_N run: the full pencil's
@@ -66,9 +65,9 @@ SPECTRUM_MAX_COST = 20 * 4**4 * (SPECTRUM_MAX_N + 1) ** 2
 # padded cover hold V x (n + 1) values
 MORSE_MAX_N = topology_mod.MAX_N - 1
 # flow and covers each factor one V x V P1 matrix in nested-dissection order: at
-# level 7, 20.5 M nonzeros and 3.2 s for order and factor (37.8 M and 7.4 s in
-# SuperLU's COLAMD order), and a one-stage distorted-equator flow peaks at 0.55 GB;
-# at level 8 about 90 M nonzeros.  A level-6, n = 3 spectrum: 13.3 s, 485 MB -> 8.6 s, 363 MB
+# level 7, 20.5 M nonzeros and 3.2 s for order and factor, and a one-stage
+# distorted-equator flow peaks at 0.55 GB; at level 8 about 90 M nonzeros.  A
+# level-6, n = 3 spectrum takes 6.0 s and 368 MB
 FACTORED_MAX_LEVEL = 7
 
 

@@ -65,15 +65,16 @@ class ComplexPlane:
 
 
 def check_curvature_symmetries(R, tol=1e-10):
+    # each test is "not err <= bound", which a NaN entry fails
     scale = max(1.0, float(np.max(np.abs(R))))
-    if np.max(np.abs(R + np.swapaxes(R, 0, 1))) > tol * scale:
+    if not np.max(np.abs(R + np.swapaxes(R, 0, 1))) <= tol * scale:
         raise PreconditionError("missing antisymmetry in the first index pair")
-    if np.max(np.abs(R + np.swapaxes(R, 2, 3))) > tol * scale:
+    if not np.max(np.abs(R + np.swapaxes(R, 2, 3))) <= tol * scale:
         raise PreconditionError("missing antisymmetry in the second index pair")
-    if np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1)))) > tol * scale:
+    if not np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1)))) <= tol * scale:
         raise PreconditionError("missing pair-exchange symmetry")
     bianchi = R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))
-    if np.max(np.abs(bianchi)) > tol * scale:
+    if not np.max(np.abs(bianchi)) <= tol * scale:
         raise PreconditionError("first Bianchi identity violated")
 
 

@@ -35,9 +35,9 @@ class SphereMap:
 
     The map is immutable: ``values`` is a read-only view of the array it
     was built from (not a copy, so the caller must not write to that
-    array afterwards), and element_energy_integrals keeps its result on
-    the map.  head_map keeps the map's head on it: for a map made by
-    padded, the map it was padded from.
+    array afterwards).  head_map keeps the map's head on it: for a map
+    made by padded, the map it was padded from.  element_energy_integrals
+    keeps its result on the head.
     """
 
     mesh: SphereMesh
@@ -57,7 +57,7 @@ class SphereMap:
                 f"values shape {self.values.shape} does not match mesh/target"
             )
         norms = np.linalg.norm(self.values, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
+        if not np.max(np.abs(norms - 1.0)) <= 1e-10:  # a NaN fails it
             raise PreconditionError("map values must be unit vectors (within 1e-10)")
 
     def copy(self):
@@ -76,9 +76,8 @@ class TangentField:
         if self.values.shape != self.base.values.shape:
             raise PreconditionError("tangent field shape mismatch")
         head = head_map(self.base).values
-        dots = np.abs(_row_dots(self.values[:, :head.shape[1]], head,
-                                width=self.values.shape[1]))
-        if dots.size and dots.max() > 1e-10:
+        dots = np.abs(_row_dots(self.values[:, :head.shape[1]], head))
+        if dots.size and not dots.max() <= 1e-10:
             raise PreconditionError("field is not pointwise tangent (within 1e-10)")
 
     @property
@@ -136,13 +135,14 @@ def head_map(sphere_map: SphereMap) -> SphereMap:
     if that index is smaller.  The energy, its gradient, the (K + M)
     solve, the renormalization and the recentering all keep a zero column
     zero, so a flow or a spectrum of the map can run on its head and be
-    padded back, and the energy, its gradient and project_tangent walk only
-    the head's columns.  The columns are scanned from the last one on the
-    first call; the head, a view of the map's values, is kept on the map.
-    A map that uses every column is its own head, and it keeps a marker
-    instead of a reference to itself, so it is freed without the cycle
-    collector.  A map made by padded returns the map it was padded from,
-    with what that map keeps.
+    padded back, and the energy, its gradient and project_tangent read
+    only the head's columns.  The head holds the map's live-column state:
+    the columns are scanned from the last one on the first call, the head,
+    a view of the map's values, is kept on the map, and the head keeps the
+    integrals (element_energy_integrals).  A map that uses every column is
+    its own head, and it keeps a marker instead of a reference to itself,
+    so it is freed without the cycle collector.  A map made by padded
+    returns the map it was padded from, with what that map keeps.
     """
     head = sphere_map._head
     if head is None:
@@ -173,16 +173,16 @@ def project_tangent(sphere_map: SphereMap, field_values: np.ndarray) -> TangentF
     """Remove the component along the map values at every vertex.
 
     Only the live columns (head_map) are projected; the map is zero on the
-    others, and there the field is copied.  The dots are summed in the
-    order of the full rows (sphere_mesh._row_dots), so every value has the
-    bits of the projection over all columns.
+    others, and there the field is copied.  The dots are summed over the
+    live columns in column order (sphere_mesh._row_dots), which is the
+    order of the full rows with the dead columns' zeros left out.
     """
     field_values = np.asarray(field_values, dtype=float)
     if field_values.shape != sphere_map.values.shape:
         raise PreconditionError("field shape does not match the map")
     head = head_map(sphere_map).values
     live = head.shape[1]
-    dots = _row_dots(field_values[:, :live], head, width=field_values.shape[1])
+    dots = _row_dots(field_values[:, :live], head)
     out = field_values.copy()
     out[:, :live] -= dots[:, None] * head
     return TangentField(sphere_map, out)
@@ -244,23 +244,20 @@ def element_energy_integrals(sphere_map: SphereMap) -> np.ndarray:
     """Per-element values of the integral of |df|^2 over the element.
 
     The only producer of a map's integrals: the kernel runs on the first
-    call for a map, over the live columns of its head (head_map); the
-    read-only result is kept on the map and on its head, and every energy,
-    gradient, center of mass and density of either reads it.  A dead
-    column adds zeros after the live ones, so the head's sums have the
-    bits of the full map's.
+    call for a map or its head (head_map), over the head's live columns;
+    the read-only result is kept on the head, and every energy, gradient,
+    center of mass and density of either reads it.  A dead column adds
+    zeros after the live ones, so the head's sums have the bits of the
+    full map's.
     """
-    q = sphere_map._integrals
+    head = head_map(sphere_map)
+    q = head._integrals
     if q is None:
-        head = head_map(sphere_map)
-        q = head._integrals
-        if q is None:
-            q = np.empty(sphere_map.mesh.face_count)
-            for faces, d, c in _face_blocks(head):
-                q[faces] = _block_integrals(d, c)
-            q.flags.writeable = False
-            object.__setattr__(head, "_integrals", q)
-        object.__setattr__(sphere_map, "_integrals", q)
+        q = np.empty(sphere_map.mesh.face_count)
+        for faces, d, c in _face_blocks(head):
+            q[faces] = _block_integrals(d, c)
+        q.flags.writeable = False
+        object.__setattr__(head, "_integrals", q)
     return q
 
 
@@ -295,7 +292,7 @@ def alpha_energy(sphere_map: SphereMap, alpha: float) -> float:
     than the decrease of a descent step near a critical point, and the
     Armijo test compares such energies.
     """
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise PreconditionError("alpha must be >= 1")
     g, da = element_density_area_one(sphere_map)
     return 0.5 * math.fsum((((1.0 + g) ** alpha - 1.0) * da).tolist())
@@ -346,7 +343,7 @@ def psi_alpha(t, alpha: float):
     value is of order t^2, so entries below PSI_SERIES_T take the Taylor
     series instead.
     """
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise PreconditionError("alpha must be >= 1")
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
@@ -401,7 +398,10 @@ def dilate_points(points, t: float, axis="z"):
     the axis are fixed points.
     """
     a = _AXES[axis] if isinstance(axis, str) else np.asarray(axis, dtype=float)
-    a = a / np.linalg.norm(a)
+    length = np.linalg.norm(a)
+    if not length > 0.0:
+        raise PreconditionError(f"dilation axis {axis!r} has no direction")
+    a = a / length
     points = np.asarray(points, dtype=float)
     single = points.ndim == 1
     pts = np.atleast_2d(points)

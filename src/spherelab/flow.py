@@ -44,9 +44,9 @@ class FlowConfig:
     grad_tol_abs: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 1.0:
+        if not self.alpha >= 1.0:  # a NaN fails these checks
             raise PreconditionError("alpha must be >= 1")
-        if min(self.max_iterations, self.grad_tol) <= 0:
+        if not (self.max_iterations > 0 and self.grad_tol > 0):
             raise PreconditionError("flow parameters must be positive")
 
 

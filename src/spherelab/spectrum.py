@@ -90,7 +90,7 @@ def _hessian_parts(sphere_map: SphereMap, alpha: float):
     multiplier and A = K_w - diag(lambda).  The face rows s (F, 3, C) hold
     sqrt(c_f) k_f f at face f's corners, c_f >= 0 the derivative of w_f along
     k_f f; they vanish at alpha = 1, where s is None."""
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise PreconditionError("alpha must be >= 1")
     mesh, values = sphere_map.mesh, sphere_map.values
     g, _ = element_density_area_one(sphere_map)

@@ -15,7 +15,6 @@ unchanged.
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -99,45 +98,23 @@ def _norm_sq(x):
     return (x[0] * x[0] + x[1] * x[1]) + x[2] * x[2]
 
 
-# numpy's pairwise sum adds a contiguous run of fewer than 8 entries in order;
-# from 8 entries up to its block of 128 it adds entry j into accumulator j % 8,
-# then (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))) and the last
-# width % 8 entries in order
-_LANES = 8
-_PAIRWISE_BLOCK = 128
-
-
-def _row_dots(x, y, width=None):
-    """np.sum(x * y, axis=1) of row-major (R, C) arrays, bit for bit, summed
-    column by column: numpy's reduction over rows of a few entries is several
+def _row_dots(x, y):
+    """Per-row dot products of (R, C) arrays, summed column by column in
+    column order: numpy's reduction over rows of a few entries is several
     times slower than its work on whole columns.
 
-    With width > C the sum is that of rows of width entries whose entries
-    after column C are zero, which are not read: those of a map's dead
-    columns (energy.head_map).
+    Below 8 columns numpy's pairwise sum adds a row in the same order, so
+    the result is np.sum(x * y, axis=1) bit for bit.  Trailing columns of
+    zeros add nothing to a nonzero sum, so a caller may leave them out.
     """
-    cols = x.shape[1]
-    width = cols if width is None else width
-    if width > _PAIRWISE_BLOCK:  # numpy halves such rows first; no config makes one
-        rows = np.zeros((len(x), width))
-        np.multiply(x, y, out=rows[:, :cols])
-        return np.add.reduce(rows, axis=1)
-    laned = width - width % _LANES  # entries summed in lanes: none below 8
-    lanes = [x[:, j] * y[:, j] for j in range(min(_LANES, cols, laned))]
-    for j in range(_LANES, min(cols, laned)):
-        lanes[j % _LANES] += x[:, j] * y[:, j]
-    while len(lanes) > 1:  # a missing lane is a zero one, which adds nothing
-        lanes = [a if b is None else np.add(a, b, out=a)
-                 for a, b in itertools.zip_longest(lanes[::2], lanes[1::2])]
-    total = lanes[0] if lanes else None
-    for j in range(laned, cols):
-        term = x[:, j] * y[:, j]
-        total = term if total is None else np.add(total, term, out=total)
+    total = x[:, 0] * y[:, 0]
+    for j in range(1, x.shape[1]):
+        total += x[:, j] * y[:, j]
     return total
 
 
 def _row_norms(x):
-    """np.linalg.norm(x, axis=1) of a row-major (R, C) array, bit for bit."""
+    """Per-row norms of an (R, C) array, the square roots of _row_dots(x, x)."""
     return np.sqrt(_row_dots(x, x))
 
 

