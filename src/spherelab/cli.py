@@ -1,15 +1,15 @@
 """Batch experiment runner with JSON configs and machine-readable reports.
 
 Subcommands: census | flow | spectrum | covers | pinch | morse | validate.
-Each run writes report.json (every numeric claim tagged with a stable
-anchor string) plus CSV side files into the output directory.  A config
-may hold only the fields its kind reads, plus seed and level, which
---seed and --level set before the one validation; flow and covers need
-level <= 7 and n <= 39.  Exit status: 0 all checks pass, 2 a required
-numeric check failed, 3 the configuration is invalid, 4 an internal error
-(traceback on stderr).  Reports are byte-identical across reruns with
-the same config and seeds except for the timestamp field.  spherelab
-reads no environment variable of its own.
+Each run's Report writes every file of its output directory: report.json
+(every numeric claim tagged with a stable anchor string) plus the side
+files of its kind.  A config may hold only the fields its kind reads, plus
+seed and level, which --seed and --level set before the one validation;
+flow and covers need level <= 7 and n <= 39.  Exit status: 0 all checks
+pass, 2 a required numeric check failed, 3 the configuration is invalid,
+4 an internal error (traceback on stderr).  Reports are byte-identical
+across reruns with the same config and seeds except for the timestamp
+field.  spherelab reads no environment variable of its own.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import flow as flow_mod
 from . import spectrum as spectrum_mod
 from . import topology as topology_mod
 from .errors import ConfigError
-from .sphere_mesh import build_icosphere, mesh_json_doc, mesh_to_obj
+from .sphere_mesh import MAX_LEVEL, build_icosphere, mesh_json_doc, mesh_to_obj
 
 EXIT_OK = 0
 EXIT_NUMERIC = 2
@@ -43,8 +43,6 @@ EXIT_INTERNAL = 4
 # a runner raising one of these has a bug in it, not a numeric failure
 INTERNAL_ERRORS = (TypeError, AttributeError, NameError, KeyError, IndexError,
                    AssertionError, NotImplementedError)
-
-KINDS = ("census", "flow", "spectrum", "covers", "pinch", "morse")
 
 # cost guards: larger configs would run for hours or exhaust memory
 PINCH_MAX_N = 16                    # the operator is an n^4 array, built several times
@@ -77,7 +75,7 @@ FACTORED_MAX_LEVEL = 7
 # "[" / "]" closed and "(" / ")" open; a bool passes only where bool is the type.
 # seed and level are declared on every kind: --seed and --level may set them.
 INT, NUMBER, BOOL = (int,), (int, float), (bool,)
-LEVEL = "[0, 8]"                    # build_icosphere's guard
+LEVEL = f"[0, {MAX_LEVEL}]"
 FACTORED_LEVEL = f"[0, {FACTORED_MAX_LEVEL}]"
 POSITIVE = "(0, inf)"
 _EVERY_KIND = {"kind": ((str,), None, True), "seed": (INT, "[0, inf)", False),
@@ -107,6 +105,7 @@ CONFIG_FIELDS = {
     "morse": {**_EVERY_KIND, "complex_path": ((str,), None, False),
               "n": (INT, f"[4, {MORSE_MAX_N}]", False)},
 }
+KINDS = tuple(CONFIG_FIELDS)
 
 
 def _field_diagnostic(name, value, types, interval):
@@ -201,7 +200,11 @@ def load_config(path: str, overrides=None) -> dict:
 # -- report helpers -----------------------------------------------------------------
 
 class Report:
-    def __init__(self, kind, cfg):
+    """A run's report.json and the side files of its kind, in one output directory."""
+
+    def __init__(self, kind, cfg, out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        self.out_dir = out_dir
         self.doc = {
             "kind": kind,
             "config": cfg,
@@ -222,34 +225,31 @@ class Report:
     def all_passed(self):
         return all(c["passed"] for c in self.doc["checks"])
 
-    def write(self, out_dir):
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w") as fh:
-            json.dump(self.doc, fh, indent=2, sort_keys=True)
+    def path(self, name):
+        return os.path.join(self.out_dir, name)
+
+    def write_text(self, name, text):
+        """Write preformatted text and a newline."""
+        with open(self.path(name), "w") as fh:
+            fh.write(text)
             fh.write("\n")
-        return path
 
+    def write_json(self, name, doc):
+        self.write_text(name, json.dumps(doc, indent=2, sort_keys=True))
 
-def _write_csv(out_dir, name, header, rows):
-    path = os.path.join(out_dir, name)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+    def write_csv(self, name, header, rows):
+        with open(self.path(name), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
 
-
-def _maybe_export_mesh(cfg, mesh, out_dir):
-    if cfg.get("export_mesh"):
-        mesh_to_obj(mesh, os.path.join(out_dir, "mesh.obj"))
-        with open(os.path.join(out_dir, "mesh.json"), "w") as fh:
-            fh.write(mesh_json_doc(mesh))
-            fh.write("\n")
+    def write(self):
+        self.write_json("report.json", self.doc)
 
 
 # -- experiment implementations ------------------------------------------------------
 
-def run_census(cfg, out_dir, report):
+def run_census(cfg, report):
     m = cfg["m"]
     rows = []
     all_match = True
@@ -265,11 +265,11 @@ def run_census(cfg, out_dir, report):
         report.check(f"census_palindromic_N{N}", palin, "census.palindromic")
         report.check(f"census_total_N{N}", total_ok, "census.total_is_binomial")
         rows.extend((N, k, c) for k, c in census.to_csv_rows())
-    _write_csv(out_dir, "census.csv", ("N", "k", "count"), rows)
+    report.write_csv("census.csv", ("N", "k", "count"), rows)
     report.metric("m", m, "census.plane_dimension")
 
 
-def run_spectrum(cfg, out_dir, report):
+def run_spectrum(cfg, report):
     level, n = cfg["level"], cfg["n"]
     alpha = float(cfg.get("alpha", 1.0))
     mesh = build_icosphere(level)
@@ -298,12 +298,12 @@ def run_spectrum(cfg, out_dir, report):
                      value=float(rep.eigenvalues[0]), bound=-2.0)
     report.check("eigensolver_converged", rep.converged,
                  "spectrum.solver_converged")
-    _write_csv(out_dir, "spectra.csv", ("rank", "eigenvalue", "classification"),
-               rep.to_rows())
-    _maybe_export_mesh(cfg, mesh, out_dir)
+    report.write_csv("spectra.csv", ("rank", "eigenvalue", "classification"),
+                     rep.to_rows())
+    return mesh
 
 
-def run_covers(cfg, out_dir, report):
+def run_covers(cfg, report):
     level, n, degree = cfg["level"], cfg["n"], cfg["degree"]
     mesh = build_icosphere(level)
     g = covers_mod.RationalMap.power(degree)
@@ -340,13 +340,11 @@ def run_covers(cfg, out_dir, report):
     report.check("riemann_hurwitz", total_mult == 2 * degree - 2,
                  "covers.total_branching", value=total_mult,
                  bound=2 * degree - 2)
-    with open(os.path.join(out_dir, "rational_map.json"), "w") as fh:
-        json.dump(g.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _maybe_export_mesh(cfg, mesh, out_dir)
+    report.write_json("rational_map.json", g.to_json_dict())
+    return mesh
 
 
-def run_pinch(cfg, out_dir, report):
+def run_pinch(cfg, report):
     n = cfg["n"]
     delta = float(cfg["delta"])
     samples = cfg["samples"]
@@ -364,7 +362,7 @@ def run_pinch(cfg, out_dir, report):
     report.metric("band", [lower, upper], "pinch.curvature_band")
 
 
-def run_morse(cfg, out_dir, report):
+def run_morse(cfg, report):
     if "complex_path" in cfg:
         with open(cfg["complex_path"]) as fh:
             complex_ = topology_mod.complex_from_json(fh.read())
@@ -388,12 +386,10 @@ def run_morse(cfg, out_dir, report):
                         for k, count in topology_mod.predicted_minimum_counts(n).items())
         report.check("betti_window_matches_census", window_ok,
                      "morse.low_degree_homology")
-    with open(os.path.join(out_dir, "complex.json"), "w") as fh:
-        fh.write(topology_mod.complex_to_json(complex_))
-        fh.write("\n")
+    report.write_text("complex.json", topology_mod.complex_to_json(complex_))
 
 
-def run_flow(cfg, out_dir, report):
+def run_flow(cfg, report):
     level, n = cfg["level"], cfg["n"]
     schedule = [float(a) for a in cfg["alpha_schedule"]]
     mesh = build_icosphere(level)
@@ -416,9 +412,9 @@ def run_flow(cfg, out_dir, report):
                  for stage, rec in enumerate(result.records)
                  for it, (e_alpha, step, (xn, dn, dfx)) in enumerate(
                      zip(rec.energy_log[1:], rec.step_log, rec.pseudogradient_log))]
-    _write_csv(out_dir, "telemetry.csv",
-               ("stage", "iteration", "alpha", "alpha_energy", "grad_norm",
-                "step", "direction_norm", "slope"), telemetry)
+    report.write_csv("telemetry.csv",
+                     ("stage", "iteration", "alpha", "alpha_energy", "grad_norm",
+                      "step", "direction_norm", "slope"), telemetry)
     report.metric("stages_completed", len(result.records), "flow.stages")
     # telemetry.csv logs the stages only, not the initial descent
     report.metric("initial_descent_iterations", rec0.iterations,
@@ -428,9 +424,7 @@ def run_flow(cfg, out_dir, report):
                  "flow.continuation_converged")
     if result.records:
         last = result.records[-1]
-        with open(os.path.join(out_dir, "critical_record.json"), "w") as fh:
-            json.dump(last.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        report.write_json("critical_record.json", last.to_json_dict())
         report.metric("final_energy", last.energy, "flow.final_energy")
         report.metric("final_alpha_energy", last.alpha_energy,
                       "flow.final_alpha_energy")
@@ -447,16 +441,16 @@ def run_flow(cfg, out_dir, report):
                      value=last.center_of_mass_norm, bound=1e-4 * scale)
         rows = [(rec.alpha, rec.energy, rec.alpha_energy, rec.grad_norm, rec.iterations,
                  rec.center_of_mass_norm, rec.harmonic_residual) for rec in result.records]
-        _write_csv(out_dir, "records.csv",
-                   ("alpha", "energy", "alpha_energy", "grad_norm", "iterations",
-                    "center_of_mass", "harmonic_residual"), rows)
+        report.write_csv("records.csv",
+                         ("alpha", "energy", "alpha_energy", "grad_norm", "iterations",
+                          "center_of_mass", "harmonic_residual"), rows)
     if cfg.get("semicontinuity_experiment"):
         exp = flow_mod.index_semicontinuity_report(
             result.records[-1].map if result.records else map0, schedule[-1]
         )
         report.metric("index_semicontinuity", exp,
                       "flow.bubble_index_experiment")
-    _maybe_export_mesh(cfg, mesh, out_dir)
+    return mesh
 
 
 RUNNERS = {"census": run_census, "spectrum": run_spectrum, "covers": run_covers,
@@ -465,12 +459,14 @@ RUNNERS = {"census": run_census, "spectrum": run_spectrum, "covers": run_covers,
 
 def run(cfg: dict, out_dir: str) -> int:
     """Execute one experiment; returns the process exit status."""
-    os.makedirs(out_dir, exist_ok=True)
-    report = Report(cfg["kind"], cfg)
+    report = Report(cfg["kind"], cfg, out_dir)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        RUNNERS[cfg["kind"]](cfg, out_dir, report)
-    report.write(out_dir)
+        mesh = RUNNERS[cfg["kind"]](cfg, report)  # spectrum, covers and flow return one
+    if cfg.get("export_mesh"):
+        mesh_to_obj(mesh, report.path("mesh.obj"))
+        report.write_text("mesh.json", mesh_json_doc(mesh))
+    report.write()
     return EXIT_OK if report.all_passed else EXIT_NUMERIC
 
 

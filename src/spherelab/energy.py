@@ -76,9 +76,13 @@ class TangentField:
         if self.values.shape != self.base.values.shape:
             raise PreconditionError("tangent field shape mismatch")
         head = head_map(self.base).values
-        dots = np.abs(_row_dots(self.values[:, :head.shape[1]], head))
+        live = head.shape[1]
+        dots = np.abs(_row_dots(self.values[:, :live], head))
         if dots.size and not dots.max() <= 1e-10:
             raise PreconditionError("field is not pointwise tangent (within 1e-10)")
+        # the base is zero on its dead columns, where the dots read nothing
+        if live < self.values.shape[1] and not np.isfinite(self.values[:, live:]).all():
+            raise PreconditionError("field is not finite on the base's dead columns")
 
     @property
     def mesh(self):

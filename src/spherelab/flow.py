@@ -48,6 +48,8 @@ class FlowConfig:
             raise PreconditionError("alpha must be >= 1")
         if not (self.max_iterations > 0 and self.grad_tol > 0):
             raise PreconditionError("flow parameters must be positive")
+        if not self.grad_tol_abs >= 0.0:
+            raise PreconditionError("grad_tol_abs must be >= 0")
 
 
 @dataclass

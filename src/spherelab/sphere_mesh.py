@@ -28,6 +28,8 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 FOUR_PI = 4.0 * math.pi
+# build_icosphere's memory guard: level 8 has 1.3 M faces
+MAX_LEVEL = 8
 # P1 consistent mass matrix of a face of unit area
 MASS_LOCAL = (np.ones((3, 3)) + np.eye(3)) / 12.0
 # faces per block of every face walk (corner_blocks): a block's (C, 3, B)
@@ -499,13 +501,14 @@ def build_icosphere(subdivision_level: int) -> SphereMesh:
     """Loop-subdivided icosahedron projected to the unit sphere.
 
     Level 0 is the icosahedron itself (12 vertices, 20 faces); every level
-    quadruples the face count.  Levels above 8 are refused as a memory guard.
+    quadruples the face count.  Levels above MAX_LEVEL are refused as a
+    memory guard.
     """
     if subdivision_level < 0:
         raise PreconditionError("subdivision_level must be nonnegative")
-    if subdivision_level > 8:
+    if subdivision_level > MAX_LEVEL:
         raise ResourceLimitError(
-            f"subdivision_level {subdivision_level} exceeds the guard (8)"
+            f"subdivision_level {subdivision_level} exceeds the guard ({MAX_LEVEL})"
         )
     verts, faces = _icosahedron()
     for _ in range(subdivision_level):

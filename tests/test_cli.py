@@ -499,6 +499,32 @@ def test_flow_run_with_telemetry(tmp_path):
                           "grad_norm", "step"]
 
 
+MESH_KINDS = {
+    "spectrum": ({"kind": "spectrum", "level": 3, "n": 4},
+                 {"spectra.csv"}),
+    "covers": ({"kind": "covers", "level": 3, "n": 4, "degree": 2},
+               {"rational_map.json"}),
+    "flow": ({"kind": "flow", "level": 2, "n": 4, "alpha_schedule": [1.2, 1.1], "seed": 1},
+             {"telemetry.csv", "records.csv", "critical_record.json"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MESH_KINDS))
+def test_export_mesh_writes_exactly_the_kinds_files(tmp_path, kind):
+    # report.json, the kind's side files and the mesh, and nothing else
+    cfg, side_files = MESH_KINDS[kind]
+    out = str(tmp_path / "out")
+    assert run({**cfg, "export_mesh": True}, out) == EXIT_OK
+    assert set(os.listdir(out)) == {"report.json", "mesh.obj", "mesh.json"} | side_files
+    mesh = build_icosphere(cfg["level"])
+    with open(os.path.join(out, "mesh.obj")) as fh:
+        tags = [line.split(" ", 1)[0] for line in fh]
+    assert (tags.count("v"), tags.count("f")) == (mesh.vertex_count, mesh.face_count)
+    with open(os.path.join(out, "mesh.json")) as fh:
+        doc = json.load(fh)
+    assert (doc["vertex_count"], doc["face_count"]) == (mesh.vertex_count, mesh.face_count)
+
+
 def test_flow_report_counts_the_initial_descent(tmp_path):
     # telemetry.csv and records.csv list the continuation stages only; the
     # report gives the initial descent's iterations and the stages' target
@@ -728,7 +754,7 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     # an unattainable bound must exit with the numeric-failure status
     import spherelab.cli as cli_mod
 
-    def failing_runner(cfg, out_dir, report):
+    def failing_runner(cfg, report):
         report.check("impossible", False, "test.impossible")
 
     monkeypatch.setitem(cli_mod.RUNNERS, "census", failing_runner)
@@ -744,7 +770,7 @@ def test_runner_exception_exit_codes(tmp_path, monkeypatch, capsys, error, statu
     # a bug in a runner exits 4 with its traceback; a numeric failure exits 2
     import spherelab.cli as cli_mod
 
-    def raising_runner(cfg, out_dir, report):
+    def raising_runner(cfg, report):
         raise error("raised by the runner")
 
     monkeypatch.setitem(cli_mod.RUNNERS, "census", raising_runner)

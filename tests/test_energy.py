@@ -145,6 +145,7 @@ NAN_INPUTS = {
     "curvature": lambda m: CurvatureOperator(3, with_nan(constant_curvature_operator(3).R)),
     "flow alpha": lambda m: FlowConfig(alpha=np.nan),
     "flow grad_tol": lambda m: FlowConfig(grad_tol=np.nan),
+    "flow grad_tol_abs": lambda m: FlowConfig(grad_tol_abs=np.nan),
     "alpha_energy alpha": lambda m: alpha_energy(equator_map(m, 4), np.nan),
     "psi_alpha alpha": lambda m: psi_alpha(0.5, np.nan),
     "hessian alpha": lambda m: constrained_hessian(equator_map(m, 4), np.nan),
@@ -156,6 +157,19 @@ def test_nan_fails_input_checks(mesh2, case):
     # each check is "not err <= tol" or "not alpha >= 1", which a NaN fails
     with pytest.raises(PreconditionError):
         NAN_INPUTS[case](mesh2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tangent_field_refuses_nonfinite_dead_columns(mesh2, bad):
+    # the equator into S^4 is zero on columns 3 and 4, where no dot reads the
+    # field: project_tangent would copy the value into a flow step
+    base = equator_map(mesh2, 4)
+    values = np.zeros((mesh2.vertex_count, 5))
+    values[0, 4] = 1.0
+    assert TangentField(base, values).values[0, 4] == 1.0
+    values[0, 4] = bad
+    with pytest.raises(PreconditionError):
+        TangentField(base, values)
 
 
 # -- gradients ---------------------------------------------------------------------

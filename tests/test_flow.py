@@ -244,6 +244,8 @@ def test_head_map_and_padded(mesh2):
 def test_flow_config_guards():
     with pytest.raises(PreconditionError):
         FlowConfig(alpha=0.9)
+    with pytest.raises(PreconditionError):
+        FlowConfig(grad_tol_abs=-1.0)
 
 
 # -- continuation -----------------------------------------------------------------------
