@@ -44,17 +44,19 @@ EXIT_INTERNAL = 4
 INTERNAL_ERRORS = (TypeError, AttributeError, NameError, KeyError, IndexError,
                    AssertionError, NotImplementedError)
 
-# cost guards: larger configs would run for hours or exhaust memory
+# cost guards: larger configs would run for hours or exhaust memory.  Each cost
+# quoted is one cli.run with one BLAS thread on a 2-core Xeon (numpy 2.4, scipy 1.17)
 PINCH_MAX_N = 16                    # the operator is an n^4 array, built several times
-PINCH_MAX_SAMPLES = 1_000_000       # about 10 s at n = 5
+PINCH_MAX_SAMPLES = 1_000_000       # 1.5 s and 63 MB at n = 5
 CENSUS_MAX_PARTITIONS = 5_000_000   # sum of C(N, m) over N_min..N_max, each enumerated
 # the spectrum guards were sized on the full equator pencil, whose blocks grow
-# as n^2.  With one BLAS thread a level-4, n = 16 run takes 0.8 s and 85 MB,
-# level 4, n = 4, k = 200 2.6 s, and level 5, n = 4 1.2 s and 133 MB
+# as n^2.  A level-4, n = 16 run takes 0.5 s and 85 MB, level 4, n = 4,
+# k = 200 2.3 s and 98 MB, and level 5, n = 4 1.0 s and 133 MB
 SPECTRUM_MAX_N = 16
 SPECTRUM_MAX_K = 200
 # faces x (n+1)^2 of a level-4, n = SPECTRUM_MAX_N run: the full pencil's
-# Hessian grew with both, about 4x in memory and 6x in time per level
+# Hessian grew with both, about 4x in memory and 6x in time per level.  Level 6
+# admits only n = 3, a run of 5.0 s and 361 MB
 SPECTRUM_MAX_COST = 20 * 4**4 * (SPECTRUM_MAX_N + 1) ** 2
 # a morse run's desk model and predicted counts need n >= 4, and its census of
 # G_3(R^(n+1)) needs n + 1 within topology's size guard.  flow and covers take n
@@ -63,9 +65,10 @@ SPECTRUM_MAX_COST = 20 * 4**4 * (SPECTRUM_MAX_N + 1) ** 2
 # padded cover hold V x (n + 1) values
 MORSE_MAX_N = topology_mod.MAX_N - 1
 # flow and covers each factor one V x V P1 matrix in nested-dissection order: at
-# level 7, 20.5 M nonzeros and 3.2 s for order and factor, and a one-stage
-# distorted-equator flow peaks at 0.55 GB; at level 8 about 90 M nonzeros.  A
-# level-6, n = 3 spectrum takes 6.0 s and 368 MB
+# level 7, 20.5 M nonzeros and 1.2 s for order and factor.  A one-stage
+# distorted-equator flow (n = 4) there takes 3.8 s and peaks at 550 MB, and a
+# degree-2 cover (n = 4) 4.2 s and 477 MB; at level 8 the factor holds about
+# 90 M nonzeros
 FACTORED_MAX_LEVEL = 7
 
 

@@ -1,14 +1,14 @@
 """Rational self-maps of the Riemann sphere and branched-cover spectra.
 
 Rational maps are stored by their zero and pole divisors plus a scale,
-and evaluated by one polyval pass over an array of points (evaluate is
-its one-point case).  The point at infinity is the complex value inf+0j;
-arithmetic on the extended plane goes through the chordal metric where
-absolute differences would blow up.  Compositions with analytic target
-maps are sampled on the mesh through stereographic charts and kept on
-their live columns (energy.head_map).  Pulled-back metrics enter spectral
-computations through a per-element conformal factor, read off the
-energy's face walk, with a floor at the branch elements.
+and evaluated by one polyval pass over an array of points.  The point at
+infinity is the complex value inf+0j; arithmetic on the extended plane
+goes through the chordal metric where absolute differences would blow
+up.  Compositions with analytic target maps are sampled on the mesh
+through stereographic charts and kept on their live columns
+(energy.head_map).  Pulled-back metrics enter spectral computations
+through a per-element conformal factor, read off the energy's face walk,
+with a floor at the branch elements.
 """
 
 from __future__ import annotations
@@ -70,63 +70,6 @@ def inverse_stereographic(z) -> np.ndarray:
     pts[~infinite, 2] = (r2 - 1.0) / (1.0 + r2)
     pts[infinite] = (0.0, 0.0, 1.0)
     return pts
-
-
-# -- Moebius transformations ----------------------------------------------------
-
-@dataclass(frozen=True)
-class Mobius:
-    """Linear fractional transformation z -> (a z + b)/(c z + d)."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def __post_init__(self):
-        if abs(self.a * self.d - self.b * self.c) < 1e-14:
-            raise PreconditionError("Moebius matrix is singular")
-
-    def __call__(self, z: complex) -> complex:
-        if is_inf(z):
-            return self.a / self.c if self.c != 0 else INF
-        num = self.a * z + self.b
-        den = self.c * z + self.d
-        if den == 0:
-            return INF
-        return num / den
-
-    def inverse(self) -> "Mobius":
-        return Mobius(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other: "Mobius") -> "Mobius":
-        return Mobius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    @classmethod
-    def identity(cls) -> "Mobius":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
-    def to_zero_one_inf(cls, z1, z2, z3) -> "Mobius":
-        """The unique transformation sending (z1, z2, z3) to (0, 1, inf)."""
-        if is_inf(z1):
-            return cls(0.0, z2 - z3, -1.0, z3)
-        if is_inf(z2):
-            return cls(1.0, -z1, 1.0, -z3)
-        if is_inf(z3):
-            return cls(-1.0, z1, 0.0, z1 - z2)
-        return cls(z2 - z3, -z1 * (z2 - z3), z2 - z1, -z3 * (z2 - z1))
-
-    @classmethod
-    def from_three_points(cls, sources, targets) -> "Mobius":
-        return cls.to_zero_one_inf(*targets).inverse().compose(
-            cls.to_zero_one_inf(*sources)
-        )
 
 
 # -- rational maps ---------------------------------------------------------------
@@ -197,11 +140,6 @@ class RationalMap:
         )
 
 
-def evaluate(g: RationalMap, z) -> complex:
-    """Value of g at an extended-complex point: evaluate_many at one point."""
-    return complex(evaluate_many(g, complex(z))[0])
-
-
 def evaluate_many(g: RationalMap, zs: np.ndarray) -> np.ndarray:
     """Values of g at extended-complex points, with degree counting at inf.
 
@@ -224,13 +162,6 @@ def evaluate_many(g: RationalMap, zs: np.ndarray) -> np.ndarray:
     out[infinite] = (INF if any(map(is_inf, g.poles))
                      else 0.0 if any(map(is_inf, g.zeros)) else g.scale)
     return out
-
-
-def hol_space_dimension(d: int) -> dict:
-    """Dimensions of the space of degree-d maps and of its cover families."""
-    if d < 1:
-        raise PreconditionError("degree must be >= 1")
-    return {"complex_dim": 2 * d + 1, "real_dim_orbit_family": 4 * d + 2}
 
 
 def branch_points(g: RationalMap):
@@ -336,55 +267,6 @@ def compose_cover(h, g: RationalMap, mesh: SphereMesh) -> SphereMap:
     f = SphereMap(mesh, vals.shape[1] - 1, normalize_rows(vals))
     # a copy, so the padded map does not keep the full array alive
     return padded(head_map(f).copy(), f.n)
-
-
-def normalize_double_cover(g: RationalMap):
-    """Express a degree-2 map as S^(-1) o (z -> z^2) o T with Moebius S, T.
-
-    T sends the two branch points of g to 0 and infinity; S is fitted from
-    three samples and the factorization is verified in the chordal metric
-    over 20 points.  Returns (S, T).
-    """
-    if g.degree != 2:
-        raise PreconditionError("normalization applies to degree-2 maps only")
-    bps = branch_points(g)
-    if len(bps) != 2 or any(m != 1 for _, m in bps):
-        raise PreconditionError("branch points coincide (degenerate double cover)")
-    b1, b2 = bps[0][0], bps[1][0]
-    if is_inf(b2):
-        T = Mobius(1.0, -b1, 0.0, 1.0)
-    elif is_inf(b1):
-        T = Mobius(0.0, 1.0, 1.0, -b2)
-    else:
-        T = Mobius(1.0, -b1, 1.0, -b2)
-
-    # three probe points with distinct, well-separated g-values
-    probes = []
-    for k in range(64):
-        z = 1.7 * cmath.exp(2j * math.pi * (k / 7.3 + 0.05)) + 0.31 * k
-        gz = evaluate(g, z)
-        tz2 = T(z) ** 2
-        if any(chordal_distance(gz, p[1]) < 0.2 for p in probes):
-            continue
-        probes.append((z, gz, tz2))
-        if len(probes) == 3:
-            break
-    if len(probes) < 3:
-        raise NumericError("could not find three separated probe values")
-    S = Mobius.from_three_points([p[1] for p in probes], [p[2] for p in probes])
-
-    s_inv = S.inverse()
-    worst = 0.0
-    for k in range(20):
-        z = cmath.exp(2j * math.pi * k / 20) * (1.0 + 0.37 * (k % 5))
-        lhs = evaluate(g, z)
-        rhs = s_inv(T(z) ** 2)
-        worst = max(worst, chordal_distance(lhs, rhs))
-    if worst > 1e-8:
-        raise NumericError(
-            f"double-cover factorization residual {worst:.3e} exceeds 1e-8"
-        )
-    return S, T
 
 
 # -- pulled-back metric spectra ----------------------------------------------------

@@ -128,23 +128,6 @@ def _bilinear(a, b):
     return complex(np.sum(np.asarray(a) * np.asarray(b)))
 
 
-def is_isotropic(plane: ComplexPlane) -> bool:
-    """All three complex-bilinear products of the spanning pair vanish."""
-    return (
-        abs(_bilinear(plane.z, plane.z)) <= ISOTROPY_TOL
-        and abs(_bilinear(plane.z, plane.w)) <= ISOTROPY_TOL
-        and abs(_bilinear(plane.w, plane.w)) <= ISOTROPY_TOL
-    )
-
-
-def is_half_isotropic(plane: ComplexPlane) -> bool:
-    """Only <z,z> and <z,w> are required to vanish."""
-    return (
-        abs(_bilinear(plane.z, plane.z)) <= ISOTROPY_TOL
-        and abs(_bilinear(plane.z, plane.w)) <= ISOTROPY_TOL
-    )
-
-
 def associated_real_plane(v):
     """Real and imaginary parts (x, y) of an isotropic vector v = x + iy.
 

@@ -30,7 +30,7 @@ from .energy import (
     recenter,
 )
 from .errors import PreconditionError, StagnationError
-from .sphere_mesh import assemble_pencil, geodesic_distance
+from .sphere_mesh import assemble_pencil
 
 
 @dataclass
@@ -319,10 +319,3 @@ def index_semicontinuity_report(sphere_map: SphereMap, alpha: float,
         "local_energies": [d["local_energy"] for d in detections],
     }
 
-
-def geodesic_ball_energy(sphere_map: SphereMap, center, radius: float) -> float:
-    """Dirichlet energy carried by faces whose centroid lies in the ball."""
-    face_energy = 0.5 * element_energy_integrals(sphere_map)
-    dist = geodesic_distance(sphere_map.mesh.face_centroids,
-                             np.asarray(center, dtype=float)[None, :])
-    return float(face_energy[dist <= radius].sum())

@@ -472,22 +472,3 @@ def cutoff_dirichlet_energy(epsilon: float) -> float:
                     epsilon**2, epsilon, limit=200)
     return 2.0 * math.pi * value
 
-
-def index_energy_diagnostic(records) -> float:
-    """Smallest (index + 1)/energy ratio over measured critical points.
-
-    ``records`` is a nonempty iterable of (energy, index) pairs or of
-    objects exposing those attributes.
-    """
-    ratios = []
-    for item in records:
-        if isinstance(item, tuple):
-            energy, index = item
-        else:
-            energy, index = item.energy, item.index
-        if energy <= 0:
-            raise PreconditionError("diagnostic needs positive energies")
-        ratios.append((index + 1) / energy)
-    if not ratios:
-        raise PreconditionError("diagnostic needs at least one record")
-    return min(ratios)

@@ -604,11 +604,6 @@ def rotate_mesh(mesh: SphereMesh, rotation: np.ndarray) -> SphereMesh:
     )
 
 
-def geodesic_distance(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
-    dots = np.clip(np.sum(points_a * points_b, axis=-1), -1.0, 1.0)
-    return np.arccos(dots)
-
-
 def mesh_to_obj(mesh: SphereMesh, path) -> None:
     """Write the mesh as ASCII OBJ (1-based face indices)."""
     with open(path, "w") as fh:

@@ -13,18 +13,14 @@ from spherelab import covers as covers_mod
 from spherelab.covers import (
     INF,
     EquatorTargetMap,
-    Mobius,
     RationalMap,
     branch_points,
     chordal_distance,
     compose_cover,
     double_cover_normal_index,
-    evaluate,
     evaluate_many,
-    hol_space_dimension,
     induced_metric_lambda1,
     inverse_stereographic,
-    normalize_double_cover,
     pullback_laplace_eigenvalues,
     stereographic,
 )
@@ -56,22 +52,27 @@ def random_degree2_map(rng, min_separation=0.1):
 # -- evaluation ---------------------------------------------------------------------
 
 
+def value_at(g, z):
+    """g at one extended-complex point: a one-point evaluate_many call."""
+    return complex(evaluate_many(g, [z])[0])
+
+
 def test_evaluate_square():
     g = RationalMap.power(2)
-    assert evaluate(g, 2.0) == pytest.approx(4.0)
-    assert cmath.isinf(evaluate(g, INF))
+    assert value_at(g, 2.0) == pytest.approx(4.0)
+    assert cmath.isinf(value_at(g, INF))
 
 
 def test_evaluate_mobius_example():
     g = RationalMap(zeros=(1.0,), poles=(-1.0,))
-    assert evaluate(g, 1j) == pytest.approx(1j)
+    assert value_at(g, 1j) == pytest.approx(1j)
 
 
 def test_evaluate_at_pole_and_zero():
     g = RationalMap(zeros=(0.5,), poles=(2.0,))
-    assert cmath.isinf(evaluate(g, 2.0))
-    assert evaluate(g, 0.5) == 0.0
-    assert evaluate(g, INF) == pytest.approx(1.0)  # equal degrees: scale limit
+    assert cmath.isinf(value_at(g, 2.0))
+    assert value_at(g, 0.5) == 0.0
+    assert value_at(g, INF) == pytest.approx(1.0)  # equal degrees: scale limit
 
 
 def evaluation_points(mesh):
@@ -91,7 +92,7 @@ def test_evaluate_many_matches_scalar_loop_on_power_maps(mesh4, degree):
     loop = np.array([g.scale * v ** degree for v in z[finite].tolist()])
     np.testing.assert_allclose(got[finite], loop, rtol=1e-14, atol=0)
     assert np.all(np.isinf(got[~finite]))  # the north pole and inf itself
-    assert [evaluate(g, v) for v in z] == got.tolist()
+    assert [value_at(g, v) for v in z] == got.tolist()
 
 
 def test_evaluate_many_matches_scalar_loop_with_finite_poles(mesh4):
@@ -106,15 +107,15 @@ def test_evaluate_many_matches_scalar_loop_with_finite_poles(mesh4):
     loop = np.array([g.scale * math.prod(v - p for p in g.zeros)
                      / math.prod(v - q for q in g.poles) for v in z[finite].tolist()])
     np.testing.assert_allclose(got[finite], loop, rtol=1e-14, atol=0)
-    assert got[-3] == evaluate(g, INF) == 1.5 - 0.5j  # at inf, equal degrees: the scale
-    assert [evaluate(g, v) for v in z] == got.tolist()
+    assert got[-3] == value_at(g, INF) == 1.5 - 0.5j  # at inf, equal degrees: the scale
+    assert [value_at(g, v) for v in z] == got.tolist()
 
 
 def test_evaluate_many_zero_over_zero_raises():
     g = RationalMap(zeros=(0.5,), poles=(2.0,))
     object.__setattr__(g, "_den", g._num)  # a common factor the constructor forbids
     with pytest.raises(InvariantViolationError):
-        evaluate(g, 0.5)
+        value_at(g, 0.5)
     with pytest.raises(InvariantViolationError, match="0/0"):
         evaluate_many(g, np.array([1.0, 0.5, INF]))
 
@@ -130,15 +131,6 @@ def test_stereographic_roundtrip(rng):
     back = inverse_stereographic(stereographic(pts))
     assert np.allclose(back, pts, atol=1e-12)
     assert np.allclose(inverse_stereographic([INF])[0], [0, 0, 1])
-
-
-# -- dimensions ---------------------------------------------------------------------
-
-
-def test_hol_space_dimensions():
-    assert hol_space_dimension(1) == {"complex_dim": 3, "real_dim_orbit_family": 6}
-    assert hol_space_dimension(2) == {"complex_dim": 5, "real_dim_orbit_family": 10}
-    assert hol_space_dimension(3) == {"complex_dim": 7, "real_dim_orbit_family": 14}
 
 
 # -- branch points -------------------------------------------------------------------
@@ -189,38 +181,6 @@ def test_energy_multiplicativity(mesh4, degree):
     base = dirichlet_energy(compose_cover(h, RationalMap.power(1), mesh4))
     cover = dirichlet_energy(compose_cover(h, RationalMap.power(degree), mesh4))
     assert abs(cover - degree * base) <= 0.02 * degree * base
-
-
-# -- double cover normalization --------------------------------------------------------
-
-
-def test_normalize_square_map():
-    S, T = normalize_double_cover(RationalMap.power(2))
-    for k in range(8):
-        z = cmath.exp(2j * math.pi * k / 8) * 1.3
-        assert chordal_distance(S(z), z) <= 1e-8
-        assert chordal_distance(T(z), z) <= 1e-8
-
-
-def test_normalize_shifted_square():
-    g = RationalMap(zeros=(1.0, 1.0), poles=(-1.0, -1.0))
-    S, T = normalize_double_cover(g)
-    s_inv = S.inverse()
-    for k in range(20):
-        z = cmath.exp(2j * math.pi * k / 20) * (1.0 + 0.4 * (k % 3))
-        assert chordal_distance(evaluate(g, z), s_inv(T(z) ** 2)) <= 1e-8
-
-
-def test_normalize_random_double_covers(rng):
-    for _ in range(4):
-        g = random_degree2_map(rng)
-        S, T = normalize_double_cover(g)  # postcondition residual <= 1e-8 inside
-        assert isinstance(S, Mobius) and isinstance(T, Mobius)
-
-
-def test_normalize_rejects_other_degrees():
-    with pytest.raises(PreconditionError):
-        normalize_double_cover(RationalMap.power(3))
 
 
 # -- pulled-back spectra ----------------------------------------------------------------

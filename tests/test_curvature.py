@@ -14,8 +14,6 @@ from spherelab.curvature import (
     complex_sectional_curvature,
     constant_curvature_operator,
     curvature_condition_d,
-    is_half_isotropic,
-    is_isotropic,
     pinch_bounds,
     pinched_operator,
     product_spheres_operator,
@@ -87,15 +85,6 @@ def test_degenerate_plane_rejected():
         complex_sectional_curvature(
             op, ComplexPlane(E4[0] + 1e-14j * E4[1], E4[0] * (1 + 1e-13) + 0j)
         )
-
-
-def test_isotropy_predicates():
-    assert is_isotropic(ComplexPlane(E4[0] + 1j * E4[1], E4[2] + 1j * E4[3]))
-    half = ComplexPlane(E4[0] + 1j * E4[1], 2.0 * E4[2] + 3.0j * E4[3])
-    assert is_half_isotropic(half)
-    assert not is_isotropic(half)
-    real_pair = ComplexPlane(E4[0] + 0j, E4[1] + 0j)
-    assert not is_half_isotropic(real_pair)  # <z, z> = 1
 
 
 def test_associated_real_plane():

@@ -27,7 +27,6 @@ from spherelab.flow import (
     continue_in_alpha,
     descend,
     detect_concentration,
-    geodesic_ball_energy,
     harmonic_residual,
     index_semicontinuity_report,
     project_tangent,
@@ -473,13 +472,6 @@ def test_detect_concentration_matches_kdtree_loop(level, t, axis, count):
     for g, w in zip(got, want):
         assert np.array_equal(g["center"], w["center"])
         assert g["local_energy"] == pytest.approx(w["local_energy"], rel=1e-12, abs=0)
-
-
-def test_ball_energy_helper(mesh3):
-    f = equator_map(mesh3, 4)
-    ball = geodesic_ball_energy(f, np.array([0.0, 0.0, 1.0]), 0.5)
-    cap_area = 2 * math.pi * (1 - math.cos(0.5))
-    assert ball == pytest.approx(cap_area, rel=0.2)
 
 
 def test_detection_radius_guard(mesh2):

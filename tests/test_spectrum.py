@@ -46,7 +46,6 @@ from spherelab.spectrum import (
     cutoff_profile,
     equator_spectrum,
     expected_equator_counts,
-    index_energy_diagnostic,
     morse_index_nullity,
     normal_second_variation,
     pencil_eigenvalues,
@@ -694,15 +693,3 @@ def test_cutoff_energy_decreases_to_zero():
 def test_cutoff_range_guard():
     with pytest.raises(PreconditionError):
         cutoff_profile(1.5)
-
-
-# -- index-energy diagnostic ------------------------------------------------------------------
-
-
-def test_index_energy_diagnostic():
-    c = index_energy_diagnostic([(FOUR_PI, 2)])
-    assert c == pytest.approx(3.0 / FOUR_PI)
-    c2 = index_energy_diagnostic([(FOUR_PI, 2), (2 * FOUR_PI, 4)])
-    assert c2 == pytest.approx(min(3.0 / FOUR_PI, 5.0 / (2 * FOUR_PI)))
-    with pytest.raises(PreconditionError):
-        index_energy_diagnostic([])
