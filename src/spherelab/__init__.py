@@ -9,10 +9,8 @@ side: branched covers, Schubert cell censuses and mod-2 Morse homology.
 __version__ = "0.1.0"
 
 from .sphere_mesh import (  # noqa: F401
-    AreaConvention,
     FemPencil,
     SphereMesh,
     assemble_pencil,
     build_icosphere,
-    to_area_one,
 )

@@ -276,7 +276,6 @@ class PullbackSpectrumResult:
     lambda1: float
     eigenvalues: np.ndarray
     floor_activations: int
-    floored_fraction: float
     degeneracy_warning: bool
 
 
@@ -346,26 +345,14 @@ def induced_metric_lambda1(f: SphereMap, k: int = 8) -> PullbackSpectrumResult:
         lambda1=float(nonzero[0]),
         eigenvalues=vals,
         floor_activations=floored,
-        floored_fraction=frac,
         degeneracy_warning=frac > 0.01,
     )
 
 
 def normal_index_count(vals: np.ndarray, n: int) -> int:
-    """(n - 2) times the number of pulled-back eigenvalues below 1.9: the
-    eigenvalues below 2, with a margin of 0.1 against discretization."""
+    """Normal Morse index of a cover of a totally geodesic sphere in S^n: its
+    normal second variation is n - 2 copies of the pulled-back Laplacian
+    shifted by -2, so (n - 2) times the number of pulled-back eigenvalues
+    below 1.9, those below 2 with a margin of 0.1 against discretization."""
     return int(np.count_nonzero(vals < 1.9)) * (n - 2)
 
-
-def double_cover_normal_index(f: SphereMap, n: int) -> int:
-    """Normal Morse index of a cover of a totally geodesic sphere in S^n.
-
-    For the round target the normal second variation is (n - 2) copies of
-    the pulled-back Laplacian shifted by -2, so the index is (n - 2) times
-    the number of eigenvalues strictly below 2, counted by
-    normal_index_count among the 16 lowest.
-    """
-    if n < 3:
-        raise PreconditionError("need target dimension >= 3 for a normal bundle")
-    vals, _ = pullback_laplace_eigenvalues(f, k=16)
-    return normal_index_count(vals, n)

@@ -75,7 +75,6 @@ class SecondVariationPencil:
     M: sp.csr_matrix
     frame: np.ndarray  # (V, C, dim) basis of the admissible subspace
     mesh: SphereMesh
-    kind: str = "tangent"
 
     @property
     def dim(self) -> int:
@@ -129,7 +128,7 @@ def _in_frames(X: sp.csr_matrix, frames: np.ndarray) -> sp.csr_matrix:
     return (U + U.T + sp.diags(np.repeat(X.diagonal(), d))).tocsr()
 
 
-def _framed_pencil(sphere_map: SphereMap, parts, frames: np.ndarray, kind: str,
+def _framed_pencil(sphere_map: SphereMap, parts, frames: np.ndarray,
                    warn_threshold: float = None) -> SecondVariationPencil:
     """(A (x) F + (S F)^T (S F), M (x) F) for the _hessian_parts A and S and the
     P1 mass matrix M, in the per-vertex orthonormal frames F (V, C, d).  Given
@@ -143,7 +142,7 @@ def _framed_pencil(sphere_map: SphereMap, parts, frames: np.ndarray, kind: str,
     mesh = sphere_map.mesh
     H = _framed_hessian(mesh, parts, frames)
     M = _in_frames(assemble_pencil(mesh).M, frames)
-    return SecondVariationPencil(H, M, frames, mesh, kind)
+    return SecondVariationPencil(H, M, frames, mesh)
 
 
 def _framed_hessian(mesh: SphereMesh, parts, frames: np.ndarray) -> sp.csr_matrix:
@@ -221,7 +220,7 @@ def assemble_second_variation(sphere_map: SphereMap, alpha: float) -> SecondVari
     the domain acting diagonally on coordinates, in the frames.
     """
     return _framed_pencil(sphere_map, _hessian_parts(sphere_map, alpha),
-                          _tangent_frames(sphere_map), "tangent", FAR_FROM_CRITICAL)
+                          _tangent_frames(sphere_map), FAR_FROM_CRITICAL)
 
 
 def normal_second_variation(sphere_map: SphereMap, alpha: float = 1.0) -> SecondVariationPencil:
@@ -246,7 +245,7 @@ def normal_second_variation(sphere_map: SphereMap, alpha: float = 1.0) -> Second
     # admissible subspace: orthogonal to span{f, image plane}
     killed = proj_full + vals[:, :, None] * vals[:, None, :]
     frames, _ = _leading_frames(np.eye(C) - killed, C - 3)
-    return _framed_pencil(sphere_map, _hessian_parts(sphere_map, alpha), frames, "normal")
+    return _framed_pencil(sphere_map, _hessian_parts(sphere_map, alpha), frames)
 
 
 def pencil_eigenvalues(H: sp.spmatrix, M: sp.spmatrix, k: int, mesh: SphereMesh):
@@ -314,7 +313,7 @@ def split_spectrum(sphere_map: SphereMap, alpha: float, k: int):
     head = head_map(sphere_map)
     m = head.n
     parts = A, _, _ = _hessian_parts(head, alpha)
-    tangent = _framed_pencil(head, parts, _tangent_frames(head), "tangent", FAR_FROM_CRITICAL)
+    tangent = _framed_pencil(head, parts, _tangent_frames(head), FAR_FROM_CRITICAL)
     vals, converged = pencil_eigenvalues(tangent.H, tangent.M, k, mesh)
     copies = n - m
     if copies:
@@ -456,10 +455,6 @@ class CutoffProfile:
         return float(out) if np.ndim(r) == 0 else out
 
 
-def cutoff_profile(epsilon: float) -> CutoffProfile:
-    return CutoffProfile(epsilon)
-
-
 def cutoff_dirichlet_energy(epsilon: float) -> float:
     """Flat Dirichlet energy of the cutoff: integral of (d phi/dr)^2 r dr dtheta.
 
@@ -467,7 +462,7 @@ def cutoff_dirichlet_energy(epsilon: float) -> float:
     """
     from scipy.integrate import quad  # imported on use: it slows every start-up
 
-    profile = cutoff_profile(epsilon)
+    profile = CutoffProfile(epsilon)
     value, _ = quad(lambda r: profile.derivative(r) ** 2 * r,
                     epsilon**2, epsilon, limit=200)
     return 2.0 * math.pi * value

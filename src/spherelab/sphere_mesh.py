@@ -5,16 +5,13 @@ unit sphere, oriented outward, and rotated once so that vertex 0 sits at
 the north pole and its antipode at the south pole (branch points of the
 standard power maps then coincide with mesh vertices).
 
-Two area conventions are supported.  ``UNIT_ROUND`` is the round sphere of
-total area 4*pi used for all internal geometry.  ``AREA_ONE`` is a view of
-the same mesh in which consumers rescale dA by 1/(4*pi) and the energy
-density |df|^2 by 4*pi, leaving the conformally invariant Dirichlet energy
-unchanged.
+Every mesh is the round sphere of total area 4*pi.  The energy applies the
+area-one convention of the alpha-energy on read
+(energy.element_density_area_one).
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,11 +40,6 @@ DISSECTION_LEAF = 64
 # the error by 2 * 3^-k at least: 1.5e-18 at 38
 MASS_SPECTRUM = (0.5, 2.0)
 MASS_CHEBYSHEV_STEPS = 38
-
-
-class AreaConvention(enum.Enum):
-    UNIT_ROUND = "unit_round"
-    AREA_ONE = "area_one"
 
 
 def _icosahedron():
@@ -198,9 +190,7 @@ class SphereMesh:
     vertices: np.ndarray
     faces: np.ndarray
     subdivision_level: int
-    area_convention: AreaConvention = AreaConvention.UNIT_ROUND
-    scale_factor: float = 1.0
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def vertex_count(self):
@@ -215,11 +205,6 @@ class SphereMesh:
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
-
-    def edges(self):
-        """Unique vertex pairs (i < j) in lexicographic order; cached, read-only."""
-        return self._cached("edges",
-                            lambda: _edge_table(self.faces, self.vertex_count)[0])
 
     def max_edge_length(self):
         """Longest edge chord; computed by the geometry pass and cached."""
@@ -360,9 +345,6 @@ class SphereMesh:
                     for f in [faces, *centres]]
         except np.linalg.LinAlgError:
             raise PreconditionError("faces do not follow the subdivision layout") from None
-
-    def total_area(self):
-        return float(self.face_areas.sum())
 
     @property
     def dissection_order(self):
@@ -513,13 +495,7 @@ def build_icosphere(subdivision_level: int) -> SphereMesh:
     verts, faces = _icosahedron()
     for _ in range(subdivision_level):
         verts, faces = _subdivide(verts, faces)
-    mesh = SphereMesh(
-        vertices=verts,
-        faces=faces,
-        subdivision_level=subdivision_level,
-        area_convention=AreaConvention.UNIT_ROUND,
-        scale_factor=1.0,
-    )
+    mesh = SphereMesh(vertices=verts, faces=faces, subdivision_level=subdivision_level)
     validate_mesh(mesh)
     return mesh
 
@@ -569,41 +545,6 @@ def assemble_pencil(mesh: SphereMesh) -> FemPencil:
     return mesh._cached("pencil", build)
 
 
-def to_area_one(mesh: SphereMesh) -> SphereMesh:
-    """View of the mesh under the total-area-one convention.
-
-    Combinatorics and vertex positions are shared; only the convention tag
-    and scale factor change.  Consumers rescale dA by the scale factor and
-    |df|^2 by its inverse, so the Dirichlet energy is unchanged.
-    """
-    if mesh.area_convention is not AreaConvention.UNIT_ROUND:
-        raise PreconditionError("to_area_one expects a unit-round mesh")
-    return SphereMesh(
-        vertices=mesh.vertices,
-        faces=mesh.faces,
-        subdivision_level=mesh.subdivision_level,
-        area_convention=AreaConvention.AREA_ONE,
-        scale_factor=1.0 / FOUR_PI,
-        _cache=mesh._cache,  # geometry identical, reuse factorizations
-    )
-
-
-def rotate_mesh(mesh: SphereMesh, rotation: np.ndarray) -> SphereMesh:
-    """Same combinatorics with vertices rotated by the given 3x3 matrix."""
-    rotation = np.asarray(rotation, dtype=float)
-    if rotation.shape != (3, 3) or np.max(np.abs(rotation @ rotation.T - np.eye(3))) > 1e-10:
-        raise PreconditionError("rotation must be a 3x3 orthogonal matrix")
-    verts = mesh.vertices @ rotation.T
-    verts /= np.linalg.norm(verts, axis=1)[:, None]
-    return SphereMesh(
-        vertices=verts,
-        faces=mesh.faces.copy(),
-        subdivision_level=mesh.subdivision_level,
-        area_convention=mesh.area_convention,
-        scale_factor=mesh.scale_factor,
-    )
-
-
 def mesh_to_obj(mesh: SphereMesh, path) -> None:
     """Write the mesh as ASCII OBJ (1-based face indices)."""
     with open(path, "w") as fh:
@@ -618,7 +559,7 @@ def mesh_json_doc(mesh: SphereMesh) -> str:
     return json.dumps(
         {
             "level": mesh.subdivision_level,
-            "convention": mesh.area_convention.value,
+            "convention": "unit_round",
             "vertex_count": mesh.vertex_count,
             "face_count": mesh.face_count,
         },

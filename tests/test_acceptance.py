@@ -15,8 +15,9 @@ from spherelab.covers import (
     EquatorTargetMap,
     RationalMap,
     compose_cover,
-    double_cover_normal_index,
     induced_metric_lambda1,
+    normal_index_count,
+    pullback_laplace_eigenvalues,
 )
 from spherelab.curvature import (
     ComplexPlane,
@@ -108,7 +109,7 @@ def test_criterion_03_double_cover_bounds():
     f2 = compose_cover(h, RationalMap.power(2), mesh)
     res2 = induced_metric_lambda1(f2)
     energy2 = dirichlet_energy(f2)
-    normal_index = double_cover_normal_index(f2, 4)
+    normal_index = normal_index_count(pullback_laplace_eigenvalues(f2, k=16)[0], 4)
     f3 = compose_cover(h, RationalMap.power(3), mesh)
     res3 = induced_metric_lambda1(f3)
     ok = (res2.lambda1 <= 1.05

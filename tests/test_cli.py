@@ -455,7 +455,8 @@ def test_double_cover_run_solves_once(tmp_path, monkeypatch):
     f = covers_mod.compose_cover(covers_mod.EquatorTargetMap(4),
                                  covers_mod.RationalMap.power(2), build_icosphere(3))
     metrics = read_report(out)["metrics"]
-    assert metrics["normal_index"]["value"] == covers_mod.double_cover_normal_index(f, 4)
+    vals, _ = covers_mod.pullback_laplace_eigenvalues(f, k=16)
+    assert metrics["normal_index"]["value"] == covers_mod.normal_index_count(vals, 4)
     assert metrics["lambda1"]["value"] == pytest.approx(
         covers_mod.induced_metric_lambda1(f).lambda1, rel=1e-12)
 
@@ -522,7 +523,8 @@ def test_export_mesh_writes_exactly_the_kinds_files(tmp_path, kind):
     assert (tags.count("v"), tags.count("f")) == (mesh.vertex_count, mesh.face_count)
     with open(os.path.join(out, "mesh.json")) as fh:
         doc = json.load(fh)
-    assert (doc["vertex_count"], doc["face_count"]) == (mesh.vertex_count, mesh.face_count)
+    assert doc == {"convention": "unit_round", "face_count": mesh.face_count,
+                   "level": cfg["level"], "vertex_count": mesh.vertex_count}
 
 
 def test_flow_report_counts_the_initial_descent(tmp_path):

@@ -17,10 +17,10 @@ from spherelab.covers import (
     branch_points,
     chordal_distance,
     compose_cover,
-    double_cover_normal_index,
     evaluate_many,
     induced_metric_lambda1,
     inverse_stereographic,
+    normal_index_count,
     pullback_laplace_eigenvalues,
     stereographic,
 )
@@ -244,11 +244,11 @@ def test_yang_yau_bound(mesh4, degree):
 def test_normal_index_bounds(mesh4):
     g2 = RationalMap.power(2)
     f = compose_cover(EquatorTargetMap(4), g2, mesh4)
-    assert double_cover_normal_index(f, 4) >= 4
+    assert normal_index_count(pullback_laplace_eigenvalues(f, k=16)[0], 4) >= 4
     f5 = compose_cover(EquatorTargetMap(5), g2, mesh4)
-    assert double_cover_normal_index(f5, 5) >= 6
+    assert normal_index_count(pullback_laplace_eigenvalues(f5, k=16)[0], 5) >= 6
     base = compose_cover(EquatorTargetMap(4), RationalMap.power(1), mesh4)
-    assert double_cover_normal_index(base, 4) == 2
+    assert normal_index_count(pullback_laplace_eigenvalues(base, k=16)[0], 4) == 2
 
 
 def pullback_pencil(level):
@@ -296,13 +296,7 @@ def test_constant_map_has_no_pulled_back_metric(mesh2):
         induced_metric_lambda1(f)
     assert err.value.elements == list(range(mesh2.face_count))
     with pytest.raises(DegenerateElementsError):
-        double_cover_normal_index(f, 4)
-
-
-def test_normal_index_needs_a_normal_bundle(mesh2):
-    f = compose_cover(EquatorTargetMap(2), RationalMap.power(2), mesh2)
-    with pytest.raises(PreconditionError, match="normal bundle"):
-        double_cover_normal_index(f, 2)
+        pullback_laplace_eigenvalues(f, k=16)
 
 
 # -- serialization -------------------------------------------------------------------------

@@ -390,15 +390,16 @@ def test_dilated_family_concentrates():
 def test_bubble_path_builds_no_stiffness_blocks_or_edge_table(monkeypatch):
     # criterion 8's path: energy, gradient and detection read the (3, F)
     # cotangent rows and centroids; the (F, 3, 3) blocks are for FEM assembly
+    # and the (E, 2) edge table for the dissection order
     mesh = build_icosphere(5)
     f = dilated_equator_map(mesh, 4, 5.0, axis="z")
     dirichlet_energy(f)
     alpha_energy_gradient(f, 1.05)
     detect_concentration(f, 1.0, 0.2)
-    assert "edges" not in mesh._cache and "stiffness" not in mesh._cache
+    assert "stiffness" not in mesh._cache
     for value in mesh._cache.values():
         for part in value if isinstance(value, tuple) else (value,):
-            assert np.shape(part) != (mesh.face_count, 3, 3)
+            assert np.shape(part) not in ((mesh.face_count, 3, 3), (3 * mesh.face_count // 2, 2))
     # the longest edge comes from the cached geometry pass, not a new one
     builds = []
     build = SphereMesh._build_geometry
@@ -406,7 +407,8 @@ def test_bubble_path_builds_no_stiffness_blocks_or_edge_table(monkeypatch):
                         lambda self: builds.append(self) or build(self))
     longest = mesh.max_edge_length()
     assert mesh.max_edge_length() == longest and builds == []
-    d = mesh.vertices[mesh.edges()[:, 0]] - mesh.vertices[mesh.edges()[:, 1]]
+    edges = sphere_mesh._edge_table(mesh.faces, mesh.vertex_count)[0]
+    d = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
     assert longest == float(np.max(np.linalg.norm(d, axis=1)))
 
 

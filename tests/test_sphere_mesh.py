@@ -8,7 +8,7 @@ from scipy.sparse.linalg import eigsh, splu
 
 from conftest import (assert_csr_equal, assert_located_like_kd_tree, in_order_row_sums,
                       p1_scatter_reference)
-from spherelab import AreaConvention, assemble_pencil, build_icosphere, sphere_mesh, to_area_one
+from spherelab import assemble_pencil, build_icosphere, sphere_mesh
 from spherelab.energy import SphereMap, normalize_rows, sample_map
 from spherelab.errors import MeshAssemblyError, PreconditionError, ResourceLimitError
 from spherelab.sphere_mesh import (
@@ -21,7 +21,6 @@ from spherelab.sphere_mesh import (
     assemble_faces,
     mesh_json_doc,
     mesh_to_obj,
-    rotate_mesh,
     validate_mesh,
 )
 
@@ -51,7 +50,7 @@ def test_one_subdivision_counts():
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_sphere_topology(level):
     mesh = build_icosphere(level)
-    edges = mesh.edges()
+    edges = _edge_table(mesh.faces, mesh.vertex_count)[0]
     assert mesh.vertex_count - len(edges) + mesh.face_count == 2
     validate_mesh(mesh)  # unit vertices, closedness, positive areas
 
@@ -62,13 +61,10 @@ def test_edges_match_two_dimensional_unique(level):
     mesh = build_icosphere(level)
     pairs = np.sort(mesh.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     reference = np.unique(pairs, axis=0)
-    edges = mesh.edges()
+    edges = _edge_table(mesh.faces, mesh.vertex_count)[0]
     assert edges.dtype == reference.dtype
     assert np.array_equal(edges, reference)
-    assert mesh.edges() is edges  # cached
     assert not edges.flags.writeable
-    fresh = SphereMesh(vertices=mesh.vertices, faces=mesh.faces, subdivision_level=level)
-    assert np.array_equal(fresh.edges(), reference)  # built lazily without validation
     # validate_mesh counts the same edges without building the table
     assert _edge_count(mesh.faces, mesh.vertex_count) == (len(reference), True)
 
@@ -87,7 +83,7 @@ def test_validate_rejects_edge_on_three_faces(mesh2):
     verts = np.vstack([mesh2.vertices, d / np.linalg.norm(d)])
     faces = np.vstack([mesh2.faces, [a, b, mesh2.vertex_count]])
     fin = SphereMesh(vertices=verts, faces=faces, subdivision_level=2)
-    v, e, f = fin.vertex_count, len(fin.edges()), fin.face_count
+    v, e, f = fin.vertex_count, len(_edge_table(faces, fin.vertex_count)[0]), fin.face_count
     assert v - e + f == 2
     with pytest.raises(PreconditionError, match="not closed"):
         validate_mesh(fin)
@@ -110,7 +106,7 @@ def test_validate_rejects_edge_on_one_face_where_euler_holds():
 
 
 def test_location_hierarchy_cached(monkeypatch):
-    # built once per mesh, and the area-one view shares it with the mesh
+    # built once per mesh
     mesh = build_icosphere(3)
     builds = []
     build = SphereMesh._build_hierarchy
@@ -118,10 +114,8 @@ def test_location_hierarchy_cached(monkeypatch):
                         lambda self: builds.append(self) or build(self))
     pts = mesh.vertices[:10]
     first = mesh.locate(pts)
-    assert np.array_equal(to_area_one(mesh).locate(pts), first)
     assert np.array_equal(mesh.locate(pts), first)
     assert builds == [mesh]
-    assert to_area_one(mesh)._cache["hierarchy"] is mesh._cache["hierarchy"]
 
 
 @pytest.mark.parametrize("level", range(1, 7))
@@ -224,7 +218,7 @@ def test_refinement_convergence_order():
         vals = low_eigenvalues(mesh)
         errors[level] = float(np.max(np.abs(vals[1:4] - 2.0)))
         spreads[level] = float(vals[3] - vals[1])
-        areas[level] = abs(mesh.total_area() - FOUR_PI)
+        areas[level] = abs(float(mesh.face_areas.sum()) - FOUR_PI)
         hs[level] = mesh.max_edge_length()
     # geodesic areas tile the sphere: the area is exact at every level
     assert all(err < 1e-9 for err in areas.values())
@@ -233,41 +227,17 @@ def test_refinement_convergence_order():
     assert spreads[5] <= spreads[3] + 1e-12
 
 
-def test_area_one_view(mesh3):
-    one = to_area_one(mesh3)
-    assert one.area_convention is AreaConvention.AREA_ONE
-    assert one.scale_factor == 1.0 / FOUR_PI
-    assert abs(one.total_area() * one.scale_factor - 1.0) <= 1e-3
-    with pytest.raises(PreconditionError):
-        to_area_one(one)
-
-
 def test_area_one_eigenvalue_scaling(mesh3):
     # metric scaling law: scaling dA by 1/(4 pi) scales eigenvalues by 4 pi
     base = low_eigenvalues(mesh3)
-    one = to_area_one(mesh3)
-    scaled = low_eigenvalues(one, scale=one.scale_factor)
+    scaled = low_eigenvalues(mesh3, scale=1.0 / FOUR_PI)
     assert np.allclose(scaled[1:6], FOUR_PI * base[1:6], rtol=1e-9)
-
-
-def test_rotate_mesh_preserves_geometry(mesh2):
-    theta = 0.7
-    rot = np.array(
-        [
-            [math.cos(theta), -math.sin(theta), 0.0],
-            [math.sin(theta), math.cos(theta), 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    rotated = rotate_mesh(mesh2, rot)
-    validate_mesh(rotated)
-    assert abs(rotated.total_area() - mesh2.total_area()) < 1e-10
 
 
 def test_locate_on_a_rotated_copy(mesh3):
     # a rotated copy keeps the face layout, so locate walks its own hierarchy
     rot, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
-    rotated = rotate_mesh(mesh3, rot)
+    rotated = SphereMesh(normalize_rows(mesh3.vertices @ rot.T), mesh3.faces, 3)
     rng = np.random.default_rng(6)
     near_vertices = rotated.vertices + 1e-3 * rng.standard_normal(rotated.vertices.shape)
     for pts in (rotated.vertices, -rotated.vertices,
@@ -457,7 +427,8 @@ def test_dissection_separates_halves_and_numbers_separators_last(level):
         return (walk(left, edges[(ends[:, 0] == 0) & (ends[:, 1] == 0)])
                 + walk(right, edges[(ends[:, 0] == 1) & (ends[:, 1] == 1)]) + [separator])
 
-    assert np.array_equal(order, np.concatenate(walk(np.arange(v), mesh.edges())))
+    edges = _edge_table(mesh.faces, v)[0]
+    assert np.array_equal(order, np.concatenate(walk(np.arange(v), edges)))
 
 
 @pytest.mark.parametrize("level", [3, 4, 5, 6, 7])
