@@ -5,11 +5,12 @@ Each run's Report writes every file of its output directory: report.json
 (every numeric claim tagged with a stable anchor string) plus the side
 files of its kind.  A config may hold only the fields its kind reads, plus
 seed and level, which --seed and --level set before the one validation;
-flow and covers need level <= 7 and n <= 39.  Exit status: 0 all checks
-pass, 2 a required numeric check failed, 3 the configuration is invalid,
-4 an internal error (traceback on stderr).  Reports are byte-identical
-across reruns with the same config and seeds except for the timestamp
-field.  spherelab reads no environment variable of its own.
+flow, covers and spectrum need n <= 39, flow and covers level <= 7 and a
+spectrum level <= 6.  Exit status: 0 all checks pass, 2 a required numeric
+check failed, 3 the configuration is invalid, 4 an internal error
+(traceback on stderr).  Reports are byte-identical across reruns with the
+same config and seeds except for the timestamp field.  spherelab reads no
+environment variable of its own.
 """
 
 from __future__ import annotations
@@ -49,20 +50,19 @@ INTERNAL_ERRORS = (TypeError, AttributeError, NameError, KeyError, IndexError,
 PINCH_MAX_N = 16                    # the operator is an n^4 array, built several times
 PINCH_MAX_SAMPLES = 1_000_000       # 1.5 s and 63 MB at n = 5
 CENSUS_MAX_PARTITIONS = 5_000_000   # sum of C(N, m) over N_min..N_max, each enumerated
-# the spectrum guards were sized on the full equator pencil, whose blocks grow
-# as n^2.  A level-4, n = 16 run takes 0.5 s and 85 MB, level 4, n = 4,
-# k = 200 2.3 s and 98 MB, and level 5, n = 4 1.0 s and 133 MB
-SPECTRUM_MAX_N = 16
+# a spectrum solves a tangent pencil of 2V rows and a scalar pencil of V rows
+# whatever n is, so its cost is in the level and k; level 7 was not measured.
+# Level 4, n = 39 takes 2.5 s and 93 MB; level 5, n = 16 4.5 s and 147 MB, and
+# n = 39 12.2 s and 182 MB; level 6, n = 3 10.0 s and 369 MB, n = 16 21.4 s
+# and 414 MB, n = 39 51.4 s and 555 MB, n = 3, k = 200 95.9 s and 573 MB, and
+# n = 39, k = 200 (tangent solves of k = 162 and 200) 110.9 s and 589 MB
+SPECTRUM_MAX_LEVEL = 6
 SPECTRUM_MAX_K = 200
-# faces x (n+1)^2 of a level-4, n = SPECTRUM_MAX_N run: the full pencil's
-# Hessian grew with both, about 4x in memory and 6x in time per level.  Level 6
-# admits only n = 3, a run of 5.0 s and 361 MB
-SPECTRUM_MAX_COST = 20 * 4**4 * (SPECTRUM_MAX_N + 1) ** 2
 # a morse run's desk model and predicted counts need n >= 4, and its census of
-# G_3(R^(n+1)) needs n + 1 within topology's size guard.  flow and covers take n
-# up to the same bound, the paper's census range: a flow and a cover run on the
-# map's three live columns, but a flow's start map, each record's map and the
-# padded cover hold V x (n + 1) values
+# G_3(R^(n+1)) needs n + 1 within topology's size guard.  flow, covers and
+# spectrum take n up to the same bound, the paper's census range: a flow and a
+# cover run on the map's three live columns, but a flow's start map, each
+# record's map and the padded cover hold V x (n + 1) values
 MORSE_MAX_N = topology_mod.MAX_N - 1
 # flow and covers each factor one V x V P1 matrix in nested-dissection order: at
 # level 7, 20.5 M nonzeros and 1.2 s for order and factor.  A one-stage
@@ -93,8 +93,8 @@ CONFIG_FIELDS = {
              "start": ((str,), None, False), "max_iterations": (INT, "[1, inf)", False),
              "grad_tol": (NUMBER, POSITIVE, False), "export_mesh": (BOOL, None, False),
              "semicontinuity_experiment": (BOOL, None, False)},
-    "spectrum": {**_EVERY_KIND, "level": (INT, LEVEL, True),
-                 "n": (INT, f"[3, {SPECTRUM_MAX_N}]", True),
+    "spectrum": {**_EVERY_KIND, "level": (INT, f"[0, {SPECTRUM_MAX_LEVEL}]", True),
+                 "n": (INT, f"[3, {MORSE_MAX_N}]", True),
                  "alpha": (NUMBER, "[1, inf)", False),
                  "k": (INT, f"[1, {SPECTRUM_MAX_K}]", False),
                  "tau": (NUMBER, POSITIVE, False), "export_mesh": (BOOL, None, False)},
@@ -137,11 +137,6 @@ def _cross_field_rules(kind, cfg):
             yield (f"fields 'm', 'N_min', 'N_max': the census would enumerate "
                    f"{total} partitions (sum of C(N, m) over N in [N_min, N_max]), "
                    f"more than {CENSUS_MAX_PARTITIONS}")
-    elif kind == "spectrum":
-        cost = 20 * 4 ** cfg["level"] * (cfg["n"] + 1) ** 2
-        if cost > SPECTRUM_MAX_COST:
-            yield (f"fields 'level', 'n': faces x (n+1)^2 = {cost} exceeds "
-                   f"{SPECTRUM_MAX_COST}, the size of a level-4, n = {SPECTRUM_MAX_N} run")
     elif kind == "flow":
         schedule = cfg["alpha_schedule"]
         if not schedule or any(_field_diagnostic("alpha_schedule", a, NUMBER, "[1, inf)")
@@ -403,13 +398,9 @@ def run_flow(cfg, report):
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
         map0 = energy_mod.dilated_equator_map(mesh, n, 0.4, axis=axis)
-    config = flow_mod.FlowConfig(
-        alpha=schedule[0],
-        max_iterations=cfg.get("max_iterations", 4000),
-        grad_tol=cfg.get("grad_tol", 1e-3),
-    )
-    rec0 = flow_mod.descend(map0, config)
-    result = flow_mod.continue_in_alpha(rec0, schedule, config)
+    config = flow_mod.FlowConfig(alpha=schedule[0], **{
+        key: cfg[key] for key in ("max_iterations", "grad_tol") if key in cfg})
+    result = flow_mod.continue_in_alpha(map0, schedule, config)
     # a converged record logs one energy more than steps and directions
     telemetry = [(stage, it, rec.alpha, e_alpha, dn, step, xn, dfx)
                  for stage, rec in enumerate(result.records)
@@ -419,13 +410,13 @@ def run_flow(cfg, report):
                      ("stage", "iteration", "alpha", "alpha_energy", "grad_norm",
                       "step", "direction_norm", "slope"), telemetry)
     report.metric("stages_completed", len(result.records), "flow.stages")
-    # telemetry.csv logs the stages only, not the initial descent
-    report.metric("initial_descent_iterations", rec0.iterations,
-                  "flow.initial_descent_iterations")
-    report.metric("stage_gradient_target", rec0.target, "flow.stage_gradient_target")
     report.check("all_stages_converged", result.succeeded,
                  "flow.continuation_converged")
     if result.records:
+        report.metric("initial_descent_iterations", result.records[0].iterations,
+                      "flow.initial_descent_iterations")
+        report.metric("stage_gradient_target", result.records[0].target,
+                      "flow.stage_gradient_target")
         last = result.records[-1]
         report.write_json("critical_record.json", last.to_json_dict())
         report.metric("final_energy", last.energy, "flow.final_energy")

@@ -36,10 +36,10 @@ from .sphere_mesh import assemble_pencil
 @dataclass
 class FlowConfig:
     alpha: float = 1.1
-    max_iterations: int = 2000
+    max_iterations: int = 4000
     # a descent stops below max(grad_tol * its start gradient norm,
     # grad_tol_abs); continue_in_alpha raises grad_tol_abs to the target of
-    # the record it continues
+    # its stage 0 for every later stage
     grad_tol: float = 1e-3
     grad_tol_abs: float = 0.0
 
@@ -190,46 +190,42 @@ def harmonic_residual(sphere_map: SphereMap) -> float:
     return float(np.sqrt(np.sum(r * z)))
 
 
-def continue_in_alpha(record: CriticalRecord, schedule,
+def continue_in_alpha(map0: SphereMap, schedule,
                       config: FlowConfig = None) -> ContinuationResult:
-    """Warm-started descent along a decreasing alpha schedule.
+    """Warm-started descent along a decreasing alpha schedule, one stage per entry.
 
-    Every stage descends with grad_tol_abs raised to record.target, the
-    gradient norm the record's own descent stopped below, so it stops below
-    max(grad_tol * its own start norm, record.target): a stage whose start
-    already lies below record.target takes no step, rather than pushing a
+    Stage 0 descends from the head of map0 at schedule[0], to
+    max(grad_tol * its start norm, grad_tol_abs).  Every later stage descends
+    with grad_tol_abs raised to stage 0's target, so it stops below
+    max(grad_tol * its own start norm, that target): a stage whose start
+    already lies below the target takes no step, rather than pushing a
     converged map's gradient another factor grad_tol down.
     Every converged stage is recentered so the center-of-mass condition
     holds; the harmonic residual is attached to each record.  On a stage
-    failure the result carries the records so far and the failing index.
-    The head of the record's map is taken once, and every stage descends
-    from a head, which is its own; each record's map is padded back to the
-    record's n.
+    failure, a stagnation or an unconverged descent, stage 0's included,
+    the result carries the records so far and the failing index.  Every
+    stage descends from a head, which is its own; each record's map is
+    padded back to map0.n.
     """
-    schedule = list(schedule)
-    if not schedule:
-        return ContinuationResult(records=[])
-    if not record.converged:
-        raise PreconditionError("continuation requires a converged record")
-    base = config if config is not None else FlowConfig(alpha=schedule[0])
-    n = record.map.n
-    current = head_map(record.map)
+    base = config if config is not None else FlowConfig()
+    current = head_map(map0)
     records = []
+    floor = base.grad_tol_abs
     for stage, alpha in enumerate(schedule):
-        cfg = replace(base, alpha=alpha, grad_tol_abs=max(base.grad_tol_abs, record.target))
         try:
-            rec = descend(current, cfg)
+            rec = descend(current, replace(base, alpha=alpha, grad_tol_abs=floor))
         except StagnationError as exc:
             rec = exc.record
         if not rec.converged:
             return ContinuationResult(records=records, failed_stage=stage)
         current = recenter(rec.map, alpha)
-        rec.map = padded(current, n)
+        rec.map = padded(current, map0.n)
         rec.center_of_mass_norm = float(np.linalg.norm(center_of_mass(current, alpha)))
         rec.energy = dirichlet_energy(current)
         rec.alpha_energy = alpha_energy(current, alpha)
         rec.harmonic_residual = harmonic_residual(current)
         records.append(rec)
+        floor = records[0].target  # at least base.grad_tol_abs, which stage 0 ran with
     return ContinuationResult(records=records)
 
 

@@ -26,9 +26,8 @@ from spherelab.cli import (
     MORSE_MAX_N,
     PINCH_MAX_N,
     PINCH_MAX_SAMPLES,
-    SPECTRUM_MAX_COST,
     SPECTRUM_MAX_K,
-    SPECTRUM_MAX_N,
+    SPECTRUM_MAX_LEVEL,
     main,
     run,
     validate_config,
@@ -112,7 +111,7 @@ def test_validate_rejects_bools(tmp_path, capsys, cfg, field):
      ["samples"]),
     # C(40, 20) ~ 1.4e11 partitions
     ({"kind": "census", "m": 20, "N_min": 40, "N_max": 40}, ["m", "N_min", "N_max"]),
-    ({"kind": "spectrum", "level": 3, "n": SPECTRUM_MAX_N + 1}, ["n"]),
+    ({"kind": "spectrum", "level": 3, "n": MORSE_MAX_N + 1}, ["n"]),
     ({"kind": "spectrum", "level": 3, "n": 4, "k": 0}, ["k"]),
     ({"kind": "spectrum", "level": 3, "n": 4, "k": SPECTRUM_MAX_K + 1}, ["k"]),
     ({"kind": "spectrum", "level": 3, "n": 4, "k": 22.0}, ["k"]),
@@ -121,10 +120,10 @@ def test_validate_rejects_bools(tmp_path, capsys, cfg, field):
     ({"kind": "spectrum", "level": 3, "n": 4, "tau": -1e-3}, ["tau"]),
     ({"kind": "spectrum", "level": 3, "n": 4, "tau": "1e-3"}, ["tau"]),
     ({"kind": "spectrum", "level": 3, "n": 4, "tau": True}, ["tau"]),
-    # faces x (n+1)^2 above a level-4, n = 16 run
-    ({"kind": "spectrum", "level": 5, "n": 8}, ["level", "n"]),
-    ({"kind": "spectrum", "level": 6, "n": 4}, ["level", "n"]),
-    ({"kind": "spectrum", "level": 8, "n": 3}, ["level", "n"]),
+    # a spectrum's cost is in its level, not in n: level 7 was not measured
+    ({"kind": "spectrum", "level": SPECTRUM_MAX_LEVEL + 1, "n": 3}, ["level"]),
+    ({"kind": "spectrum", "level": 8, "n": 3}, ["level"]),
+    ({"kind": "spectrum", "level": SPECTRUM_MAX_LEVEL, "n": MORSE_MAX_N + 1}, ["n"]),
     # collapses to a constant map, which cannot be recentered
     ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2],
       "start": "perturbed_constant"}, ["start"]),
@@ -185,20 +184,28 @@ def test_validate_cost_guards(tmp_path, capsys, cfg, fields):
     assert all(f"'{f}'" in err for f in fields)
 
 
-def test_cost_guards_admit_their_bounds():
+def test_cost_guards_admit_their_bounds(tmp_path):
     assert validate_config({"kind": "pinch", "delta": 0.5,
                             "samples": PINCH_MAX_SAMPLES, "n": PINCH_MAX_N}) == []
     # sum of C(N, 4) for N = 5..47 is C(48, 5) - 1 = 1712303; N_max stays <= 40
     total = sum(math.comb(N, 4) for N in range(5, 41))
     assert total <= CENSUS_MAX_PARTITIONS
     assert validate_config({"kind": "census", "m": 4, "N_min": 5, "N_max": 40}) == []
-    assert validate_config({"kind": "spectrum", "level": 4, "n": SPECTRUM_MAX_N,
+    assert validate_config({"kind": "spectrum", "level": 4, "n": 16,
                             "k": SPECTRUM_MAX_K, "tau": 1e-6}) == []
     assert validate_config({"kind": "spectrum", "level": 4, "n": 3, "k": 1,
                             "tau": 2}) == []
-    assert 20 * 4**4 * (SPECTRUM_MAX_N + 1) ** 2 == SPECTRUM_MAX_COST
-    assert validate_config({"kind": "spectrum", "level": 5, "n": 7}) == []
-    assert validate_config({"kind": "spectrum", "level": 6, "n": 3}) == []
+    # refused by the bound on faces x (n+1)^2 that the full pencil needed
+    assert validate_config({"kind": "spectrum", "level": 5, "n": 8}) == []
+    assert validate_config({"kind": "spectrum", "level": 6, "n": 4}) == []
+    assert SPECTRUM_MAX_LEVEL == 6
+    assert validate_config({"kind": "spectrum", "level": 5, "n": 16}) == []
+    assert validate_config({"kind": "spectrum", "level": SPECTRUM_MAX_LEVEL,
+                            "n": MORSE_MAX_N, "k": SPECTRUM_MAX_K}) == []
+    # the accepted side at n = 39, run at a small level
+    out = str(tmp_path / "spectrum")
+    assert run({"kind": "spectrum", "level": 2, "n": MORSE_MAX_N}, out) == EXIT_OK
+    assert read_report(out)["metrics"]["index"]["value"] == MORSE_MAX_N - 2
     assert FACTORED_MAX_LEVEL == 7
     assert validate_config({"kind": "flow", "level": 7, "n": 4,
                             "alpha_schedule": [1.2]}) == []
@@ -528,8 +535,8 @@ def test_export_mesh_writes_exactly_the_kinds_files(tmp_path, kind):
 
 
 def test_flow_report_counts_the_initial_descent(tmp_path):
-    # telemetry.csv and records.csv list the continuation stages only; the
-    # report gives the initial descent's iterations and the stages' target
+    # the initial descent is stage 0 of telemetry.csv and records.csv; the
+    # report gives its iterations and the target of every stage
     cfg = {"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2, 1.1, 1.05],
            "seed": 1, "start": "distorted_equator"}
     out = str(tmp_path / "out")
@@ -544,7 +551,24 @@ def test_flow_report_counts_the_initial_descent(tmp_path):
     with open(os.path.join(out, "telemetry.csv"), newline="") as fh:
         telemetry = list(csv.DictReader(fh))
     assert len(records) == 3 and all(float(r["grad_norm"]) <= target for r in records)
-    assert len(telemetry) == sum(int(r["iterations"]) for r in records)
+    rows_per_stage = [sum(row["stage"] == str(stage) for row in telemetry)
+                      for stage in range(len(records))]
+    assert rows_per_stage == [int(r["iterations"]) for r in records]
+    assert len(telemetry) == sum(rows_per_stage)
+    assert rows_per_stage[0] == metrics["initial_descent_iterations"]["value"] > 0
+
+
+def test_flow_whose_first_descent_fails_writes_its_report(tmp_path):
+    # one iteration cannot bring the distorted equator to its target: the
+    # first descent is stage 0, and its failure is a failed stage
+    cfg = {"kind": "flow", "level": 2, "n": 4, "alpha_schedule": [1.2],
+           "max_iterations": 1, "seed": 1}
+    out = str(tmp_path / "out")
+    assert run(cfg, out) == EXIT_NUMERIC
+    report = read_report(out)
+    assert not next(c["passed"] for c in report["checks"]
+                    if c["name"] == "all_stages_converged")
+    assert report["metrics"]["stages_completed"]["value"] == 0
 
 
 def test_no_cli_run_builds_the_full_pencil(tmp_path, monkeypatch):

@@ -17,9 +17,8 @@ from spherelab.cli import (
     MORSE_MAX_N,
     PINCH_MAX_N,
     PINCH_MAX_SAMPLES,
-    SPECTRUM_MAX_COST,
     SPECTRUM_MAX_K,
-    SPECTRUM_MAX_N,
+    SPECTRUM_MAX_LEVEL,
     validate_config,
 )
 
@@ -38,8 +37,9 @@ BASES = {
     "census": [{"m": 3, "N_min": 5, "N_max": 9}, {"m": 5, "N_min": 7, "N_max": 40}],
     "flow": [{"level": FACTORED_MAX_LEVEL, "n": 4, "alpha_schedule": [1.2, 1.1]},
              {"level": FACTORED_MAX_LEVEL, "n": MORSE_MAX_N, "alpha_schedule": [1.2]}],
-    "spectrum": [{"level": 4, "n": SPECTRUM_MAX_N}, {"level": 5, "n": 7},
-                 {"level": 6, "n": 3}],
+    "spectrum": [{"level": SPECTRUM_MAX_LEVEL, "n": MORSE_MAX_N},
+                 {"level": SPECTRUM_MAX_LEVEL, "n": 3, "k": SPECTRUM_MAX_K},
+                 {"level": 5, "n": 16}],
     "covers": [{"level": FACTORED_MAX_LEVEL, "n": 4, "degree": 2},
                {"level": FACTORED_MAX_LEVEL, "n": MORSE_MAX_N, "degree": 6}],
     "pinch": [{"delta": 1, "samples": PINCH_MAX_SAMPLES, "n": PINCH_MAX_N}],
@@ -47,7 +47,7 @@ BASES = {
 }
 # each numeric field's bounds, stated apart from the field table
 FIELD_BOUNDS = {
-    "seed": [0], "level": [0, FACTORED_MAX_LEVEL, 8], "n": [2, 3, 4, PINCH_MAX_N, MORSE_MAX_N],
+    "seed": [0], "level": [0, SPECTRUM_MAX_LEVEL, FACTORED_MAX_LEVEL, 8], "n": [2, 3, 4, PINCH_MAX_N, MORSE_MAX_N],
     "m": [1, 5], "N_min": [2, 7], "N_max": [topology_mod.MAX_N], "max_iterations": [1],
     "k": [1, SPECTRUM_MAX_K], "degree": [1, 6], "samples": [1, PINCH_MAX_SAMPLES],
     "grad_tol": [0], "tau": [0], "alpha": [1], "delta": [0, 1],
@@ -115,7 +115,8 @@ def assert_contract(cfg):
         assert 1 <= m < n_min <= n_max <= topology_mod.MAX_N
         assert sum(math.comb(N, m) for N in range(n_min, n_max + 1)) <= CENSUS_MAX_PARTITIONS
     elif kind == "spectrum":
-        assert 20 * 4 ** cfg["level"] * (cfg["n"] + 1) ** 2 <= SPECTRUM_MAX_COST
+        assert 0 <= cfg["level"] <= SPECTRUM_MAX_LEVEL and 3 <= cfg["n"] <= MORSE_MAX_N
+        assert 1 <= cfg.get("k", 1) <= SPECTRUM_MAX_K
     elif kind in ("flow", "covers"):
         assert 0 <= cfg["level"] <= FACTORED_MAX_LEVEL
         assert {"flow": 2, "covers": 3}[kind] <= cfg["n"] <= MORSE_MAX_N

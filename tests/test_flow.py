@@ -22,7 +22,6 @@ from spherelab.energy import (
 from spherelab.errors import PreconditionError
 from spherelab.flow import (
     ContinuationResult,
-    CriticalRecord,
     FlowConfig,
     continue_in_alpha,
     descend,
@@ -152,8 +151,8 @@ def test_stagnation_carries_last_record():
 
 def test_descend_runs_the_energy_kernel_once_per_map(mesh3, monkeypatch):
     # a map keeps its integrals q: the start map, every Armijo trial and
-    # every recentering resample runs the kernel once, and the gradients,
-    # records, centers of mass and the next stage read the kept q
+    # every recentering resample of a flow runs the kernel once, and the
+    # gradients, records, centers of mass and the next stage read the kept q
     monkeypatch.setattr(sphere_mesh, "FACE_BLOCK", 300)  # five blocks at level 3
     maps = {}  # id -> map; holding every map keeps the ids distinct
     calls = {"blocks": 0, "resamples": 0}
@@ -177,17 +176,20 @@ def test_descend_runs_the_energy_kernel_once_per_map(mesh3, monkeypatch):
     alpha = 1.2
     config = FlowConfig(alpha=alpha, grad_tol=1e-2, max_iterations=200)
     f0 = dilated_equator_map(mesh3, 4, 0.3, axis=np.array([0.36, 0.48, 0.8]))
-    rec = descend(f0, config)
-    result = continue_in_alpha(rec, [1.1, 1.05], config)
+    result = continue_in_alpha(f0, [alpha, 1.1, 1.05], config)
     assert result.succeeded
     assert calls["resamples"] >= 1  # recentering resampled the map
-    assert len(maps) > rec.iterations + calls["resamples"]
+    assert len(maps) > result.records[0].iterations + calls["resamples"]
     assert calls["blocks"] == 5 * len(maps)
     # no map was evaluated twice under another identity either
     assert len({m.values.tobytes() for m in maps.values()}) == len(maps)
     monkeypatch.undo()
     # the kept values carry the bits of a fresh evaluation of the head, the
-    # map the flow ran on
+    # map the descent ran on; stage 0 is that descent, and its grad_norm is
+    # that of its map before recentering
+    rec = descend(f0, config)
+    assert (rec.iterations, rec.grad_norm) == (result.records[0].iterations,
+                                               result.records[0].grad_norm)
     assert rec.map.n == 4
     fresh = head_map(rec.map.copy())
     assert fresh.n == 2
@@ -212,8 +214,7 @@ def test_flow_on_live_columns_is_exact(mesh3):
     f6 = energy.SphereMap(mesh3, 6, np.hstack([f2.values, zeros]))
     runs = []
     for f0 in (f2, f6):
-        rec = descend(f0, config)
-        runs.append([rec] + continue_in_alpha(rec, [1.1, 1.05], config).records)
+        runs.append(continue_in_alpha(f0, [1.2, 1.1, 1.05], config).records)
     assert [len(run) for run in runs] == [3, 3]
     for want, got in zip(*runs):
         assert (got.alpha, got.iterations, got.converged) == (want.alpha, want.iterations,
@@ -254,8 +255,7 @@ def test_continuation_from_equator(mesh3):
     start_grad = alpha_energy_gradient(equator_map(mesh3, 4), 1.2).norm()
     config = FlowConfig(alpha=1.2, grad_tol=0.9, grad_tol_abs=3.0 * start_grad,
                         max_iterations=200)
-    rec0 = descend(equator_map(mesh3, 4), config)
-    result = continue_in_alpha(rec0, [1.2, 1.1, 1.05, 1.01], config)
+    result = continue_in_alpha(equator_map(mesh3, 4), [1.2, 1.1, 1.05, 1.01], config)
     assert result.succeeded
     energies = [rec.energy for rec in result.records]
     assert all(abs(e - energies[0]) <= 0.01 * energies[0] for e in energies)
@@ -269,8 +269,7 @@ def test_continuation_reaches_harmonic_limit(mesh3, rng):
     axis /= np.linalg.norm(axis)
     f0 = dilated_equator_map(mesh3, 4, 0.4, axis=axis)
     config = FlowConfig(alpha=1.2, grad_tol=1e-3, max_iterations=4000)
-    rec0 = descend(f0, config)
-    result = continue_in_alpha(rec0, [1.1, 1.05, 1.01], config)
+    result = continue_in_alpha(f0, [1.2, 1.1, 1.05, 1.01], config)
     assert result.succeeded
     reference = harmonic_residual(equator_map(mesh3, 4))
     assert result.records[-1].harmonic_residual <= 10.0 * reference
@@ -287,10 +286,9 @@ def test_level5_continuation_completes_schedule(seed):
     f0 = dilated_equator_map(build_icosphere(5), 4, 0.4, axis=axis)
     schedule = [1.2, 1.1, 1.05]
     config = FlowConfig(alpha=schedule[0], max_iterations=4000)
-    rec0 = descend(f0, config)
-    result = continue_in_alpha(rec0, schedule, config)
+    result = continue_in_alpha(f0, schedule, config)
     assert result.succeeded and len(result.records) == len(schedule)
-    assert all(rec.grad_norm <= rec0.target for rec in result.records)
+    assert all(rec.grad_norm <= result.records[0].target for rec in result.records)
 
 
 def _start_gradient_norm(sphere_map, alpha):
@@ -298,46 +296,41 @@ def _start_gradient_norm(sphere_map, alpha):
 
 
 def test_stage_at_the_records_alpha_takes_no_step():
-    # the level-5, seed-1 flow of `spherelab flow`: its stage 0 repeats the
-    # initial descent's alpha from the converged map, which already lies
-    # below the target; a target of grad_tol times the stage's own start
-    # norm took 14 more iterations there
+    # the level-5, seed-1 flow of `spherelab flow`: a stage 1 that repeats
+    # stage 0's alpha starts from the converged, recentered map, which
+    # already lies below stage 0's target; a target of grad_tol times the
+    # stage's own start norm took 14 more iterations there
     rng = np.random.default_rng(1)
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     f0 = dilated_equator_map(build_icosphere(5), 4, 0.4, axis=axis)
     config = FlowConfig(alpha=1.2, max_iterations=4000)
-    rec0 = descend(f0, config)
-    assert rec0.converged and rec0.iterations > 0
-    assert rec0.target == config.grad_tol * _start_gradient_norm(f0, 1.2)
-    stage = continue_in_alpha(rec0, [1.2], config).records[0]
-    assert stage.iterations == 0 and stage.target == rec0.target
-    assert stage.grad_norm <= rec0.target
+    first, stage = continue_in_alpha(f0, [1.2, 1.2], config).records
+    assert first.converged and first.iterations > 0
+    assert first.target == config.grad_tol * _start_gradient_norm(f0, 1.2)
+    assert stage.iterations == 0 and stage.target == first.target
+    assert stage.grad_norm <= first.target
 
 
 def test_stage_far_in_alpha_still_descends(mesh3):
-    # moved from alpha 1.2 to 1.01, the converged map starts above the
-    # record's target, and the stage descends to max(grad_tol * its own
-    # start norm, record's target)
+    # moved from alpha 1.2 to 1.01, stage 0's converged, recentered map
+    # starts above stage 0's target, and stage 1 descends to
+    # max(grad_tol * its own start norm, stage 0's target)
     rng = np.random.default_rng(1)
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     config = FlowConfig(alpha=1.2, max_iterations=4000)
-    rec0 = descend(dilated_equator_map(mesh3, 4, 0.4, axis=axis), config)
-    start = _start_gradient_norm(rec0.map, 1.01)
-    assert start > rec0.target
-    stage = continue_in_alpha(rec0, [1.01], config).records[0]
+    first, stage = continue_in_alpha(dilated_equator_map(mesh3, 4, 0.4, axis=axis),
+                                     [1.2, 1.01], config).records
+    start = _start_gradient_norm(first.map, 1.01)
+    assert start > first.target
     assert stage.converged and stage.iterations >= 1
-    assert stage.target == max(config.grad_tol * start, rec0.target)
+    assert stage.target == max(config.grad_tol * start, first.target)
     assert stage.grad_norm <= stage.target
 
 
 def test_continuation_empty_schedule(mesh2):
-    record = CriticalRecord(
-        map=equator_map(mesh2, 4), alpha=1.1, energy=1.0, alpha_energy=1.0,
-        grad_norm=0.0, iterations=0, center_of_mass_norm=0.0, converged=True,
-    )
-    result = continue_in_alpha(record, [])
+    result = continue_in_alpha(equator_map(mesh2, 4), [])
     assert isinstance(result, ContinuationResult)
     assert result.records == [] and result.succeeded
 

@@ -36,7 +36,7 @@ from spherelab.energy import (
     random_tangent_field,
 )
 from spherelab.errors import DegenerateElementsError, PreconditionError
-from spherelab.flow import FlowConfig, continue_in_alpha, descend
+from spherelab.flow import FlowConfig, continue_in_alpha
 from spherelab.spectrum import (
     CutoffProfile,
     assemble_second_variation,
@@ -310,7 +310,7 @@ def flow_stage_maps(mesh3, mesh4):
     for level, mesh in ((3, mesh3), (4, mesh4)):
         f0 = dilated_equator_map(mesh, 2, 0.4, axis=np.array([0.36, 0.48, 0.8]))
         config = FlowConfig(alpha=1.2)
-        result = continue_in_alpha(descend(f0, config), [1.2, 1.05], config)
+        result = continue_in_alpha(f0, [1.2, 1.05], config)
         assert result.succeeded
         maps.update({(level, rec.alpha): rec.map for rec in result.records})
     return maps
