@@ -153,10 +153,21 @@ def head_map(sphere_map: SphereMap) -> SphereMap:
         values, m = sphere_map.values, sphere_map.n
         while m > 2 and not values[:, m].any():
             m -= 1
-        head = _OWN_HEAD if m == sphere_map.n else SphereMap(sphere_map.mesh, m,
-                                                                values[:, :m + 1])
+        head = _OWN_HEAD if m == sphere_map.n else _column_view(sphere_map, m)
         object.__setattr__(sphere_map, "_head", head)
     return sphere_map if head is _OWN_HEAD else head
+
+
+def _column_view(sphere_map: SphereMap, m: int) -> SphereMap:
+    """The map into S^m on the columns 0 .. m of sphere_map's values, a view.
+
+    It skips SphereMap's checks: the columns dropped are zero, so the rows
+    keep the unit norms that sphere_map's own check read.
+    """
+    head = object.__new__(SphereMap)
+    head.__dict__.update(mesh=sphere_map.mesh, n=m, values=sphere_map.values[:, :m + 1],
+                         _integrals=None, _head=None)
+    return head
 
 
 def padded(head: SphereMap, n: int) -> SphereMap:
@@ -181,15 +192,19 @@ def project_tangent(sphere_map: SphereMap, field_values: np.ndarray) -> TangentF
     live columns in column order (sphere_mesh._row_dots), which is the
     order of the full rows with the dead columns' zeros left out.
     """
-    field_values = np.asarray(field_values, dtype=float)
+    return _project_owned(sphere_map, np.asarray(field_values, dtype=float).copy())
+
+
+def _project_owned(sphere_map: SphereMap, field_values: np.ndarray) -> TangentField:
+    """project_tangent of a float array the caller owns and gives up: it is
+    projected in place and becomes the field's values."""
     if field_values.shape != sphere_map.values.shape:
         raise PreconditionError("field shape does not match the map")
     head = head_map(sphere_map).values
     live = head.shape[1]
     dots = _row_dots(field_values[:, :live], head)
-    out = field_values.copy()
-    out[:, :live] -= dots[:, None] * head
-    return TangentField(sphere_map, out)
+    field_values[:, :live] -= dots[:, None] * head
+    return TangentField(sphere_map, field_values)
 
 
 def random_tangent_field(sphere_map: SphereMap, rng) -> TangentField:
@@ -202,10 +217,13 @@ def dilated_equator_map(mesh: SphereMesh, n: int, t: float, axis="z") -> SphereM
     The dilation is applied analytically to the vertex positions before
     sampling, so no interpolation error enters.
     """
-    pts = dilate_points(mesh.vertices, t, axis=axis)
+    # the padded array is allocated before the dilation's temporaries: in the
+    # other order the heap layout raises the level-8 bubble path's peak RSS by
+    # about 3 MB.  The rows are normalized before padding: zero columns add
+    # nothing to their norms
     vals = np.zeros((mesh.vertex_count, n + 1))
-    vals[:, :3] = pts
-    return SphereMap(mesh, n, normalize_rows(vals))
+    vals[:, :3] = normalize_rows(dilate_points(mesh.vertices, t, axis=axis))
+    return SphereMap(mesh, n, vals)
 
 
 # -- densities and energies ---------------------------------------------------
@@ -331,7 +349,7 @@ def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray
 
 
 def alpha_energy_gradient(sphere_map: SphereMap, alpha: float) -> TangentField:
-    return project_tangent(sphere_map, alpha_energy_raw_gradient(sphere_map, alpha))
+    return _project_owned(sphere_map, alpha_energy_raw_gradient(sphere_map, alpha))
 
 
 # -- the center-of-mass weight function --------------------------------------

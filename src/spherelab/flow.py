@@ -16,8 +16,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import sphere_mesh
 from .energy import (
     SphereMap,
+    _project_owned,
     alpha_energy,
     alpha_energy_gradient,
     center_of_mass,
@@ -26,11 +28,9 @@ from .energy import (
     head_map,
     normalize_rows,
     padded,
-    project_tangent,
     recenter,
 )
 from .errors import PreconditionError, StagnationError
-from .sphere_mesh import assemble_pencil
 
 
 @dataclass
@@ -148,7 +148,7 @@ def descend(map0: SphereMap, config: FlowConfig) -> CriticalRecord:
         )
 
     while grad_norm > target and iterations < config.max_iterations:
-        direction = project_tangent(f, f.mesh.solve_stiff_plus_mass(grad)).values
+        direction = _project_owned(f, f.mesh.solve_stiff_plus_mass(grad)).values
         slope = float(np.sum(grad * direction))
         if slope <= 0:
             direction, slope = grad, grad_norm**2
@@ -184,8 +184,8 @@ def harmonic_residual(sphere_map: SphereMap) -> float:
     and measures the result in the inverse-mass inner product, which is
     the L2 norm of the discrete Laplacian's tangential part.
     """
-    pencil = assemble_pencil(sphere_map.mesh)
-    r = project_tangent(sphere_map, pencil.K @ sphere_map.values).values
+    pencil = sphere_mesh.assemble_pencil(sphere_map.mesh)
+    r = _project_owned(sphere_map, pencil.K @ sphere_map.values).values
     z = sphere_map.mesh.solve_mass(r)
     return float(np.sqrt(np.sum(r * z)))
 
@@ -241,7 +241,9 @@ def detect_concentration(sphere_map: SphereMap, epsilon_su: float,
     and claims the one holding the most; only balls with more than
     ``epsilon_su`` Dirichlet energy are reported, as {center, local_energy}
     dicts sorted by energy.  A density bound certifies termination without
-    scanning every center.
+    scanning every center.  The ball test runs in slices of
+    sphere_mesh.FACE_BLOCK faces, so its temporaries do not grow with the
+    mesh.
     """
     if not 0.0 < radius < np.pi / 2.0:
         raise PreconditionError("radius must lie in (0, pi/2)")
@@ -253,11 +255,10 @@ def detect_concentration(sphere_map: SphereMap, epsilon_su: float,
     k = min(64, mesh.vertex_count)
     detections = []
     for _ in range(64):  # energy/epsilon bounds the count long before this
-        active = remaining > 0
-        if not np.any(active):
+        if not np.any(remaining > 0):
             break
-        density = np.where(active, remaining / mesh.face_areas, 0.0)
-        if float(np.max(density)) * ball_area <= epsilon_su:
+        # some face's density is positive, so the max needs no mask
+        if float(np.max(remaining / mesh.face_areas)) * ball_area <= epsilon_su:
             break  # no ball can reach the threshold
         seed_face = int(np.argmax(remaining))
         seed = centroids[seed_face]
@@ -272,8 +273,13 @@ def detect_concentration(sphere_map: SphereMap, epsilon_su: float,
         # and the 1e-9 slack covers the rounding of that dot-product form
         reach = dist.max() + chordal + 1e-9
         near = np.flatnonzero(centroids @ seed >= 1.0 - 0.5 * reach * reach)
-        d = centroids[near, None, :] - centers[None, :, :]
-        members = np.sqrt(np.einsum("fvc,fvc->fv", d, d)) <= chordal + 1e-12
+        # the (faces, k, 3) differences of the whole region would set the
+        # process's peak memory, so the ball test runs FACE_BLOCK faces at a time
+        members = np.empty((len(near), k), dtype=bool)
+        for start in range(0, len(near), sphere_mesh.FACE_BLOCK):
+            rows = slice(start, start + sphere_mesh.FACE_BLOCK)
+            d = centroids[near[rows], None, :] - centers[None, :, :]
+            members[rows] = np.sqrt(np.einsum("fvc,fvc->fv", d, d)) <= chordal + 1e-12
         local = remaining[near] @ members
         best = int(np.argmax(local))  # the nearest of equal balls
         best_energy = float(local[best])

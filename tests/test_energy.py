@@ -172,7 +172,27 @@ def test_tangent_field_refuses_nonfinite_dead_columns(mesh2, bad):
         TangentField(base, values)
 
 
+def test_project_tangent_leaves_its_input_unchanged(mesh2, rng):
+    f = random_map(mesh2, 4, rng)
+    field = rng.standard_normal(f.values.shape)
+    before = field.copy()
+    out = project_tangent(f, field)
+    assert np.array_equal(field, before)
+    assert not np.shares_memory(out.values, field)
+
+
 # -- gradients ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.05])
+def test_gradient_is_the_projected_raw_gradient(mesh3, alpha):
+    # the gradient projects the raw gradient it owns in place, with the bits
+    # of project_tangent's copy; maps with and without dead columns
+    rng = np.random.default_rng(3)
+    for f in (random_map(mesh3, 4, rng), equator_map(mesh3, 6),
+              dilated_equator_map(mesh3, 4, 0.4)):
+        want = project_tangent(f, alpha_energy_raw_gradient(f, alpha)).values
+        assert np.array_equal(alpha_energy_gradient(f, alpha).values, want)
 
 
 def test_gradient_constant_map(mesh3):
@@ -597,6 +617,17 @@ def test_recenter_constant_rejected(mesh3):
 
 
 # -- domain dilations and sampling ---------------------------------------------------
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z", (0.6, -0.48, 0.64)])
+def test_dilated_equator_map_normalizes_the_padded_rows(mesh3, axis):
+    # the dilated points are normalized before padding: trailing zeros add
+    # nothing to a row's norm, so the bits are those of the padded rows
+    axis = axis if isinstance(axis, str) else np.array(axis)
+    rows = np.zeros((mesh3.vertex_count, 5))
+    rows[:, :3] = dilate_points(mesh3.vertices, 0.7, axis=axis)
+    assert np.array_equal(dilated_equator_map(mesh3, 4, 0.7, axis=axis).values,
+                          normalize_rows(rows))
 
 
 def test_dilate_points_fixes_poles():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from spherelab.energy import (
     head_map,
     padded,
     perturbed_constant_map,
+    project_tangent,
     random_map,
 )
 from spherelab.errors import PreconditionError
@@ -28,7 +30,6 @@ from spherelab.flow import (
     detect_concentration,
     harmonic_residual,
     index_semicontinuity_report,
-    project_tangent,
 )
 from spherelab.spectrum import (assemble_second_variation, calibrate_tau,
                                 morse_index_nullity)
@@ -458,7 +459,7 @@ def detect_concentration_kdtree(sphere_map, epsilon_su, radius):
     (6, 3.0, "z", 1),  # every one of the 64 rounds runs, most drop their seed
     (5, 2.0, (0.6, -0.48, 0.64), 4),  # the seed is not at a pole
 ])
-def test_detect_concentration_matches_kdtree_loop(level, t, axis, count):
+def test_detect_concentration_matches_kdtree_loop(level, t, axis, count, monkeypatch):
     axis = axis if isinstance(axis, str) else np.array(axis)
     f = dilated_equator_map(build_icosphere(level), 4, t, axis=axis)
     got = detect_concentration(f, 1.0, 0.2)
@@ -467,6 +468,55 @@ def test_detect_concentration_matches_kdtree_loop(level, t, axis, count):
     for g, w in zip(got, want):
         assert np.array_equal(g["center"], w["center"])
         assert g["local_energy"] == pytest.approx(w["local_energy"], rel=1e-12, abs=0)
+    # again with the ball test in blocks of 97 faces, which splits a round's
+    # region into several blocks: the membership bits, and so the detections,
+    # are those of the default block
+    rows = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        if subscripts == "fvc,fvc->fv":
+            rows.append(len(operands[0]))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    monkeypatch.setattr(sphere_mesh, "FACE_BLOCK", 97)
+    blocked = detect_concentration(f, 1.0, 0.2)
+    monkeypatch.undo()
+    blocks, per_region = 0, []
+    for r in rows:  # a region ends with a block of fewer than 97 faces
+        blocks += 1
+        if r < 97:
+            per_region.append(blocks)
+            blocks = 0
+    assert max(rows) == 97 and max(per_region) > 1
+    assert len(blocked) == count
+    for b, g in zip(blocked, got):
+        assert np.array_equal(b["center"], g["center"])
+        assert b["local_energy"] == g["local_energy"]
+
+
+def test_bubble_path_transients_stay_bounded():
+    # criterion 8's throwaway arrays, on the level-7 mesh: the ball test runs
+    # in FACE_BLOCK slices instead of one (|near|, 64, 3) difference array,
+    # and the gradient projects the raw gradient it owns in place instead of
+    # a copy.  The face energies and centroids are built before tracing.
+    mesh = build_icosphere(7)
+    f = dilated_equator_map(mesh, 4, 5.0, axis="z")
+    dirichlet_energy(f)
+    mesh.face_centroids
+    peaks = []
+    for call in (lambda: alpha_energy_gradient(f, 1.05),
+                 lambda: detect_concentration(f, 1.0, 0.2)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    gradient_peak, detection_peak = peaks
+    assert gradient_peak <= 2.4 * f.values.nbytes  # the scatter and its transpose
+    assert detection_peak <= 6.5 * mesh.face_count * 8  # 6.5 float64 per face
 
 
 def test_detection_radius_guard(mesh2):
