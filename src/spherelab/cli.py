@@ -197,6 +197,11 @@ def load_config(path: str, overrides=None) -> dict:
 
 # -- report helpers -----------------------------------------------------------------
 
+def _json_value(value):
+    """value, or None for a float that is not finite: JSON has no NaN."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 class Report:
     """A run's report.json and the side files of its kind, in one output directory."""
 
@@ -212,12 +217,12 @@ class Report:
         }
 
     def metric(self, name, value, anchor):
-        self.doc["metrics"][name] = {"value": value, "anchor": anchor}
+        self.doc["metrics"][name] = {"value": _json_value(value), "anchor": anchor}
 
     def check(self, name, passed, anchor, value=None, bound=None):
         # the report schema keeps "required"; every check is required
         self.doc["checks"].append(dict(name=name, passed=bool(passed), anchor=anchor,
-                                       value=value, bound=bound, required=True))
+                                       value=_json_value(value), bound=bound, required=True))
 
     @property
     def all_passed(self):
@@ -308,7 +313,9 @@ def run_covers(cfg, report):
     h = covers_mod.EquatorTargetMap(n)
     # the padded cover is dropped: its live columns are all that is read
     f = energy_mod.head_map(covers_mod.compose_cover(h, g, mesh))
-    # a double cover's normal index needs k = 16; lambda1 reads the same batch
+    # a double cover's normal index needs k = 16; lambda1 reads the same batch.
+    # A NaN lambda1 (no nonzero value in the batch) is written as null and
+    # fails every check that reads it.
     res = covers_mod.induced_metric_lambda1(f, k=16 if degree == 2 else 8)
     # after the eigensolve, so the map's face integrals are not alive at its peak
     energy = energy_mod.dirichlet_energy(f)
@@ -338,6 +345,7 @@ def run_covers(cfg, report):
     report.check("riemann_hurwitz", total_mult == 2 * degree - 2,
                  "covers.total_branching", value=total_mult,
                  bound=2 * degree - 2)
+    report.check("eigensolver_converged", res.converged, "covers.solver_converged")
     report.write_json("rational_map.json", g.to_json_dict())
     return mesh
 

@@ -4,13 +4,14 @@ The Hessian is the exact second derivative of the discrete alpha-energy on
 the tangent space of the unit-sphere constraint.  Every pencil is built from
 two parts made once per map: the scalar Hessian A = K_w - diag(lambda), the
 weighted stiffness less the constraint's multiplier, and for alpha > 1 the
-face rows S.  In per-vertex orthonormal tangent or normal frames F it is
+face rows S.  In per-vertex orthonormal tangent frames F it is
 (A (x) F + (S F)^T (S F), M (x) F), built by _framed_pencil; the ambient
 Hessian is its H in identity frames, kron(A, I) + S^T S.
-Pencils are solved by shift-invert Lanczos on SphereMesh.factor, from a fixed v0.
+Every symmetric pencil, the pulled-back Laplacian of covers included, is
+solved by pencil_eigenvalues: shift-invert Lanczos on SphereMesh.factor.
 Every index solve is split_spectrum: the coordinates a map leaves zero split
-off as copies of the scalar pencil (A, M).  Only normal_second_variation and
-the tests build the full pencil of size nV.
+off as copies of the scalar pencil (A, M).  Only the tests build the full
+pencil of size nV.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigs, eigsh
 
-from .energy import (SphereMap, _face_blocks, element_density_area_one, equator_map,
-                     head_map, project_tangent)
-from .errors import DegenerateElementsError, PreconditionError
+from .energy import SphereMap, element_density_area_one, equator_map, head_map, project_tangent
+from .errors import PreconditionError
 from .sphere_mesh import (FOUR_PI, MASS_LOCAL, SphereMesh, assemble_faces,
                           assemble_pencil)
 
@@ -169,46 +169,15 @@ def constrained_hessian(sphere_map: SphereMap, alpha: float) -> sp.csr_matrix:
                            np.broadcast_to(np.eye(C), (V, C, C)))
 
 
-def _leading_frames(X: np.ndarray, d: int):
-    """(frames, singular values): the d leading right singular vectors of each
-    (C, C) matrix of X (V, C, C), as the columns of per-vertex orthonormal
-    frames (V, C, d), and their (V, d) singular values."""
-    _, svals, vt = np.linalg.svd(X)
-    return vt[:, :d].transpose(0, 2, 1), svals[:, :d]
-
-
 def _tangent_frames(sphere_map: SphereMap) -> np.ndarray:
-    """Orthonormal bases of the per-vertex tangent spaces, shape (V, C, C-1)."""
+    """Orthonormal bases of the per-vertex tangent spaces, shape (V, C, C-1):
+    the C - 1 leading right singular vectors of each tangent projector."""
     vals = sphere_map.values
     C = vals.shape[1]
-    frames, svals = _leading_frames(np.eye(C) - vals[:, :, None] * vals[:, None, :], C - 1)
-    if np.min(svals) < 0.5:
+    _, svals, vt = np.linalg.svd(np.eye(C) - vals[:, :, None] * vals[:, None, :])
+    if np.min(svals[:, :C - 1]) < 0.5:
         raise PreconditionError("tangent projector unexpectedly degenerate")
-    return frames
-
-
-def _image_tangent_planes(sphere_map: SphereMap):
-    """Per-vertex sums of each face's area times the projector onto its image
-    plane: ((V, C, C), degenerate faces).  The image edges from corner a,
-    -d0 and d2, come from the energy's face walk (energy._face_blocks); each
-    block is orthonormalized and added in by SphereMesh.scatter_corners."""
-    mesh = sphere_map.mesh
-    C = sphere_map.n + 1
-    acc = np.zeros((C * C, mesh.vertex_count))
-    degenerate = np.empty(mesh.face_count, dtype=bool)
-    for faces, d, _ in _face_blocks(sphere_map):
-        e1, e2 = -d[:, 0], d[:, 2]
-        n1 = np.linalg.norm(e1, axis=0)
-        bad = n1 < 1e-12
-        u1 = np.where(bad, 0.0, e1 / np.where(bad, 1.0, n1))
-        e2p = e2 - np.einsum("cb,cb->b", e2, u1) * u1
-        n2 = np.linalg.norm(e2p, axis=0)
-        bad |= n2 < 1e-12
-        u2 = np.where(bad, 0.0, e2p / np.where(bad, 1.0, n2))
-        degenerate[faces] = bad
-        proj = u1[:, None] * u1 + u2[:, None] * u2  # (C, C, B)
-        mesh.scatter_corners(acc, faces, (mesh.face_areas[faces] * proj).reshape(C * C, -1, 1))
-    return acc.T.reshape(-1, C, C), degenerate
+    return vt[:, :C - 1].transpose(0, 2, 1)
 
 
 def assemble_second_variation(sphere_map: SphereMap, alpha: float) -> SecondVariationPencil:
@@ -223,43 +192,21 @@ def assemble_second_variation(sphere_map: SphereMap, alpha: float) -> SecondVari
                           _tangent_frames(sphere_map), FAR_FROM_CRITICAL)
 
 
-def normal_second_variation(sphere_map: SphereMap, alpha: float = 1.0) -> SecondVariationPencil:
-    """Pencil restricted to fields orthogonal to the map and its image plane.
-
-    Requires an immersed map: elements whose image is (numerically) rank
-    deficient, or whose energy density is below 1e-6 of the mean, are
-    collected into a DegenerateElementsError.
-    """
-    C = sphere_map.n + 1
-    if C - 3 <= 0:
-        raise PreconditionError("normal bundle is trivial for n < 3")
-    g, _ = element_density_area_one(sphere_map)
-    low = g < 1e-6 * float(np.mean(g))
-    acc, degenerate = _image_tangent_planes(sphere_map)
-    if np.any(low | degenerate):
-        bad = np.where(low | degenerate)[0]
-        raise DegenerateElementsError(f"{len(bad)} elements are not immersed",
-                                      elements=bad.tolist())
-    vals = sphere_map.values
-    proj_full = acc / np.trace(acc, axis1=1, axis2=2)[:, None, None]
-    # admissible subspace: orthogonal to span{f, image plane}
-    killed = proj_full + vals[:, :, None] * vals[:, None, :]
-    frames, _ = _leading_frames(np.eye(C) - killed, C - 3)
-    return _framed_pencil(sphere_map, _hessian_parts(sphere_map, alpha), frames)
-
-
-def pencil_eigenvalues(H: sp.spmatrix, M: sp.spmatrix, k: int, mesh: SphereMesh):
-    """(eigenvalues, converged): the k of H v = lambda M v (M > 0) nearest -8, sorted,
-    by shift-invert through mesh.factor(H + 8M): not the k lowest where the spectrum
-    reaches below -8, as a far-from-critical map's can.  All N if k >= N - 1."""
+def pencil_eigenvalues(H: sp.spmatrix, M: sp.spmatrix, k: int, mesh: SphereMesh,
+                       sigma: float = -8.0):
+    """(eigenvalues, converged): the k of H v = lambda M v (M > 0) nearest sigma, sorted,
+    by shift-invert through mesh.factor(H - sigma M) from one seeded v0: not the k lowest
+    where the spectrum reaches below sigma, as a far-from-critical map's reaches below -8.
+    All N if k >= N - 1.  A solve that does not converge returns the values ARPACK
+    converged, sorted, and False."""
     if k < 1:
         raise PreconditionError("need k >= 1 eigenvalues")
     if k >= H.shape[0] - 1:  # ARPACK returns at most N - 1 of N: solve a pencil this small densely
         return scipy.linalg.eigh(H.toarray(), M.toarray(), eigvals_only=True), True
     v0 = np.random.default_rng(_EIG_SEED).standard_normal(H.shape[0])
     try:
-        vals = eigsh(H, k=k, M=M, sigma=-8.0, which="LM", v0=v0,
-                     OPinv=mesh.factor(H + 8.0 * M), return_eigenvectors=False, maxiter=5000)
+        vals = eigsh(H, k=k, M=M, sigma=sigma, which="LM", v0=v0,
+                     OPinv=mesh.factor(H - sigma * M), return_eigenvectors=False, maxiter=5000)
         return np.sort(vals), True
     except ArpackNoConvergence as exc:
         vals = np.sort(exc.eigenvalues) if exc.eigenvalues is not None else np.array([])

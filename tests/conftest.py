@@ -6,9 +6,11 @@ from scipy.sparse.linalg import eigsh
 from scipy.spatial import cKDTree
 
 from spherelab import build_icosphere
+from spherelab.covers import EquatorTargetMap, RationalMap, _conformal_factors, compose_cover
 from spherelab.energy import center_of_mass, equator_map, precompose_with_dilations
 from spherelab.errors import ConvergenceError
 from spherelab.spectrum import assemble_second_variation
+from spherelab.sphere_mesh import MASS_LOCAL, assemble_faces, assemble_pencil
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +31,15 @@ def mesh4():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def pullback_pencil(mesh):
+    """(f, K, M_rho): the degree-2 cover of the equator in S^4 and its
+    pulled-back Laplace pencil."""
+    f = compose_cover(EquatorTargetMap(4), RationalMap.power(2), mesh)
+    rho, _ = _conformal_factors(f, 1e-8)
+    M_rho = assemble_faces(mesh, (rho * mesh.face_areas)[:, None, None] * MASS_LOCAL)
+    return f, assemble_pencil(mesh).K, M_rho
 
 
 def smooth_weight(mesh, seed=0, amplitude=0.6, offset=1.25):

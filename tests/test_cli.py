@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from conftest import assert_spectra_close, count_eigsh, p1_scatter_reference
 from spherelab import assemble_pencil, build_icosphere
@@ -336,6 +337,8 @@ def test_covers_run(tmp_path):
     report = read_report(out)
     assert report["metrics"]["lambda1"]["value"] <= 1.05
     assert report["metrics"]["normal_index"]["value"] >= 4
+    (converged,) = [c for c in report["checks"] if c["name"] == "eigensolver_converged"]
+    assert converged["passed"] is True and converged["anchor"] == "covers.solver_converged"
 
 
 def test_covers_on_a_pencil_smaller_than_k_solves_densely(tmp_path, monkeypatch):
@@ -354,7 +357,7 @@ def test_covers_on_a_pencil_smaller_than_k_solves_densely(tmp_path, monkeypatch)
                         {"kind": "covers", "level": 0, "n": 4, "degree": 2})
     out = str(tmp_path / "out")
     assert main(["covers", "--config", path, "--out", out]) in (EXIT_OK, EXIT_NUMERIC)
-    ((f, (vals, _)),) = solves
+    ((f, (vals, _, _)),) = solves
     mesh = f.mesh
     rho, _ = covers_mod._conformal_factors(f, 1e-8)
     m_local = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -364,6 +367,31 @@ def test_covers_on_a_pencil_smaller_than_k_solves_densely(tmp_path, monkeypatch)
                               eigvals_only=True)
     assert np.array_equal(vals, dense) and len(vals) == mesh.vertex_count
     assert read_report(out)["metrics"]["lambda1"]["value"] == dense[np.abs(dense) > 1e-8][0]
+
+
+def test_covers_run_whose_eigensolve_does_not_converge_writes_its_report(tmp_path, capsys,
+                                                                          monkeypatch):
+    # the covers solve is spectrum.pencil_eigenvalues: an ARPACK stall with an
+    # empty partial batch leaves lambda1 null and fails every check that reads
+    # it, without a NaN in the report, and the run exits 2 with its report
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array([]), None)
+
+    monkeypatch.setattr(spectrum_mod, "eigsh", stalled)
+    path = write_config(tmp_path, "covers.json",
+                        {"kind": "covers", "level": 2, "n": 4, "degree": 2})
+    out = str(tmp_path / "out")
+    assert main(["covers", "--config", path, "--out", out]) == EXIT_NUMERIC
+    assert "numeric failure" not in capsys.readouterr().err
+    with open(os.path.join(out, "report.json")) as fh:
+        assert "NaN" not in fh.read()
+    report = read_report(out)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["eigensolver_converged"]["passed"] is False
+    assert report["metrics"]["lambda1"]["value"] is None
+    for name in ("yang_yau", "double_cover_lambda1"):
+        assert checks[name]["passed"] is False and checks[name]["value"] is None
+    assert checks["riemann_hurwitz"]["passed"] is True
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -452,7 +480,7 @@ def test_spectrum_run_away_from_alpha_one_checks_the_index_only(tmp_path):
 
 
 def test_double_cover_run_solves_once(tmp_path, monkeypatch):
-    calls = count_eigsh(monkeypatch, covers_mod)
+    calls = count_eigsh(monkeypatch, spectrum_mod)
     path = write_config(tmp_path, "covers.json",
                         {"kind": "covers", "level": 3, "n": 4, "degree": 2})
     out = str(tmp_path / "out")
@@ -462,7 +490,7 @@ def test_double_cover_run_solves_once(tmp_path, monkeypatch):
     f = covers_mod.compose_cover(covers_mod.EquatorTargetMap(4),
                                  covers_mod.RationalMap.power(2), build_icosphere(3))
     metrics = read_report(out)["metrics"]
-    vals, _ = covers_mod.pullback_laplace_eigenvalues(f, k=16)
+    vals, _, _ = covers_mod.pullback_laplace_eigenvalues(f, k=16)
     assert metrics["normal_index"]["value"] == covers_mod.normal_index_count(vals, 4)
     assert metrics["lambda1"]["value"] == pytest.approx(
         covers_mod.induced_metric_lambda1(f).lambda1, rel=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from conftest import (
     DENSE_ORACLE_ROWS,
@@ -15,6 +15,7 @@ from conftest import (
     count_face_blocks,
     full_pencil_eigenvalues,
     p1_scatter_reference,
+    pullback_pencil,
     record_face_blocks,
     smooth_weight,
 )
@@ -35,7 +36,7 @@ from spherelab.energy import (
     random_map,
     random_tangent_field,
 )
-from spherelab.errors import DegenerateElementsError, PreconditionError
+from spherelab.errors import PreconditionError
 from spherelab.flow import FlowConfig, continue_in_alpha
 from spherelab.spectrum import (
     CutoffProfile,
@@ -47,7 +48,6 @@ from spherelab.spectrum import (
     equator_spectrum,
     expected_equator_counts,
     morse_index_nullity,
-    normal_second_variation,
     pencil_eigenvalues,
     scaling_invariance_check,
     split_spectrum,
@@ -125,51 +125,71 @@ def test_constant_map_hessian_psd(mesh2):
 
 @pytest.mark.filterwarnings("ignore:map is far from critical")
 def test_factor_solves_framed_pencils_to_their_residual(mesh2, mesh3, rng):
-    # H + 8M in frames of d = 2 (tangent, into S^2), d = 3 (normal, in S^5)
-    # and d = 4 (a random map into S^4, indefinite: its spectrum reaches
-    # far below -8, so the factor pivots off the diagonal)
-    cases = [(mesh3, assemble_second_variation(equator_map(mesh3, 2), 1.0), 2),
-             (mesh3, normal_second_variation(equator_map(mesh3, 5)), 3),
-             (mesh2, assemble_second_variation(random_map(mesh2, 4, rng), 1.1), 4)]
-    for mesh, pencil, d in cases:
-        A = pencil.H + 8.0 * pencil.M
+    # H - sigma M in frames of d = 2 (tangent, into S^2) and d = 4 (a random
+    # map into S^4, indefinite: its spectrum reaches far below -8, so the
+    # factor pivots off the diagonal), both at sigma = -8, and the pulled-back
+    # pencil (K, M_rho) of a double cover (d = 1) at sigma = -0.1
+    tangent = assemble_second_variation(equator_map(mesh3, 2), 1.0)
+    indefinite = assemble_second_variation(random_map(mesh2, 4, rng), 1.1)
+    _, K, M_rho = pullback_pencil(mesh3)
+    cases = [(mesh3, tangent.H, tangent.M, -8.0, 2), (mesh3, K, M_rho, -0.1, 1),
+             (mesh2, indefinite.H, indefinite.M, -8.0, 4)]
+    for mesh, H, M, sigma, d in cases:
+        A = H - sigma * M
         assert A.shape[0] == d * mesh.vertex_count
         b = np.random.default_rng(d).standard_normal((A.shape[0], 2))
         x = mesh.factor(A).solve(b)
         assert np.all(np.linalg.norm(A @ x - b, axis=0) <= 1e-12 * np.linalg.norm(b, axis=0))
     # the random map's pencil is indefinite below the shift
-    assert scipy.linalg.eigh(pencil.H.toarray(), pencil.M.toarray(), eigvals_only=True,
+    assert scipy.linalg.eigh(indefinite.H.toarray(), indefinite.M.toarray(), eigvals_only=True,
                              subset_by_index=(0, 0))[0] < -8.0
 
 
 @pytest.mark.parametrize("level, n, kind", [(3, 4, "tangent"), (4, 4, "tangent"),
-                                            (3, 5, "normal")])
+                                            (3, 4, "cover")])
 def test_pencil_eigenvalues_match_eigsh_own_factor(request, monkeypatch, level, n, kind):
-    # reference: eigsh factoring H + 8M itself (SuperLU's default COLAMD
+    # reference: eigsh factoring H - sigma M itself (SuperLU's default COLAMD
     # order with partial pivoting) for the same pencil, shift and start vector
     mesh = request.getfixturevalue(f"mesh{level}")
-    f = equator_map(mesh, n)
     # k ends at a gap of the spectrum: single-vector Lanczos may drop a copy
-    # of a multiple eigenvalue at the edge of its window.  The normal pencil's
-    # 4 (n - 2) lowest are its index and nullity, -2 and 0 per direction.
+    # of a multiple eigenvalue at the edge of its window.  The cover's k = 16
+    # is that of a degree-2 covers run.
     idx, nul = expected_equator_counts(n)
     if kind == "tangent":
-        pencil, k = assemble_second_variation(f, 1.0), idx + nul + 8
+        pencil = assemble_second_variation(equator_map(mesh, n), 1.0)
+        H, M, k, sigma = pencil.H, pencil.M, idx + nul + 8, -8.0
     else:
-        pencil, k = normal_second_variation(f), 4 * (n - 2)
+        (_, H, M), k, sigma = pullback_pencil(mesh), 16, -0.1
     inverses = []
     monkeypatch.setattr(spectrum_mod, "eigsh",
                         lambda *a, **kw: inverses.append(kw["OPinv"]) or eigsh(*a, **kw))
-    vals, converged = pencil_eigenvalues(pencil.H, pencil.M, k, mesh)
+    vals, converged = pencil_eigenvalues(H, M, k, mesh, sigma=sigma)
     assert converged and len(inverses) == 1
     assert isinstance(inverses[0], sphere_mesh.DissectionFactor)
-    v0 = np.random.default_rng(20240).standard_normal(pencil.dim)
-    ref = np.sort(eigsh(pencil.H.tocsc(), k=k, M=pencil.M.tocsc(), sigma=-8.0, which="LM",
+    v0 = np.random.default_rng(20240).standard_normal(H.shape[0])
+    ref = np.sort(eigsh(H.tocsc(), k=k, M=M.tocsc(), sigma=sigma, which="LM",
                         v0=v0, return_eigenvectors=False, maxiter=5000))
     assert_spectra_close(vals, ref)
-    tau = calibrate_tau(mesh, n)
-    new, old = (classify_spectrum(v, True, k, tau) for v in (vals, ref))
-    assert (new.index, new.nullity) == (old.index, old.nullity)
+    if kind == "tangent":
+        tau = calibrate_tau(mesh, n)
+        new, old = (classify_spectrum(v, True, k, tau) for v in (vals, ref))
+        assert (new.index, new.nullity) == (old.index, old.nullity)
+    else:
+        assert covers_mod.normal_index_count(vals, n) == covers_mod.normal_index_count(ref, n)
+
+
+@pytest.mark.parametrize("partial", [np.array([0.5, -0.25]), None])
+def test_pencil_eigenvalues_returns_the_partial_batch_unconverged(monkeypatch, mesh2, partial):
+    # ARPACK hands the values it converged to its exception: they come back
+    # sorted, flagged unconverged, and no exception escapes
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", partial, None)
+
+    monkeypatch.setattr(spectrum_mod, "eigsh", stalled)
+    pencil = assemble_second_variation(equator_map(mesh2, 4), 1.0)
+    vals, converged = pencil_eigenvalues(pencil.H, pencil.M, 8, mesh2)
+    assert not converged
+    assert np.array_equal(vals, [-0.25, 0.5] if partial is not None else [])
 
 
 def test_far_from_critical_warns(mesh2, rng):
@@ -408,61 +428,6 @@ def test_equator_pencil_splits_into_scalar_copies(mesh3, dense_equator_spectrum,
     assert min(multiplicity) >= n - 2
 
 
-def test_normal_pencil_equator(mesh3):
-    for n, negatives in ((4, 2), (5, 3)):
-        pencil = normal_second_variation(equator_map(mesh3, n))
-        vals, ok = pencil_eigenvalues(pencil.H, pencil.M, 4 * (n - 2) + 4, pencil.mesh)
-        assert ok
-        neg = vals[vals < -0.5]
-        assert len(neg) == negatives
-        assert np.max(np.abs(neg + 2.0)) <= 0.05 * 2.0
-        null = vals[np.abs(vals) <= 0.1]
-        assert len(null) == 3 * (n - 2)
-
-
-def test_normal_pencil_spectrum_refines_to_analytic():
-    # analytic normal spectrum at the equator: {-2, 0, 4, 10} per direction
-    targets = np.array([-2.0, 0.0, 4.0])
-    errors = {}
-    hs = {}
-    for level in (2, 3, 4):
-        mesh = build_icosphere(level)
-        pencil = normal_second_variation(equator_map(mesh, 4))
-        vals, ok = pencil_eigenvalues(pencil.H, pencil.M, 18, pencil.mesh)
-        assert ok
-        expected = np.concatenate([
-            np.repeat(targets[0], 2), np.repeat(targets[1], 6),
-            np.repeat(targets[2], 10),
-        ])
-        errors[level] = float(np.max(np.abs(vals[: len(expected)] - expected)))
-        hs[level] = mesh.max_edge_length()
-    order = math.log(errors[2] / errors[4]) / math.log(hs[2] / hs[4])
-    assert order >= 1.5
-
-
-def test_normal_pencil_rejects_degenerate_maps(mesh2):
-    with pytest.raises(DegenerateElementsError) as err:
-        normal_second_variation(constant_map(mesh2, 4))
-    assert len(err.value.elements) > 0
-
-
-@pytest.mark.parametrize("level", [2, 3])
-@pytest.mark.parametrize("n", [4, 8])
-def test_image_tangent_planes_keep_their_bits_in_any_block(request, monkeypatch, level, n):
-    # the planes walk the energy's face blocks and scatter face by face in
-    # index order: one block and 97-face blocks, which straddle the
-    # subdivision's face groups, give the same bits
-    mesh = request.getfixturevalue(f"mesh{level}")
-    f = perturbed_equator(mesh, n, seed=level)
-    planes = []
-    for block in (mesh.face_count, 97):
-        monkeypatch.setattr(sphere_mesh, "FACE_BLOCK", block)
-        planes.append(spectrum_mod._image_tangent_planes(f))
-    (acc, degenerate), (acc97, degenerate97) = planes
-    assert acc.shape == (mesh.vertex_count, n + 1, n + 1) and not degenerate.any()
-    assert np.array_equal(acc, acc97) and np.array_equal(degenerate, degenerate97)
-
-
 def perturbed_equator(mesh, n, seed):
     """An immersed, non-critical map near the totally geodesic sphere."""
     vals = equator_map(mesh, n).values
@@ -543,11 +508,8 @@ def test_hessian_and_pencils_match_hand_written_builders(request, monkeypatch,
             A = (K - sp.diags(np.sum((K @ base.values) * base.values, axis=1))).tocsr()
             assert_csr_equal(H, sp.kron(A, sp.eye(C), format="csr"))
     tangent = assemble_second_variation(f, alpha)
-    normal = normal_second_variation(f, alpha)
     assert np.array_equal(tangent.frame, spectrum_mod._tangent_frames(f))
-    assert normal.frame.shape == (mesh.vertex_count, C, C - 3)
-    for pencil in (tangent, normal):
-        assert_pencil_matches_reduction(pencil, f, alpha)
+    assert_pencil_matches_reduction(tangent, f, alpha)
 
 
 # -- weight invariance ------------------------------------------------------------------
@@ -632,7 +594,7 @@ def test_pullback_mass_matches_hand_written_scatter(request, monkeypatch, level)
     mesh = request.getfixturevalue(f"mesh{level}")
     f = perturbed_equator(mesh, 4, seed=level)
     masses = []
-    monkeypatch.setattr(covers_mod, "eigsh",
+    monkeypatch.setattr(spectrum_mod, "eigsh",
                         lambda K, k, M, **kw: masses.append(M) or np.zeros(k))
     covers_mod.pullback_laplace_eigenvalues(f, k=8, eps_reg=1e-8)
     (M_rho,) = masses
