@@ -148,6 +148,13 @@ def _cross_field_rules(kind, cfg):
                    "constant map, which cannot be recentered")
         elif start not in ("distorted_equator", "equator"):
             yield f"field 'start': unknown start map {start!r}"
+        # the experiment solves a spectrum of the flow's final map at the
+        # flow's level, so the spectrum kind's level bound holds for it too: at
+        # level 7, n = 4 that spectrum alone took 104 s and 1.4 GB
+        if cfg.get("semicontinuity_experiment") and cfg["level"] > SPECTRUM_MAX_LEVEL:
+            yield (f"fields 'level', 'semicontinuity_experiment': the experiment "
+                   f"solves a spectrum at the flow's level {cfg['level']}, above "
+                   f"the spectrum bound {SPECTRUM_MAX_LEVEL}")
     elif kind == "morse" and "n" not in cfg and "complex_path" not in cfg:
         yield "missing required field 'n' (or give 'complex_path')"
 

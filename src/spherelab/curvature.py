@@ -272,38 +272,6 @@ def verify_pinch_implication(op: CurvatureOperator, delta: float,
     return PinchReport(delta, sample_count, violations, worst, rng_seed, True)
 
 
-def curvature_condition_d(op: CurvatureOperator, d: int, sample_count: int,
-                          rng_seed: int) -> bool:
-    """Check K_i(sigma) > K_r(associated plane)/d > 0 on sampled isotropic planes.
-
-    The planes are (e1 + i e2, e3 + i e4) over random orthonormal 4-frames,
-    evaluated SAMPLE_BLOCK at a time with the draws and checks of a loop
-    over random_orthonormal_frame and the per-plane functions.
-    """
-    if op.n < 4:
-        raise PreconditionError("need dimension >= 4")
-    if d < 1:
-        raise PreconditionError("cover degree d must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    R2 = op.R.reshape(op.n ** 2, op.n ** 2)
-    for m in _blocks(sample_count):
-        e = _frames(rng.standard_normal((m, op.n, 4)))
-        x, y = e[:, 0], e[:, 1]
-        ki, plane_checks = _complex_quotients(R2, x, y, e[:, 2], e[:, 3])
-        # associated_real_plane(x + i y): nonzero and isotropic
-        xx, yy = _rows_dot(x, x), _rows_dot(y, y)
-        vv = xx + yy
-        bilinear = np.hypot(xx - yy, 2.0 * _rows_dot(x, y))
-        kr, real_checks = _real_quotients(R2, x, y)
-        checks = plane_checks + [
-            (vv == 0, _ZERO_VECTOR),
-            (bilinear > ISOTROPY_TOL * np.maximum(1.0, vv), _NOT_ISOTROPIC),
-        ] + real_checks
-        if _first_failure(checks, (ki > kr / d) & (kr > 0)) is not None:
-            return False
-    return True
-
-
 # -- batched kernels -------------------------------------------------------------
 #
 # Each evaluates a block of samples at once: R contracts against the rows

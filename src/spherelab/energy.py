@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, InvariantViolationError, NumericError,
                      PreconditionError)
-from .sphere_mesh import FOUR_PI, SphereMesh, _row_dots, _row_norms
+from .sphere_mesh import FACE_BLOCK, FOUR_PI, SphereMesh, _row_dots, _row_norms
 
 # below this t, psi_alpha sums its Taylor series: the relative error of the
 # series through t^5 is about 3e-13 there for alpha in [1, 5]
@@ -56,7 +56,7 @@ class SphereMap:
             raise PreconditionError(
                 f"values shape {self.values.shape} does not match mesh/target"
             )
-        norms = np.linalg.norm(self.values, axis=1)
+        norms = _row_norms(self.values)
         if not np.max(np.abs(norms - 1.0)) <= 1e-10:  # a NaN fails it
             raise PreconditionError("map values must be unit vectors (within 1e-10)")
 
@@ -201,9 +201,9 @@ def _project_owned(sphere_map: SphereMap, field_values: np.ndarray) -> TangentFi
     if field_values.shape != sphere_map.values.shape:
         raise PreconditionError("field shape does not match the map")
     head = head_map(sphere_map).values
-    live = head.shape[1]
-    dots = _row_dots(field_values[:, :live], head)
-    field_values[:, :live] -= dots[:, None] * head
+    dots = _row_dots(field_values[:, :head.shape[1]], head)
+    for j, column in enumerate(head.T):  # no (V, live) temporary
+        field_values[:, j] -= dots * column
     return TangentField(sphere_map, field_values)
 
 
@@ -217,12 +217,13 @@ def dilated_equator_map(mesh: SphereMesh, n: int, t: float, axis="z") -> SphereM
     The dilation is applied analytically to the vertex positions before
     sampling, so no interpolation error enters.
     """
-    # the padded array is allocated before the dilation's temporaries: in the
-    # other order the heap layout raises the level-8 bubble path's peak RSS by
-    # about 3 MB.  The rows are normalized before padding: zero columns add
-    # nothing to their norms
+    # the rows are normalized before padding, where zero columns add nothing
+    # to their norms, and FACE_BLOCK rows at a time: the dilation's
+    # temporaries of all V rows would set the level-8 bubble path's peak RSS
     vals = np.zeros((mesh.vertex_count, n + 1))
-    vals[:, :3] = normalize_rows(dilate_points(mesh.vertices, t, axis=axis))
+    for start in range(0, mesh.vertex_count, FACE_BLOCK):
+        rows = slice(start, start + FACE_BLOCK)
+        vals[rows, :3] = normalize_rows(dilate_points(mesh.vertices[rows], t, axis=axis))
     return SphereMap(mesh, n, vals)
 
 
@@ -329,15 +330,16 @@ def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray
     weighted differences D_e = w_f c_e d_e.  The weights read the map's
     element_energy_integrals, which a fresh map walks the faces for first;
     this walk then only weights each block and SphereMesh.scatter_corners
-    adds it in.  Both walk the live columns (head_map): the rows of the
-    dead ones stay exactly zero.
+    adds it in.  Both walk the live columns (head_map): the columns of the
+    dead ones stay exactly zero.  The scatter adds into the live columns of
+    the (V, C) result in place, so no (C, V) array and no copy is made.
     """
     mesh = sphere_map.mesh
     areas = mesh.face_areas
     q = element_energy_integrals(sphere_map)
-    out = np.zeros((sphere_map.values.shape[1], mesh.vertex_count))
     head = head_map(sphere_map)
-    live = out[:head.n + 1]
+    out = np.zeros(sphere_map.values.shape)
+    live = out[:, :head.n + 1].T  # (live, V) rows, each a strided column of out
     for faces, d, c in _face_blocks(head):
         w = alpha * (1.0 + _density(q[faces], areas[faces])) ** (alpha - 1.0)
         d *= w * c
@@ -345,7 +347,7 @@ def alpha_energy_raw_gradient(sphere_map: SphereMap, alpha: float) -> np.ndarray
         for e in range(3):  # s_a = D_ab - D_ca, s_b = D_bc - D_ab, s_c = D_ca - D_bc
             np.subtract(d[:, e], d[:, e - 1], out=s[:, :, e])
         mesh.scatter_corners(live, faces, s)
-    return np.ascontiguousarray(out.T)
+    return out
 
 
 def alpha_energy_gradient(sphere_map: SphereMap, alpha: float) -> TangentField:

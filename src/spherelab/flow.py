@@ -241,15 +241,16 @@ def detect_concentration(sphere_map: SphereMap, epsilon_su: float,
     and claims the one holding the most; only balls with more than
     ``epsilon_su`` Dirichlet energy are reported, as {center, local_energy}
     dicts sorted by energy.  A density bound certifies termination without
-    scanning every center.  The ball test runs in slices of
-    sphere_mesh.FACE_BLOCK faces, so its temporaries do not grow with the
+    scanning every center.  Each round walks the centroid blocks
+    (SphereMesh._centroid_blocks) and keeps only the faces near its seed, so
+    no (F, 3) centroid array is made or cached; the ball test runs in slices
+    of sphere_mesh.FACE_BLOCK faces, so its temporaries do not grow with the
     mesh.
     """
     if not 0.0 < radius < np.pi / 2.0:
         raise PreconditionError("radius must lie in (0, pi/2)")
     mesh = sphere_map.mesh
     remaining = 0.5 * element_energy_integrals(sphere_map)  # face energies
-    centroids = mesh.face_centroids
     chordal = 2.0 * np.sin(radius / 2.0)
     ball_area = 2.0 * np.pi * (1.0 - np.cos(radius + 2.0 * mesh.max_edge_length()))
     k = min(64, mesh.vertex_count)
@@ -261,7 +262,8 @@ def detect_concentration(sphere_map: SphereMap, epsilon_su: float,
         if float(np.max(remaining / mesh.face_areas)) * ball_area <= epsilon_su:
             break  # no ball can reach the threshold
         seed_face = int(np.argmax(remaining))
-        seed = centroids[seed_face]
+        # the seed face's centroid, with the bits of its centroid block's row
+        seed = sphere_mesh._centroids(mesh.vertices[mesh.faces[seed_face], :, None])[0]
         # the k vertices nearest the seed, nearest first
         nearest = np.argpartition(-(mesh.vertices @ seed), k - 1)[:k]
         dist = np.linalg.norm(mesh.vertices[nearest] - seed, axis=1)
@@ -272,13 +274,18 @@ def detect_concentration(sphere_map: SphereMap, epsilon_su: float,
         # the unit sphere |c - seed| <= reach is c . seed >= 1 - reach^2 / 2,
         # and the 1e-9 slack covers the rounding of that dot-product form
         reach = dist.max() + chordal + 1e-9
-        near = np.flatnonzero(centroids @ seed >= 1.0 - 0.5 * reach * reach)
+        near, centroids = [], []
+        for faces, block in mesh._centroid_blocks():
+            hit = np.flatnonzero(block @ seed >= 1.0 - 0.5 * reach * reach)
+            near.append(hit + faces.start)
+            centroids.append(block[hit])
+        near, centroids = np.concatenate(near), np.concatenate(centroids)
         # the (faces, k, 3) differences of the whole region would set the
         # process's peak memory, so the ball test runs FACE_BLOCK faces at a time
         members = np.empty((len(near), k), dtype=bool)
         for start in range(0, len(near), sphere_mesh.FACE_BLOCK):
             rows = slice(start, start + sphere_mesh.FACE_BLOCK)
-            d = centroids[near[rows], None, :] - centers[None, :, :]
+            d = centroids[rows, None, :] - centers[None, :, :]
             members[rows] = np.sqrt(np.einsum("fvc,fvc->fv", d, d)) <= chordal + 1e-12
         local = remaining[near] @ members
         best = int(np.argmax(local))  # the nearest of equal balls

@@ -60,7 +60,7 @@ def _icosahedron():
             [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
             [5, 4, 9], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
         ],
-        dtype=np.int64,
+        dtype=np.int32,
     )
     # Rotate vertex 0 onto the north pole; the icosahedron is centrally
     # symmetric so its antipode lands on the south pole.
@@ -115,6 +115,20 @@ def _row_norms(x):
 def _edges(a, b, c):
     """Edges c - b, a - c, b - a of a triangle: edge i is opposite corner i."""
     return c - b, a - c, b - a
+
+
+def _flat_areas(e):
+    """Flat-triangle areas from the edges of _edges."""
+    return 0.5 * np.sqrt(_norm_sq(_cross(e[1], e[2])))
+
+
+def _centroids(corners):
+    """Flat-triangle centroids projected to the sphere, as C-ordered (B, 3)
+    rows, from the corners (a, b, c), each a (3, B) array of coordinate rows.
+    A product with a 3-vector then has the bits it has on the (F, 3) array."""
+    a, b, c = corners
+    mean = (a + b + c) / 3.0
+    return np.ascontiguousarray((mean / np.sqrt(_norm_sq(mean))).T)
 
 
 # the (i, j) of the cotangent rows -k_01, -k_12, -k_02
@@ -173,7 +187,7 @@ def _subdivide(verts, faces):
     new_verts = np.vstack([verts, mid])
     # children[f, i] = (corner i, m_i, m_(i-1)) for the corner children, with
     # m_0, m_1, m_2 = m01, m12, m20, then the centre child (m01, m12, m20)
-    children = np.empty((len(faces), 4, 3), dtype=np.int64)
+    children = np.empty((len(faces), 4, 3), dtype=np.int32)
     m = np.add(inv.reshape(-1, 3), len(verts), out=children[:, 3])
     children[:, :3, 0] = faces
     children[:, :3, 1] = m
@@ -185,7 +199,9 @@ def _subdivide(verts, faces):
 class SphereMesh:
     """Closed oriented triangulation of the unit sphere.  Meshes from
     build_icosphere keep _subdivide's layout: the children of face f of the
-    level before are faces 4f .. 4f+3, the centre child last."""
+    level before are faces 4f .. 4f+3, the centre child last.  Their (F, 3)
+    face table is int32, which holds every vertex index up to MAX_LEVEL;
+    _edge_keys widens to int64 where indices are multiplied."""
 
     vertices: np.ndarray
     faces: np.ndarray
@@ -208,7 +224,7 @@ class SphereMesh:
 
     def max_edge_length(self):
         """Longest edge chord; computed by the geometry pass and cached."""
-        return self._geometry()[3]
+        return self._geometry()[2]
 
     # -- per-element geometry -------------------------------------------------
 
@@ -238,28 +254,34 @@ class SphereMesh:
             np.add.at(row, idx, corner_values.reshape(-1))
 
     def _corner_blocks(self):
-        """corner_blocks of the vertex coordinates, as (faces, (a, b, c)) with
-        each corner a (3, B) array."""
-        columns = np.ascontiguousarray(self.vertices.T)  # (3, V)
-        for faces, corners in self.corner_blocks(columns):
-            yield faces, corners.swapaxes(0, 1)
+        """The blocks of corner_blocks over the vertex coordinates, as (faces,
+        (a, b, c)) with each corner a (3, B) array.  Each block gathers from
+        the (V, 3) rows, so the walk makes no (3, V) copy of the vertices."""
+        for start in range(0, self.face_count, FACE_BLOCK):
+            faces = slice(start, start + FACE_BLOCK)
+            corners = np.take(self.vertices, self.faces[faces].T, axis=0)  # (3, B, 3)
+            yield faces, np.ascontiguousarray(corners.transpose(0, 2, 1))
 
     def _build_geometry(self):
         """Per-face areas and cotangent rows, and the longest edge, in one pass.
 
         Every value has the bits of the np.einsum / np.cross /
-        np.linalg.norm formulas over (F, 3, 3) corner arrays.
+        np.linalg.norm formulas over (F, 3, 3) corner arrays.  The flat areas
+        the cotangents divide by are checked here and not kept
+        (face_flat_areas).
         """
         f = self.face_count
-        area, flat_area = np.empty(f), np.empty(f)
+        area = np.empty(f)
         cotangents = np.empty((3, f))
         max_sq = 0.0
+        degenerate = False
         # a degenerate face divides by zero here and is reported below
         with np.errstate(divide="ignore", invalid="ignore"):
             for faces, (a, b, c) in self._corner_blocks():
                 e = _edges(a, b, c)
-                flat_area[faces] = 0.5 * np.sqrt(_norm_sq(_cross(e[1], e[2])))
-                den = 4.0 * flat_area[faces]
+                flat_area = _flat_areas(e)
+                degenerate = degenerate or not np.all(np.isfinite(flat_area) & (flat_area > 0))
+                den = 4.0 * flat_area
                 for row, (i, j) in zip(cotangents, _OFF_DIAGONAL):
                     row[faces] = -(_dot(e[i], e[j]) / den)
                 # Quadrature weights use exact geodesic triangle areas; these
@@ -270,18 +292,24 @@ class SphereMesh:
                 area[faces] = 2.0 * np.arctan2(
                     num, 1.0 + _dot(a, b) + _dot(b, c) + _dot(c, a))
                 max_sq = max(max_sq, *(float(np.max(_norm_sq(x))) for x in e))
-        if np.any(flat_area <= 0) or not np.all(np.isfinite(flat_area)):
-            bad = int(np.argmin(flat_area))
-            raise MeshAssemblyError(
-                f"degenerate face {bad} with area {flat_area[bad]!r}", face_index=bad
-            )
-        return area, flat_area, cotangents, math.sqrt(max_sq)
+            if degenerate:  # name the first NaN area, or else the first smallest
+                flat_area = self.face_flat_areas
+                bad = int(np.argmin(flat_area))
+                raise MeshAssemblyError(
+                    f"degenerate face {bad} with area {flat_area[bad]!r}", face_index=bad
+                )
+        return area, cotangents, math.sqrt(max_sq)
+
+    def _centroid_blocks(self):
+        """The flat-triangle centroids projected to the sphere, FACE_BLOCK
+        faces at a time: yields (faces, (B, 3) centroids) per block."""
+        for faces, corners in self._corner_blocks():
+            yield faces, _centroids(corners)
 
     def _build_centroids(self):
         centroids = np.empty((self.face_count, 3))
-        for faces, (a, b, c) in self._corner_blocks():
-            mean = (a + b + c) / 3.0
-            centroids[faces] = (mean / np.sqrt(_norm_sq(mean))).T
+        for faces, block in self._centroid_blocks():
+            centroids[faces] = block
         return centroids
 
     @property
@@ -291,13 +319,18 @@ class SphereMesh:
 
     @property
     def face_flat_areas(self):
-        return self._geometry()[1]
+        """Flat-triangle areas, (F,), recomputed by a face walk on each read:
+        no copy is kept on the mesh.  Its readers read it once per call."""
+        flat_area = np.empty(self.face_count)
+        for faces, corners in self._corner_blocks():
+            flat_area[faces] = _flat_areas(_edges(*corners))
+        return flat_area
 
     @property
     def face_cotangents(self):
         """(3, F) rows -k_01, -k_12, -k_02, the weights of edges ab, bc, ca: the
         mesh's only stored P1 stiffness (Pinkall-Polthier 1993)."""
-        return self._geometry()[2]
+        return self._geometry()[1]
 
     @property
     def face_stiffness(self):

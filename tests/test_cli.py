@@ -175,6 +175,9 @@ def test_validate_rejects_bools(tmp_path, capsys, cfg, field):
     ({"kind": "spectrum", "level": 2, "n": 4, "alpha": math.inf}, ["alpha"]),
     ({"kind": "flow", "level": 3, "n": 4, "alpha_schedule": [1.2, math.inf]},
      ["alpha_schedule"]),
+    # the experiment's spectrum at level 7, n = 4 took 104 s and 1.4 GB
+    ({"kind": "flow", "level": SPECTRUM_MAX_LEVEL + 1, "n": 4, "alpha_schedule": [1.2],
+      "semicontinuity_experiment": True}, ["level", "semicontinuity_experiment"]),
 ])
 def test_validate_cost_guards(tmp_path, capsys, cfg, fields):
     diags = validate_config(cfg)
@@ -597,6 +600,19 @@ def test_flow_whose_first_descent_fails_writes_its_report(tmp_path):
     assert not next(c["passed"] for c in report["checks"]
                     if c["name"] == "all_stages_converged")
     assert report["metrics"]["stages_completed"]["value"] == 0
+
+
+def test_semicontinuity_experiment_admits_the_spectrum_level(tmp_path):
+    # the other side of the edge is a case of test_validate_cost_guards
+    cfg = {"kind": "flow", "level": SPECTRUM_MAX_LEVEL, "n": 4, "alpha_schedule": [1.2],
+           "semicontinuity_experiment": True}
+    assert validate_config(cfg) == []
+    assert validate_config({**cfg, "level": SPECTRUM_MAX_LEVEL + 1,
+                            "semicontinuity_experiment": False}) == []
+    # the accepted side, run at a small level
+    out = str(tmp_path / "flow")
+    assert run({**cfg, "level": 2}, out) == EXIT_OK
+    assert "index_semicontinuity" in read_report(out)["metrics"]
 
 
 def test_no_cli_run_builds_the_full_pencil(tmp_path, monkeypatch):

@@ -120,6 +120,8 @@ def assert_contract(cfg):
     elif kind in ("flow", "covers"):
         assert 0 <= cfg["level"] <= FACTORED_MAX_LEVEL
         assert {"flow": 2, "covers": 3}[kind] <= cfg["n"] <= MORSE_MAX_N
+        # a flow's semicontinuity experiment solves a spectrum at its level
+        assert not cfg.get("semicontinuity_experiment") or cfg["level"] <= SPECTRUM_MAX_LEVEL
     elif kind == "pinch":
         assert 4 <= cfg["n"] <= PINCH_MAX_N and 1 <= cfg["samples"] <= PINCH_MAX_SAMPLES
     elif kind == "morse":

@@ -13,7 +13,6 @@ from spherelab.curvature import (
     check_curvature_symmetries,
     complex_sectional_curvature,
     constant_curvature_operator,
-    curvature_condition_d,
     pinch_bounds,
     pinched_operator,
     product_spheres_operator,
@@ -172,43 +171,6 @@ def test_verify_pinch_needs_dimension_four():
         verify_pinch_implication(op, 0.5, 10, rng_seed=0)
 
 
-def test_curvature_condition_d():
-    unit = constant_curvature_operator(4, 1.0)
-    assert curvature_condition_d(unit, 2, 500, rng_seed=5)
-    assert not curvature_condition_d(unit, 1, 500, rng_seed=5)
-
-
-def test_curvature_condition_product_grid_oracle():
-    op = product_spheres_operator()
-    sampled = curvature_condition_d(op, 3, 500, rng_seed=5)
-
-    # deterministic grid oracle over rotations of the standard frame
-    def grid_oracle():
-        thetas = np.linspace(0.0, np.pi / 2, 5)
-        for t1 in thetas:
-            for t2 in thetas:
-                c1, s1 = np.cos(t1), np.sin(t1)
-                c2, s2 = np.cos(t2), np.sin(t2)
-                frame = np.array(
-                    [
-                        [c1, 0, s1, 0],
-                        [0, c2, 0, s2],
-                        [-s1, 0, c1, 0],
-                        [0, -s2, 0, c2],
-                    ]
-                )
-                v = frame[0] + 1j * frame[1]
-                w = frame[2] + 1j * frame[3]
-                ki = complex_sectional_curvature(op, ComplexPlane(v, w))
-                x, y = associated_real_plane(v)
-                kr = real_sectional_curvature(op, x, y)
-                if not (ki > kr / 3 and kr > 0):
-                    return False
-        return True
-
-    assert sampled == grid_oracle() == False  # noqa: E712
-
-
 def test_symmetry_projection(rng):
     raw = rng.standard_normal((4,) * 4)
 
@@ -249,22 +211,6 @@ def scalar_pinch_loop(op, delta, sample_count, seed, pretest_count=2000):
         worst = min(worst, margin)
         violations += margin < -slack
     return violations, worst, ""
-
-
-def scalar_condition_d(op, d, sample_count, seed):
-    """curvature_condition_d as a loop over the per-plane API, same draws.
-
-    Returns the index of the first failing sample, or None.
-    """
-    rng = np.random.default_rng(seed)
-    for s in range(sample_count):
-        e = random_orthonormal_frame(op.n, 4, rng)
-        v = e[0] + 1j * e[1]
-        ki = complex_sectional_curvature(op, ComplexPlane(v, e[2] + 1j * e[3]))
-        kr = real_sectional_curvature(op, *associated_real_plane(v))
-        if not (ki > kr / d and kr > 0):
-            return s
-    return None
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -362,37 +308,3 @@ def test_verify_pinch_non_real_quotient_raises():
         scalar_pinch_loop(op, 0.9, 50, 1, pretest_count=0)
     with pytest.raises(PreconditionError, match="not numerically real"):
         verify_pinch_implication(op, 0.9, 50, 1, pretest_count=0)
-
-
-@pytest.mark.parametrize("c, d, seed, first", [
-    (2.3, 2, 6, 102), (2.3, 2, 5, 1408), (2.3, 2, 7, 2377),
-    (1.3, 4, 6, 1070),  # K_i > K_r / d holds there, but K_r < 0
-])
-def test_curvature_condition_d_fails_where_scalar_loop_fails(c, d, seed, first):
-    # a space form plus a fixed random curvature tensor: the condition
-    # fails on about one sampled plane in a thousand
-    noise = project_to_curvature_symmetries(
-        np.random.default_rng(8).standard_normal((5,) * 4))
-    op = CurvatureOperator(5, constant_curvature_operator(5, c).R + noise)
-    limit = 3000
-    assert scalar_condition_d(op, d, limit, seed) == first
-    # the sampler returns False on a prefix iff it holds the first failure
-    lo, hi = 1, limit
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if curvature_condition_d(op, d, mid, seed):
-            lo = mid + 1
-        else:
-            hi = mid
-    assert lo - 1 == first
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_curvature_condition_d_matches_scalar_loop(d):
-    ops = (constant_curvature_operator(4, 1.0), product_spheres_operator(),
-           pinched_operator(5, 0.5, np.random.default_rng(1)))
-    for op in ops:
-        for seed in (5, 6):
-            count = SAMPLE_BLOCK + 5
-            assert curvature_condition_d(op, d, count, seed) == (
-                scalar_condition_d(op, d, count, seed) is None)

@@ -383,8 +383,9 @@ def test_dilated_family_concentrates():
 
 def test_bubble_path_builds_no_stiffness_blocks_or_edge_table(monkeypatch):
     # criterion 8's path: energy, gradient and detection read the (3, F)
-    # cotangent rows and centroids; the (F, 3, 3) blocks are for FEM assembly
-    # and the (E, 2) edge table for the dissection order
+    # cotangent rows, and detection walks the centroid blocks; the (F, 3, 3)
+    # blocks are for FEM assembly and the (E, 2) edge table for the
+    # dissection order
     mesh = build_icosphere(5)
     f = dilated_equator_map(mesh, 4, 5.0, axis="z")
     dirichlet_energy(f)
@@ -497,26 +498,32 @@ def test_detect_concentration_matches_kdtree_loop(level, t, axis, count, monkeyp
 
 
 def test_bubble_path_transients_stay_bounded():
-    # criterion 8's throwaway arrays, on the level-7 mesh: the ball test runs
-    # in FACE_BLOCK slices instead of one (|near|, 64, 3) difference array,
-    # and the gradient projects the raw gradient it owns in place instead of
-    # a copy.  The face energies and centroids are built before tracing.
+    # criterion 8's throwaway arrays on the level-7 mesh, as the peak traced
+    # memory above each call's start in float64 per vertex or per face.  The
+    # dilation runs FACE_BLOCK rows at a time (23.2 per vertex when it
+    # dilated all rows at once); the gradient scatters into the live columns
+    # of its (V, C) result and projects that in place (10.5 with a (C, V)
+    # scatter and its transposed copy); detection walks the centroid blocks
+    # and caches no (F, 3) centroids (8.6 per face when it built them), and
+    # its ball test runs in FACE_BLOCK slices of the seed's region.
     mesh = build_icosphere(7)
-    f = dilated_equator_map(mesh, 4, 5.0, axis="z")
-    dirichlet_energy(f)
-    mesh.face_centroids
-    peaks = []
-    for call in (lambda: alpha_energy_gradient(f, 1.05),
-                 lambda: detect_concentration(f, 1.0, 0.2)):
+
+    def traced(call):
         tracemalloc.start()
         try:
-            call()
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            return call(), tracemalloc.get_traced_memory()[1] / 8
         finally:
             tracemalloc.stop()
-    gradient_peak, detection_peak = peaks
-    assert gradient_peak <= 2.4 * f.values.nbytes  # the scatter and its transpose
-    assert detection_peak <= 6.5 * mesh.face_count * 8  # 6.5 float64 per face
+
+    f, dilation = traced(lambda: dilated_equator_map(mesh, 4, 5.0, axis="z"))
+    dirichlet_energy(f)  # the face energies are built before tracing
+    _, gradient = traced(lambda: alpha_energy_gradient(f, 1.05))
+    detections, detection = traced(lambda: detect_concentration(f, 1.0, 0.2))
+    assert len(detections) == 1
+    assert dilation <= 10 * mesh.vertex_count
+    assert gradient <= 9.5 * mesh.vertex_count
+    assert detection <= 6.5 * mesh.face_count
+    assert "centroids" not in mesh._cache
 
 
 def test_detection_radius_guard(mesh2):

@@ -73,8 +73,9 @@ def test_every_private_name_is_referenced():
 KEPT_PUBLIC = {
     "constant_map": "fixture: the degenerate map that spectrum, covers and flow refuse",
     "product_spheres_operator": "fixture: an operator whose mixed-plane curvatures vanish",
-    "associated_real_plane": "scalar oracle that scalar_pinch_loop checks the blocked "
-                             "isotropy test against",
+    "associated_real_plane": "the real plane of an isotropic vector; it was the scalar "
+                             "oracle of the deleted curvature_condition_d, and only "
+                             "its own test reaches it now: it can go with that test",
 }
 
 
@@ -84,8 +85,10 @@ def public_name_faults(root, allowed):
 
     A name is reached by a reference (as referenced_names reads one) in
     src/spherelab outside its own definition, in perfbench/*.py or in
-    tests/test_acceptance.py, or by an identifier inside a backticked code
-    span of README.md.  An allowed name must be defined and not reached.
+    tests/test_acceptance.py, or by an identifier inside a fenced code block
+    of README.md: an example that calls the API.  README's prose, backticked
+    code spans included, only describes a name and reaches none.  An
+    allowed name must be defined and not reached.
     """
     root = Path(root)
     defined = []
@@ -100,8 +103,9 @@ def public_name_faults(root, allowed):
     readers = sorted((root / "perfbench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
     outside = {name for path in readers
                for name in referenced_names(ast.parse(path.read_text(), filename=str(path)))}
-    outside |= {word for span in re.findall(r"`([^`\n]+)`", (root / "README.md").read_text())
-                for word in re.findall(r"[A-Za-z_]\w*", span)}
+    fenced = re.findall(r"^```[^\n]*\n(.*?)^```", (root / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    outside |= {word for block in fenced for word in re.findall(r"[A-Za-z_]\w*", block)}
     reached = {name for _, name, self_ref in defined
                if name in outside or src_refs.get(name, 0) > self_ref}
     faults = [f"{where} {name}" for where, name, _ in defined
@@ -123,6 +127,7 @@ def test_public_name_guard_on_a_tiny_package(tmp_path):
     (package / "mod.py").write_text(
         "def dead(): return dead()\n"
         "def prose(): pass\n"
+        "def spanned(): pass\n"
         "def documented(): pass\n"
         "def accepted(): pass\n"
         "def kept(): pass\n"
@@ -130,7 +135,10 @@ def test_public_name_guard_on_a_tiny_package(tmp_path):
         "def caller(): return used()\n"
         "LIMIT = 1\n"
         "_helper = 2\n")
-    (tmp_path / "README.md").write_text("Call prose on a map, or `mod.documented(f)`.\n")
+    # a backticked span in prose reaches nothing; a fenced example does
+    (tmp_path / "README.md").write_text(
+        "Call prose on a map, or `mod.spanned(f)`:\n\n"
+        "```python\nmod.documented(f)\n```\n")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_acceptance.py").write_text(
         "from spherelab.mod import accepted\n")
@@ -138,5 +146,5 @@ def test_public_name_guard_on_a_tiny_package(tmp_path):
     (tmp_path / "perfbench" / "bench.py").write_text("TRACED = ('caller',)\n")
     allowed = {"kept": "a fixture", "gone": "deleted since", "used": "called anyway"}
     assert public_name_faults(tmp_path, allowed) == [
-        "mod.py:1 dead", "mod.py:2 prose", "mod.py:8 LIMIT",
+        "mod.py:1 dead", "mod.py:2 prose", "mod.py:3 spanned", "mod.py:9 LIMIT",
         "allowed gone: not defined", "allowed used: reached"]

@@ -47,6 +47,12 @@ def test_one_subdivision_counts():
     assert mesh.face_count == 80
 
 
+@pytest.mark.parametrize("level", [0, 1, 5])
+def test_faces_are_int32(level):
+    # int32 holds every vertex index up to the level guard, 655 361 at level 8
+    assert build_icosphere(level).faces.dtype == np.int32
+
+
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_sphere_topology(level):
     mesh = build_icosphere(level)
@@ -62,7 +68,8 @@ def test_edges_match_two_dimensional_unique(level):
     pairs = np.sort(mesh.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     reference = np.unique(pairs, axis=0)
     edges = _edge_table(mesh.faces, mesh.vertex_count)[0]
-    assert edges.dtype == reference.dtype
+    # the table holds the int64 of its keys and the reference the int32 of
+    # the faces: the values are compared
     assert np.array_equal(edges, reference)
     assert not edges.flags.writeable
     # validate_mesh counts the same edges without building the table
